@@ -9,6 +9,10 @@ adapters may never claim the same extension.
 from __future__ import annotations
 
 import ast
+import bisect
+import re
+from dataclasses import dataclass
+from itertools import accumulate
 from typing import Protocol
 
 from .model import CallableRecord
@@ -22,7 +26,7 @@ class GrammarAdapter(Protocol):
         """Parse source text; raises SyntaxError on failure."""
         ...
 
-    def enumerate_callables(self, path: str, text: str, tree) -> list[CallableRecord]:
+    def enumerate_callables(self, path: str, source: SourceText, tree) -> list[CallableRecord]:
         ...
 
 
@@ -32,9 +36,52 @@ def is_source_line(line: str) -> bool:
     return bool(stripped) and not stripped.startswith("#")
 
 
-def count_source_lines(lines: list[str], start: int, end: int) -> int:
-    """SLOC within a 1-based inclusive line span."""
-    return sum(1 for line in lines[start - 1 : end] if is_source_line(line))
+# The only line breaks Python's parser knows. ``str.splitlines`` also breaks
+# on form feeds, vertical tabs and Unicode separators, which would shift
+# every later line number away from the syntax tree's.
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")
+
+
+@dataclass(frozen=True)
+class SourceText:
+    """One file's text, split into lines once, the way the parser splits it.
+
+    ``starts`` holds the character offset of line 1 and of the position
+    after every line break; ``byte_starts`` holds the same offsets into
+    ``data``, the UTF-8 encoding of ``text`` that syntax-tree columns count.
+    """
+
+    text: str
+    data: bytes
+    starts: tuple[int, ...]
+    byte_starts: tuple[int, ...]
+    line_count: int
+    source_lines: frozenset[int]  # 1-based lines that are neither blank nor comment
+
+    @classmethod
+    def from_text(cls, text: str) -> SourceText:
+        starts = (0, *(m.end() for m in _LINE_BREAK.finditer(text)))
+        lines = [text[a:b] for a, b in zip(starts, (*starts[1:], len(text))) if a < len(text)]
+        data = text.encode()
+        byte_starts = starts if len(data) == len(text) else (0, *accumulate(len(line.encode()) for line in lines))
+        source_lines = frozenset(n for n, line in enumerate(lines, 1) if is_source_line(line))
+        return cls(text, data, starts, byte_starts[: len(starts)], len(lines), source_lines)
+
+    def sloc(self, start: int, end: int) -> int:
+        """Source lines within a 1-based inclusive line span."""
+        return sum(1 for n in range(start, end + 1) if n in self.source_lines)
+
+    def position(self, offset: int) -> tuple[int, int]:
+        """1-based (line, column) of a character offset into ``text``."""
+        line = bisect.bisect_right(self.starts, offset)
+        return line, offset - self.starts[line - 1] + 1
+
+    def segment(self, node: ast.AST) -> str | None:
+        """Exact source text of an expression or statement node."""
+        if getattr(node, "end_col_offset", None) is None:
+            return None
+        start = self.byte_starts[node.lineno - 1] + node.col_offset
+        return self.data[start : self.byte_starts[node.end_lineno - 1] + node.end_col_offset].decode()
 
 
 # Node types that open a new callable scope; decision points inside them
@@ -85,14 +132,13 @@ class PythonAdapter:
     def parse(self, text: str) -> ast.Module:
         return ast.parse(text)
 
-    def enumerate_callables(self, path: str, text: str, tree: ast.Module) -> list[CallableRecord]:
-        lines = text.splitlines()
+    def enumerate_callables(self, path: str, source: SourceText, tree: ast.Module) -> list[CallableRecord]:
         records: list[CallableRecord] = []
-        self._collect(tree, path, lines, [], records)
+        self._collect(tree, path, source, [], records)
         records.sort(key=lambda c: (c.span[0], c.qualified_name))
         return records
 
-    def _collect(self, node: ast.AST, path: str, lines: list[str],
+    def _collect(self, node: ast.AST, path: str, source: SourceText,
                  scope: list[str], out: list[CallableRecord]) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -104,14 +150,14 @@ class PythonAdapter:
                         file=path,
                         span=(start, end),
                         cc=cyclomatic_complexity(child),
-                        sloc=max(1, count_source_lines(lines, start, end)),
+                        sloc=max(1, source.sloc(start, end)),
                     )
                 )
-                self._collect(child, path, lines, scope + [child.name], out)
+                self._collect(child, path, source, scope + [child.name], out)
             elif isinstance(child, ast.ClassDef):
-                self._collect(child, path, lines, scope + [child.name], out)
+                self._collect(child, path, source, scope + [child.name], out)
             else:
-                self._collect(child, path, lines, scope, out)
+                self._collect(child, path, source, scope, out)
 
 
 ADAPTERS: dict[str, GrammarAdapter] = {PythonAdapter.language: PythonAdapter()}

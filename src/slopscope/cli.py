@@ -14,6 +14,7 @@ import sys
 from datetime import date
 from pathlib import Path
 
+from .adapters import SourceText
 from .clones import DEFAULT_MIN_WINDOW
 from .erosion import erosion_sensitivity
 from .history import GitError, measure_checkpoint, measure_history
@@ -71,10 +72,8 @@ def _write_report(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _cfg_dict(config: ScanConfig, args: argparse.Namespace, extra: dict | None = None) -> dict:
-    effective = config.to_dict()
-    effective.update(extra or {})
-    return effective
+def _cfg_dict(config: ScanConfig, extra: dict) -> dict:
+    return {**config.to_dict(), **extra}
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
@@ -91,7 +90,6 @@ def cmd_scan(args: argparse.Namespace) -> int:
             rules,
             min_window=args.min_window,
             label=str(args.root),
-            jobs=args.jobs,
         )
     except ScanError as exc:
         print(f"slopscope: {exc}", file=sys.stderr)
@@ -117,7 +115,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         )
         Path(args.emit_matches).write_text(lines, encoding="utf-8")
 
-    config_dict = _cfg_dict(config, args, {"min_window": args.min_window})
+    config_dict = _cfg_dict(config, {"min_window": args.min_window})
     report = envelope("ScanReport", payload, config_dict, args.deterministic)
     if args.format == "csv":
         _write_report(scan_report_csv(payload), args.out)
@@ -143,7 +141,6 @@ def cmd_history(args: argparse.Namespace) -> int:
             rules=rules,
             min_window=args.min_window,
             exclude_tests=args.exclude_tests,
-            jobs=args.jobs,
         )
     except GitError as exc:
         print(f"slopscope: {exc}", file=sys.stderr)
@@ -155,7 +152,6 @@ def cmd_history(args: argparse.Namespace) -> int:
     payload["repo"] = "." if args.deterministic else str(args.repo)
     config_dict = _cfg_dict(
         config,
-        args,
         {
             "max_commits": args.max_commits,
             "seed": args.seed,
@@ -178,6 +174,7 @@ def cmd_panel(args: argparse.Namespace) -> int:
     except (RuleError, OSError) as exc:
         print(f"slopscope: {exc}", file=sys.stderr)
         return EXIT_BAD_RULES
+    config = _load_config_arg(args.config)
     try:
         specs = load_panel_config(args.panel_config)
     except (OSError, KeyError, ValueError) as exc:
@@ -188,7 +185,7 @@ def cmd_panel(args: argparse.Namespace) -> int:
     failed = []
     for spec in specs:
         try:
-            entries.append(build_panel_entry(spec, rules=rules, jobs=args.jobs))
+            entries.append(build_panel_entry(spec, config, rules, args.min_window))
         except (GitError, ScanError, OSError) as exc:
             print(f"slopscope: {spec.repo_id}: {exc}", file=sys.stderr)
             failed.append(spec.repo_id)
@@ -213,11 +210,15 @@ def cmd_panel(args: argparse.Namespace) -> int:
         }
         for e in sorted(entries, key=lambda e: e.repo_id)
     ]
-    config_dict = {
-        "panel_config": os.path.basename(args.panel_config),
-        "reference_mean_verbosity": args.reference_mean_verbosity,
-        "reference_mean_erosion": args.reference_mean_erosion,
-    }
+    config_dict = _cfg_dict(
+        config,
+        {
+            "panel_config": os.path.basename(args.panel_config),
+            "reference_mean_verbosity": args.reference_mean_verbosity,
+            "reference_mean_erosion": args.reference_mean_erosion,
+            "min_window": args.min_window,
+        },
+    )
     _write_report(
         canonical_json(envelope("PanelReport", payload, config_dict, args.deterministic)),
         args.out,
@@ -256,19 +257,19 @@ def cmd_rules(args: argparse.Namespace) -> int:
         except SyntaxError as exc:
             print(f"slopscope: {path}: {exc}", file=sys.stderr)
             return EXIT_UNREADABLE
-    matches = match_rules(path.name, text, tree, "python", rules.subset({rule.id}))
+    matches = match_rules(path.name, SourceText.from_text(text), tree, "python", rules.subset({rule.id}))
     for m in matches:
         print(json.dumps(match_to_dict(m), sort_keys=True))
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, csv: bool = True) -> None:
     parser.add_argument("--rules", help=f"rule file (default: ${RULES_ENV} or the bundled starter set)")
     parser.add_argument("--config", help="scan config file (JSON or YAML)")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
+    if csv:
+        parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--out", help="write the report to a file instead of stdout")
     parser.add_argument("--deterministic", action="store_true", help="omit timestamps and absolute paths")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel file workers")
     parser.add_argument("--min-window", type=int, default=DEFAULT_MIN_WINDOW, help="clone window size in normalized lines")
 
 
@@ -294,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_panel = sub.add_parser("panel", help="aggregate a panel of repositories")
     p_panel.add_argument("panel_config")
-    _add_common(p_panel)
+    _add_common(p_panel, csv=False)
     p_panel.add_argument("--reference-mean-verbosity", type=float)
     p_panel.add_argument("--reference-mean-erosion", type=float)
     p_panel.set_defaults(func=cmd_panel)

@@ -53,12 +53,12 @@ def normalize_file(path: str, text: str) -> _NormalizedFile:
     """Token-normalize a file into per-line fingerprint strings.
 
     Multi-line tokens (e.g. triple-quoted strings) are attributed to their
-    start line. Falls back to an empty stream if the file cannot be
-    tokenized at all.
+    start line. Lines break only at CR LF, CR and LF, as the parser's do.
+    Falls back to an empty stream if the file cannot be tokenized at all.
     """
     per_line: dict[int, list[str]] = {}
     try:
-        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        for tok in tokenize.generate_tokens(io.StringIO(text, newline=None).readline):
             normalized = _normalize_token(tok)
             if normalized is not None:
                 per_line.setdefault(tok.start[0], []).append(normalized)

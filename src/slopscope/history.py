@@ -15,8 +15,8 @@ from .clones import DEFAULT_MIN_WINDOW, detect_clones
 from .erosion import ErosionParams, erosion_score
 from .rules import RuleSet, match_rules
 from .scan import ScanConfig, scan_tree_with_sources
-from .adapters import is_source_line
 from .trajectory import (
+    DEFAULT_ERA_CUTOFF,
     CheckpointMetrics,
     EraShift,
     TrajectorySummary,
@@ -142,27 +142,18 @@ def measure_checkpoint(
     label: str = "",
     index: int = 0,
     timestamp: datetime | None = None,
-    jobs: int = 1,
 ) -> CheckpointAnalysis:
     """Scan a snapshot and compute the full metric bundle."""
-    inventory, sources = scan_tree_with_sources(workspace, config, jobs=jobs)
+    inventory, sources = scan_tree_with_sources(workspace, config)
     erosion = erosion_score(inventory, erosion_params)
 
     matches = []
     for path in sorted(sources):
         src = sources[path]
         if rules is not None:
-            matches.extend(match_rules(path, src.text, src.tree, src.language, rules))
-    clones = detect_clones({p: s.text for p, s in sources.items()}, min_window)
+            matches.extend(match_rules(path, src.source, src.tree, src.language, rules))
+    clones = detect_clones({p: s.source.text for p, s in sources.items()}, min_window)
 
-    source_line_sets = {
-        path: {
-            i + 1
-            for i, line in enumerate(src.text.splitlines())
-            if is_source_line(line)
-        }
-        for path, src in sources.items()
-    }
     from .verbosity import verbosity_score
 
     verbosity = verbosity_score(
@@ -170,7 +161,7 @@ def measure_checkpoint(
         matches,
         clones,
         file_line_count={f.path: f.line_count for f in inventory.files},
-        source_lines=source_line_sets,
+        source_lines={path: src.source.source_lines for path, src in sources.items()},
     )
     metrics = CheckpointMetrics(
         index=index,
@@ -196,13 +187,12 @@ def measure_history(
     repo: str | Path,
     max_commits: int = 30,
     seed: int = 0,
-    cutoff: date | None = None,
+    cutoff: date = DEFAULT_ERA_CUTOFF,
     config: ScanConfig | None = None,
     rules: RuleSet | None = None,
     erosion_params: ErosionParams | None = None,
     min_window: int = DEFAULT_MIN_WINDOW,
     exclude_tests: bool = False,
-    jobs: int = 1,
 ) -> HistoryResult:
     """Sample a repository's commits and measure each snapshot."""
     if not (Path(repo) / ".git").exists() and not (Path(repo) / "HEAD").exists():
@@ -228,7 +218,6 @@ def measure_history(
                 label=commit.sha,
                 index=i,
                 timestamp=commit.committed_at,
-                jobs=jobs,
             )
         checkpoints.append(
             CheckpointMetrics(
@@ -239,5 +228,4 @@ def measure_history(
     if not checkpoints:
         return HistoryResult(checkpoints=[], summary=None, era=None)
     summary = trajectory_summary(checkpoints)
-    era = era_split(checkpoints, cutoff) if cutoff else era_split(checkpoints)
-    return HistoryResult(checkpoints=checkpoints, summary=summary, era=era)
+    return HistoryResult(checkpoints=checkpoints, summary=summary, era=era_split(checkpoints, cutoff))

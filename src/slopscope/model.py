@@ -26,7 +26,6 @@ class FileRecord:
     language: str
     loc: int
     line_count: int
-    decode_ok: bool = True
 
     def __post_init__(self) -> None:
         if self.loc > self.line_count:
@@ -65,7 +64,7 @@ class SourceInventory:
     """Everything measured in one workspace snapshot.
 
     ``callables`` is sorted by (file, start_line) so serialized inventories
-    are byte-stable across scans and thread counts.
+    are byte-stable across scans.
     """
 
     files: tuple[FileRecord, ...] = ()

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import yaml
 
+from .clones import DEFAULT_MIN_WINDOW
 from .history import HistoryResult, measure_history
 from .model import ScanError
 from .rules import RuleSet
@@ -95,7 +96,7 @@ def build_panel_entry(
     spec: RepoSpec,
     config: ScanConfig | None = None,
     rules: RuleSet | None = None,
-    jobs: int = 1,
+    min_window: int = DEFAULT_MIN_WINDOW,
 ) -> RepoPanelEntry:
     result: HistoryResult = measure_history(
         spec.repo_path,
@@ -103,7 +104,7 @@ def build_panel_entry(
         seed=spec.seed,
         config=config,
         rules=rules,
-        jobs=jobs,
+        min_window=min_window,
     )
     if not result.checkpoints:
         raise ScanError(f"{spec.repo_id}: no measurable checkpoints")

@@ -18,6 +18,8 @@ import itertools
 import re
 from dataclasses import dataclass, field
 
+from .adapters import SourceText
+
 _PLACEHOLDER_PREFIX = "_slopscope_mv_"
 _MV_TOKEN = re.compile(r"\$\$|\$([A-Za-z_][A-Za-z0-9_]*)(\??)")
 
@@ -145,8 +147,8 @@ def _stmt_placeholder_name(node: ast.AST) -> str | None:
 
 
 class _Matcher:
-    def __init__(self, source_text: str) -> None:
-        self.source = source_text
+    def __init__(self, source: SourceText) -> None:
+        self.node_text = source.segment
         self.bindings: dict[str, str] = {}
 
     def bind(self, name: str, text: str | None) -> bool:
@@ -156,12 +158,6 @@ class _Matcher:
             return self.bindings[name] == text
         self.bindings[name] = text
         return True
-
-    def node_text(self, node: ast.AST) -> str | None:
-        try:
-            return ast.get_source_segment(self.source, node)
-        except (ValueError, TypeError):
-            return None
 
     def match_node(self, pat: ast.AST, src: ast.AST, stmt_position: bool = False) -> bool:
         name = _placeholder_name(pat)
@@ -209,7 +205,7 @@ def _statement_lists(tree: ast.AST):
                 yield value
 
 
-def find_matches(compiled: CompiledPattern, tree: ast.AST, source_text: str) -> list[PatternMatch]:
+def find_matches(compiled: CompiledPattern, tree: ast.AST, source: SourceText) -> list[PatternMatch]:
     """All matches of a compiled pattern in one parsed file."""
     matches: dict[tuple[tuple[int, int], tuple[int, int]], PatternMatch] = {}
     for variant in compiled.variants:
@@ -218,7 +214,7 @@ def find_matches(compiled: CompiledPattern, tree: ast.AST, source_text: str) -> 
             for node in ast.walk(tree):
                 if not isinstance(node, ast.expr):
                     continue
-                m = _Matcher(source_text)
+                m = _Matcher(source)
                 if m.match_node(pat, node):
                     start, end = _position(node)
                     matches.setdefault(
@@ -230,7 +226,7 @@ def find_matches(compiled: CompiledPattern, tree: ast.AST, source_text: str) -> 
             for stmts in _statement_lists(tree):
                 for i in range(len(stmts) - width + 1):
                     window = stmts[i : i + width]
-                    m = _Matcher(source_text)
+                    m = _Matcher(source)
                     if all(
                         m.match_node(p, s, stmt_position=True)
                         for p, s in zip(variant.nodes, window)

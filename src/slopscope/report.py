@@ -6,6 +6,7 @@ import csv
 import hashlib
 import io
 import json
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 from . import __version__
@@ -70,15 +71,7 @@ def erosion_to_dict(report: ErosionReport) -> dict:
 
 
 def verbosity_to_dict(breakdown: VerbosityBreakdown) -> dict:
-    return {
-        "score": breakdown.score,
-        "flagged_lines": breakdown.flagged_lines,
-        "clone_lines": breakdown.clone_lines,
-        "union_lines": breakdown.union_lines,
-        "loc": breakdown.loc,
-        "violation_density": breakdown.violation_density,
-        "clone_ratio": breakdown.clone_ratio,
-    }
+    return asdict(breakdown)
 
 
 def match_to_dict(match: RuleMatch) -> dict:
@@ -150,33 +143,11 @@ def checkpoint_to_dict(cm: CheckpointMetrics) -> dict:
 
 
 def summary_to_dict(summary: TrajectorySummary) -> dict:
-    return {
-        "n_checkpoints": summary.n_checkpoints,
-        "first_erosion": summary.first_erosion,
-        "last_erosion": summary.last_erosion,
-        "first_verbosity": summary.first_verbosity,
-        "last_verbosity": summary.last_verbosity,
-        "rising_erosion": summary.rising_erosion,
-        "rising_verbosity": summary.rising_verbosity,
-        "slope_erosion": summary.slope_erosion,
-        "slope_verbosity": summary.slope_verbosity,
-        "growth_pct_erosion": summary.growth_pct_erosion,
-        "growth_pct_verbosity": summary.growth_pct_verbosity,
-        "missing_checkpoints": list(summary.missing_checkpoints),
-    }
+    return {**asdict(summary), "missing_checkpoints": list(summary.missing_checkpoints)}
 
 
 def era_to_dict(era: EraShift) -> dict:
-    return {
-        "cutoff_date": era.cutoff_date.isoformat(),
-        "eligible": era.eligible,
-        "pre_median_erosion": era.pre_median_erosion,
-        "post_median_erosion": era.post_median_erosion,
-        "pre_median_verbosity": era.pre_median_verbosity,
-        "post_median_verbosity": era.post_median_verbosity,
-        "shift_erosion": era.shift_erosion,
-        "shift_verbosity": era.shift_verbosity,
-    }
+    return {**asdict(era), "cutoff_date": era.cutoff_date.isoformat()}
 
 
 def history_to_dict(result: HistoryResult) -> dict:
@@ -188,18 +159,9 @@ def history_to_dict(result: HistoryResult) -> dict:
 
 
 def panel_to_dict(report: PanelReport) -> dict:
-    def tier(stats) -> dict:
-        return {
-            "n": stats.n,
-            "mean_verbosity": stats.mean_verbosity,
-            "std_verbosity": stats.std_verbosity,
-            "mean_erosion": stats.mean_erosion,
-            "std_erosion": stats.std_erosion,
-        }
-
     return {
-        "overall": tier(report.overall),
-        "tiers": {name: tier(stats) for name, stats in sorted(report.tiers.items())},
+        "overall": asdict(report.overall),
+        "tiers": {name: asdict(stats) for name, stats in sorted(report.tiers.items())},
         "rising_fraction_erosion": report.rising_fraction_erosion,
         "rising_fraction_verbosity": report.rising_fraction_verbosity,
         "median_slope_erosion": report.median_slope_erosion,

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import yaml
 
+from .adapters import SourceText
 from .patterns import CompiledPattern, PatternError, compile_pattern, find_matches
 
 _REGEX_FLAGS = {"i": re.IGNORECASE, "m": re.MULTILINE, "s": re.DOTALL}
@@ -148,25 +149,13 @@ def load_starter_rules() -> RuleSet:
         return load_rules(path)
 
 
-def _offset_to_pos(line_starts: list[int], offset: int) -> tuple[int, int]:
-    import bisect
-
-    line = bisect.bisect_right(line_starts, offset)
-    return line, offset - line_starts[line - 1] + 1
-
-
-def _regex_matches(rule: QualityRule, regex: re.Pattern, path: str, text: str) -> list[RuleMatch]:
-    line_starts = [0]
-    for i, ch in enumerate(text):
-        if ch == "\n":
-            line_starts.append(i + 1)
+def _regex_matches(rule: QualityRule, regex: re.Pattern, path: str, source: SourceText) -> list[RuleMatch]:
     out: list[RuleMatch] = []
-    for m in regex.finditer(text):
+    for m in regex.finditer(source.text):
         if m.start() == m.end():
             continue
-        start = _offset_to_pos(line_starts, m.start())
-        end = _offset_to_pos(line_starts, m.end())
-        last_line = _offset_to_pos(line_starts, m.end() - 1)[0]
+        start, end = source.position(m.start()), source.position(m.end())
+        last_line = source.position(m.end() - 1)[0]
         out.append(
             RuleMatch(
                 rule_id=rule.id,
@@ -179,7 +168,7 @@ def _regex_matches(rule: QualityRule, regex: re.Pattern, path: str, text: str) -
     return out
 
 
-def match_rules(path: str, text: str, tree, language: str, rules: RuleSet) -> list[RuleMatch]:
+def match_rules(path: str, source: SourceText, tree, language: str, rules: RuleSet) -> list[RuleMatch]:
     """Every match of every applicable rule in one file, canonically ordered."""
     out: list[RuleMatch] = []
     for rule in rules:
@@ -187,10 +176,10 @@ def match_rules(path: str, text: str, tree, language: str, rules: RuleSet) -> li
             continue
         compiled = rules.compiled(rule)
         if rule.kind == "regex":
-            out.extend(_regex_matches(rule, compiled, path, text))
+            out.extend(_regex_matches(rule, compiled, path, source))
         elif tree is not None:
             assert isinstance(compiled, CompiledPattern)
-            for pm in find_matches(compiled, tree, text):
+            for pm in find_matches(compiled, tree, source):
                 out.append(
                     RuleMatch(
                         rule_id=rule.id,

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import fnmatch
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
 
-from .adapters import adapter_for_extension, count_source_lines
+from .adapters import SourceText, adapter_for_extension
 from .model import FileRecord, ScanError, SourceInventory, merge_inventories
 
 # Directories that are never source, regardless of config.
@@ -53,11 +52,11 @@ def load_scan_config(path: str | Path) -> ScanConfig:
 
 @dataclass
 class ParsedSource:
-    """Decoded text plus syntax tree for one scanned file."""
+    """Line table plus syntax tree for one scanned file."""
 
     path: str
     language: str
-    text: str
+    source: SourceText
     tree: object
 
 
@@ -81,8 +80,8 @@ def _scan_one(root: Path, relpath: str, config: ScanConfig) -> tuple[SourceInven
     except (UnicodeDecodeError, LookupError):
         return SourceInventory(skipped=((relpath, "decode"),)), None
 
-    lines = text.splitlines()
-    if lines and len(text) / len(lines) > config.minified_line_threshold:
+    source = SourceText.from_text(text)
+    if source.line_count and len(text) / source.line_count > config.minified_line_threshold:
         return SourceInventory(skipped=((relpath, "minified"),)), None
 
     try:
@@ -93,13 +92,12 @@ def _scan_one(root: Path, relpath: str, config: ScanConfig) -> tuple[SourceInven
     record = FileRecord(
         path=relpath,
         language=adapter.language,
-        loc=count_source_lines(lines, 1, len(lines)),
-        line_count=len(lines),
-        decode_ok=True,
+        loc=len(source.source_lines),
+        line_count=source.line_count,
     )
-    callables = adapter.enumerate_callables(relpath, text, tree)
+    callables = adapter.enumerate_callables(relpath, source, tree)
     inventory = SourceInventory(files=(record,), callables=tuple(callables))
-    return inventory, ParsedSource(relpath, adapter.language, text, tree)
+    return inventory, ParsedSource(relpath, adapter.language, source, tree)
 
 
 def _eligible_paths(root: Path, config: ScanConfig) -> list[str]:
@@ -116,27 +114,20 @@ def _eligible_paths(root: Path, config: ScanConfig) -> list[str]:
 
 
 def scan_tree_with_sources(
-    root: str | Path, config: ScanConfig | None = None, jobs: int = 1
+    root: str | Path, config: ScanConfig | None = None
 ) -> tuple[SourceInventory, dict[str, ParsedSource]]:
-    """Scan a tree, keeping decoded text and trees for downstream matching."""
+    """Scan a tree, keeping line tables and trees for downstream matching."""
     config = config or ScanConfig()
     root = Path(root)
     if not root.is_dir():
         raise ScanError(f"root does not exist or is not a directory: {root}")
-    paths = _eligible_paths(root, config)
-
-    if jobs > 1 and len(paths) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda p: _scan_one(root, p, config), paths))
-    else:
-        results = [_scan_one(root, p, config) for p in paths]
-
+    results = [_scan_one(root, p, config) for p in _eligible_paths(root, config)]
     inventory = merge_inventories([inv for inv, _ in results])
     sources = {src.path: src for _, src in results if src is not None}
     return inventory, sources
 
 
-def scan_tree(root: str | Path, config: ScanConfig | None = None, jobs: int = 1) -> SourceInventory:
+def scan_tree(root: str | Path, config: ScanConfig | None = None) -> SourceInventory:
     """Scan a tree into a SourceInventory. Deterministic for a fixed tree."""
-    inventory, _ = scan_tree_with_sources(root, config, jobs)
+    inventory, _ = scan_tree_with_sources(root, config)
     return inventory

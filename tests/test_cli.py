@@ -47,9 +47,10 @@ class TestExitCodes:
         assert code == EXIT_OK
         assert json.loads(out)["payload"]["verbosity"]["score"] == 0.0
 
-    def test_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "scan")
-        assert code == EXIT_USAGE
+    def test_usage_error(self, capsys, tmp_path):
+        for argv in (["scan"], ["scan", str(tmp_path), "--jobs", "2"]):
+            code, _, _ = run_cli(capsys, *argv)
+            assert code == EXIT_USAGE, argv
 
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")
@@ -122,10 +123,8 @@ class TestDeterminism:
     def test_scan_byte_identical(self, capsys, tmp_path):
         write_tree(tmp_path, SIMPLE_TREE)
         outputs = set()
-        for jobs in ("1", "1", "4"):
-            _, out, _ = run_cli(
-                capsys, "scan", str(tmp_path), "--deterministic", "--jobs", jobs
-            )
+        for _ in range(3):
+            _, out, _ = run_cli(capsys, "scan", str(tmp_path), "--deterministic")
             outputs.add(out)
         assert len(outputs) == 1
 
@@ -212,6 +211,36 @@ class TestPanelCommand:
         assert code == EXIT_OK
         payload = json.loads(out)["payload"]
         assert payload["failed"] == ["bad"]
+
+    def test_min_window_changes_report(self, capsys, tmp_path, history_repo):
+        config = tmp_path / "panel.yaml"
+        config.write_text(f"- {{repo_path: '{history_repo}', repo_id: fixture, stars: 42}}\n")
+        reports = [
+            json.loads(run_cli(capsys, "panel", str(config), "--deterministic", *extra)[1])
+            for extra in ((), ("--min-window", "2"))
+        ]
+        assert reports[0]["config_digest"] != reports[1]["config_digest"]
+        verbosity = [r["payload"]["entries"][0]["head_verbosity"] for r in reports]
+        assert verbosity[1] > verbosity[0]
+
+    def test_config_changes_report(self, capsys, tmp_path, history_repo):
+        panel = tmp_path / "panel.yaml"
+        panel.write_text(f"- {{repo_path: '{history_repo}', repo_id: fixture, stars: 42}}\n")
+        scan_config = tmp_path / "scan.yaml"
+        scan_config.write_text("exclude: ['slop.py']\n")
+        reports = [
+            json.loads(run_cli(capsys, "panel", str(panel), "--deterministic", *extra)[1])
+            for extra in ((), ("--config", str(scan_config)))
+        ]
+        assert reports[0]["config_digest"] != reports[1]["config_digest"]
+        erosion = [r["payload"]["entries"][0]["head_erosion"] for r in reports]
+        assert erosion[1] < erosion[0]
+
+    def test_format_is_not_offered(self, capsys, tmp_path):
+        config = tmp_path / "panel.yaml"
+        config.write_text(f"- {{repo_path: '{tmp_path}', repo_id: x, stars: 1}}\n")
+        code, _, _ = run_cli(capsys, "panel", str(config), "--format", "csv")
+        assert code == EXIT_USAGE
 
     def test_all_failures_is_unreadable(self, capsys, tmp_path):
         config = tmp_path / "panel.yaml"

@@ -4,7 +4,7 @@ import ast
 
 import pytest
 
-from slopscope.adapters import PythonAdapter, cyclomatic_complexity, count_source_lines
+from slopscope.adapters import PythonAdapter, SourceText, cyclomatic_complexity
 from slopscope.model import CallableRecord, FileRecord, ScanError, merge_inventories
 from slopscope.scan import ScanConfig, load_scan_config, scan_tree
 
@@ -106,15 +106,24 @@ class TestScanTree:
         inv = scan_tree(tmp_path, ScanConfig(exclude=("sub/*",)))
         assert all(f.path.startswith("pkg/") for f in inv.files)
 
-    def test_thread_counts_agree(self, tmp_path):
-        write_tree(tmp_path, TREE_FILES)
-        assert scan_tree(tmp_path, jobs=1) == scan_tree(tmp_path, jobs=4)
+    def test_odd_line_breaks_follow_the_parser(self, tmp_path):
+        # A form feed ends a line for str.splitlines() but not for the parser.
+        (tmp_path / "m.py").write_text(
+            "def f(a):\n    x = 1\x0c\n    return a\n\n\ndef g():\n    return 2\n", encoding="utf-8"
+        )
+        inv = scan_tree(tmp_path)
+        assert (inv.files[0].line_count, inv.files[0].loc) == (7, 5)
+        assert {c.qualified_name: (c.span, c.sloc) for c in inv.callables} == {
+            "f": ((1, 3), 3),
+            "g": ((6, 7), 2),
+        }
 
 
 class TestEnumerateCallables:
     def test_no_functions(self):
         adapter = PythonAdapter()
-        assert adapter.enumerate_callables("m.py", "x = 1\n", ast.parse("x = 1\n")) == []
+        source = SourceText.from_text("x = 1\n")
+        assert adapter.enumerate_callables("m.py", source, ast.parse(source.text)) == []
 
     def test_methods_and_module_function(self, tmp_path):
         write_tree(tmp_path, {"m.py": TREE_FILES["pkg/alpha.py"]})
@@ -154,15 +163,16 @@ class TestCyclomaticComplexity:
 
 class TestSourceLines:
     def test_one_liner(self):
-        assert count_source_lines(["def f(): return 1"], 1, 1) == 1
+        assert SourceText.from_text("def f(): return 1").sloc(1, 1) == 1
 
     def test_blank_and_comment_excluded(self):
-        lines = ["def f(a):", "", "    # setup", "    a += 1", "    return a"]
-        assert count_source_lines(lines, 1, 5) == 3
+        source = SourceText.from_text("def f(a):\n\n    # setup\n    a += 1\n    return a\n")
+        assert source.sloc(1, 5) == 3
+        assert source.source_lines == {1, 4, 5}
 
     def test_docstring_counts(self):
-        lines = ['def f():', '    """Doc."""', "    return 1"]
-        assert count_source_lines(lines, 1, 3) == 3
+        source = SourceText.from_text('def f():\r\n    """Doc."""\r\n    return 1\r\n')
+        assert (source.sloc(1, 3), source.line_count) == (3, 3)
 
 
 class TestRecords:

@@ -140,8 +140,8 @@ class TestWholeFileDuplication:
         texts = {}
         for path in sorted(sources):
             parsed = sources[path]
-            texts[path] = parsed.text
-            matches.extend(match_rules(path, parsed.text, parsed.tree, "python", rules))
+            texts[path] = parsed.source.text
+            matches.extend(match_rules(path, parsed.source, parsed.tree, "python", rules))
         clones = detect_clones(texts)
         verbosity = verbosity_score(
             {f.path: f.loc for f in inv.files}, matches, clones
@@ -178,7 +178,7 @@ def test_fixture_module_end_to_end(tmp_path):
     inv, sources = _scan_with_sources(tmp_path)
     rules = load_starter_rules()
     parsed = sources["m.py"]
-    matches = match_rules("m.py", parsed.text, parsed.tree, "python", rules)
+    matches = match_rules("m.py", parsed.source, parsed.tree, "python", rules)
     # identity-comprehension on line 2, len-eq-zero guard on line 3,
     # single-use-return on lines 5-6.
     hit_lines = {line for m in matches for line in m.lines}
