@@ -1,20 +1,23 @@
 """Command-line interface: scan, history, panel, rules.
 
-Exit codes: 0 success, 1 usage error (including unknown rule ids),
-2 unreadable root / not a repository, 3 invalid rule file. Reports go to
-stdout (or --out); diagnostics go to stderr.
+Exit codes: 0 success, 1 usage error (a bad flag value, --config or panel
+file, or an unknown rule id), 2 unreadable root / not a repository /
+skipped file, 3 invalid rule file. Reports go to stdout (or --out);
+diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict
 from datetime import date
 from pathlib import Path
 
-from .adapters import SourceText
+from .adapters import adapter_for_extension
 from .clones import DEFAULT_MIN_WINDOW
 from .erosion import erosion_sensitivity
 from .history import GitError, measure_checkpoint, measure_history
@@ -30,12 +33,12 @@ from .report import (
     history_to_dict,
     inventory_to_dict,
     match_to_dict,
-    panel_to_dict,
     scan_report_csv,
     verbosity_to_dict,
 )
-from .rules import RuleError, load_rules, load_starter_rules, match_rules
-from .scan import ScanConfig, load_scan_config
+from .rules import RuleError, RuleSet, load_rules, load_starter_rules, match_rules
+from .scan import ScanConfig, load_scan_config, scan_file
+from .trajectory import DEFAULT_ERA_CUTOFF
 
 RULES_ENV = "SLOPSCOPE_RULES"
 
@@ -51,49 +54,55 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _load_rules_arg(path: str | None):
-    if path is None:
-        path = os.environ.get(RULES_ENV)
-    if path is None:
-        return load_starter_rules()
-    return load_rules(path)
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
-def _load_config_arg(path: str | None) -> ScanConfig:
-    if path is None:
-        return ScanConfig()
-    return load_scan_config(path)
+def _iso_date(text: str) -> date:
+    try:
+        return date.fromisoformat(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an ISO date (YYYY-MM-DD), got {text!r}") from None
 
 
-def _write_report(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
+def _fail(message: object, code: int) -> int:
+    print(f"slopscope: {message}", file=sys.stderr)
+    return code
+
+
+def _emit(args, rules: RuleSet, config: ScanConfig, payload_type: str, payload: dict,
+          settings: dict, to_csv=None) -> int:
+    """Write one report: CSV rows, or the JSON envelope whose config digest
+    covers the scan config, the rule definitions, --min-window and the
+    command's own ``settings``.
+    """
+    if to_csv is not None and args.format == "csv":
+        text = to_csv(payload)
+    else:
+        rule_defs = json.dumps([asdict(rule) for rule in rules], sort_keys=True).encode()
+        digested = {
+            **asdict(config),
+            "rules": hashlib.sha256(rule_defs).hexdigest(),
+            "min_window": args.min_window,
+            **settings,
+        }
+        text = canonical_json(envelope(payload_type, payload, digested, args.deterministic))
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+    return EXIT_OK
 
 
-def _cfg_dict(config: ScanConfig, extra: dict) -> dict:
-    return {**config.to_dict(), **extra}
-
-
-def cmd_scan(args: argparse.Namespace) -> int:
+def cmd_scan(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> int:
     try:
-        rules = _load_rules_arg(args.rules)
-    except (RuleError, OSError) as exc:
-        print(f"slopscope: {exc}", file=sys.stderr)
-        return EXIT_BAD_RULES
-    try:
-        config = _load_config_arg(args.config)
         analysis = measure_checkpoint(
-            args.root,
-            config,
-            rules,
-            min_window=args.min_window,
-            label=str(args.root),
+            args.root, config, rules, min_window=args.min_window, label=str(args.root)
         )
     except ScanError as exc:
-        print(f"slopscope: {exc}", file=sys.stderr)
-        return EXIT_UNREADABLE
+        return _fail(exc, EXIT_UNREADABLE)
 
     payload = {
         "root": "." if args.deterministic else str(args.root),
@@ -114,72 +123,42 @@ def cmd_scan(args: argparse.Namespace) -> int:
             json.dumps(match_to_dict(m), sort_keys=True) + "\n" for m in analysis.matches
         )
         Path(args.emit_matches).write_text(lines, encoding="utf-8")
-
-    config_dict = _cfg_dict(config, {"min_window": args.min_window})
-    report = envelope("ScanReport", payload, config_dict, args.deterministic)
-    if args.format == "csv":
-        _write_report(scan_report_csv(payload), args.out)
-    else:
-        _write_report(canonical_json(report), args.out)
-    return EXIT_OK
+    return _emit(args, rules, config, "ScanReport", payload, {},
+                 lambda p: scan_report_csv(p, analysis.source_lines))
 
 
-def cmd_history(args: argparse.Namespace) -> int:
-    try:
-        rules = _load_rules_arg(args.rules)
-    except (RuleError, OSError) as exc:
-        print(f"slopscope: {exc}", file=sys.stderr)
-        return EXIT_BAD_RULES
-    config = _load_config_arg(args.config)
+def cmd_history(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> int:
     try:
         result = measure_history(
             args.repo,
             max_commits=args.max_commits,
             seed=args.seed,
-            cutoff=date.fromisoformat(args.cutoff_date),
+            cutoff=args.cutoff_date,
             config=config,
             rules=rules,
             min_window=args.min_window,
             exclude_tests=args.exclude_tests,
         )
     except GitError as exc:
-        print(f"slopscope: {exc}", file=sys.stderr)
-        return EXIT_UNREADABLE
+        return _fail(exc, EXIT_UNREADABLE)
     if not result.checkpoints:
         print("slopscope: no source-modifying commits found", file=sys.stderr)
 
-    payload = history_to_dict(result)
-    payload["repo"] = "." if args.deterministic else str(args.repo)
-    config_dict = _cfg_dict(
-        config,
-        {
-            "max_commits": args.max_commits,
-            "seed": args.seed,
-            "cutoff_date": args.cutoff_date,
-            "min_window": args.min_window,
-            "exclude_tests": args.exclude_tests,
-        },
-    )
-    report = envelope("HistoryReport", payload, config_dict, args.deterministic)
-    if args.format == "csv":
-        _write_report(history_report_csv(payload), args.out)
-    else:
-        _write_report(canonical_json(report), args.out)
-    return EXIT_OK
+    payload = {**history_to_dict(result), "repo": "." if args.deterministic else str(args.repo)}
+    settings = {
+        "max_commits": args.max_commits,
+        "seed": args.seed,
+        "cutoff_date": args.cutoff_date.isoformat(),
+        "exclude_tests": args.exclude_tests,
+    }
+    return _emit(args, rules, config, "HistoryReport", payload, settings, history_report_csv)
 
 
-def cmd_panel(args: argparse.Namespace) -> int:
-    try:
-        rules = _load_rules_arg(args.rules)
-    except (RuleError, OSError) as exc:
-        print(f"slopscope: {exc}", file=sys.stderr)
-        return EXIT_BAD_RULES
-    config = _load_config_arg(args.config)
+def cmd_panel(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> int:
     try:
         specs = load_panel_config(args.panel_config)
-    except (OSError, KeyError, ValueError) as exc:
-        print(f"slopscope: bad panel config: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except ValueError as exc:
+        return _fail(f"bad panel config: {exc}", EXIT_USAGE)
 
     entries = []
     failed = []
@@ -190,8 +169,7 @@ def cmd_panel(args: argparse.Namespace) -> int:
             print(f"slopscope: {spec.repo_id}: {exc}", file=sys.stderr)
             failed.append(spec.repo_id)
     if not entries:
-        print("slopscope: every panel repository failed", file=sys.stderr)
-        return EXIT_UNREADABLE
+        return _fail("every panel repository failed", EXIT_UNREADABLE)
 
     report = panel_aggregate(
         entries,
@@ -199,40 +177,28 @@ def cmd_panel(args: argparse.Namespace) -> int:
         reference_mean_erosion=args.reference_mean_erosion,
         failed=tuple(failed),
     )
-    payload = panel_to_dict(report)
-    payload["failed_count"] = len(failed)
-    payload["entries"] = [
-        {
-            "repo_id": e.repo_id,
-            "star_tier": e.star_tier,
-            "head_verbosity": e.head_metrics.verbosity.score,
-            "head_erosion": e.head_metrics.erosion.score,
-        }
-        for e in sorted(entries, key=lambda e: e.repo_id)
-    ]
-    config_dict = _cfg_dict(
-        config,
-        {
-            "panel_config": os.path.basename(args.panel_config),
-            "reference_mean_verbosity": args.reference_mean_verbosity,
-            "reference_mean_erosion": args.reference_mean_erosion,
-            "min_window": args.min_window,
-        },
-    )
-    _write_report(
-        canonical_json(envelope("PanelReport", payload, config_dict, args.deterministic)),
-        args.out,
-    )
-    return EXIT_OK
+    payload = {
+        **asdict(report),
+        "failed_count": len(failed),
+        "entries": [
+            {
+                "repo_id": e.repo_id,
+                "star_tier": e.star_tier,
+                "head_verbosity": e.head_metrics.verbosity.score,
+                "head_erosion": e.head_metrics.erosion.score,
+            }
+            for e in sorted(entries, key=lambda e: e.repo_id)
+        ],
+    }
+    settings = {
+        "repos": [(s.repo_id, s.stars, s.max_commits, s.seed) for s in specs],
+        "reference_mean_verbosity": args.reference_mean_verbosity,
+        "reference_mean_erosion": args.reference_mean_erosion,
+    }
+    return _emit(args, rules, config, "PanelReport", payload, settings)
 
 
-def cmd_rules(args: argparse.Namespace) -> int:
-    try:
-        rules = _load_rules_arg(args.rules)
-    except (RuleError, OSError) as exc:
-        print(f"slopscope: {exc}", file=sys.stderr)
-        return EXIT_BAD_RULES
-
+def cmd_rules(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> int:
     if args.rules_command == "list":
         for rule in rules:
             print(f"{rule.id}\t{rule.kind}\t{rule.category}\t{','.join(rule.languages)}")
@@ -240,25 +206,14 @@ def cmd_rules(args: argparse.Namespace) -> int:
 
     rule = rules.get(args.rule_id)
     if rule is None:
-        print(f"slopscope: unknown rule id: {args.rule_id}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(f"unknown rule id: {args.rule_id}", EXIT_USAGE)
     path = Path(args.file)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"slopscope: {exc}", file=sys.stderr)
-        return EXIT_UNREADABLE
-    tree = None
-    if rule.kind == "pattern":
-        import ast
-
-        try:
-            tree = ast.parse(text)
-        except SyntaxError as exc:
-            print(f"slopscope: {path}: {exc}", file=sys.stderr)
-            return EXIT_UNREADABLE
-    matches = match_rules(path.name, SourceText.from_text(text), tree, "python", rules.subset({rule.id}))
-    for m in matches:
+    if adapter_for_extension(path.suffix, list(config.languages)) is None:
+        return _fail(f"{path}: no language adapter claims this file", EXIT_USAGE)
+    inventory, parsed = scan_file(path.parent, path.name, config)
+    if parsed is None:
+        return _fail(f"{path}: skipped ({inventory.skipped[0][1]})", EXIT_UNREADABLE)
+    for m in match_rules(path.name, parsed.source, parsed.tree, parsed.language, rules.subset({rule.id})):
         print(json.dumps(match_to_dict(m), sort_keys=True))
     return EXIT_OK
 
@@ -270,7 +225,8 @@ def _add_common(parser: argparse.ArgumentParser, csv: bool = True) -> None:
         parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--out", help="write the report to a file instead of stdout")
     parser.add_argument("--deterministic", action="store_true", help="omit timestamps and absolute paths")
-    parser.add_argument("--min-window", type=int, default=DEFAULT_MIN_WINDOW, help="clone window size in normalized lines")
+    parser.add_argument("--min-window", type=_positive_int, default=DEFAULT_MIN_WINDOW,
+                        help="clone window size in normalized lines")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -287,9 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_hist = sub.add_parser("history", help="measure sampled commits of a git repository")
     p_hist.add_argument("repo")
     _add_common(p_hist)
-    p_hist.add_argument("--max-commits", type=int, default=30)
+    p_hist.add_argument("--max-commits", type=_positive_int, default=30)
     p_hist.add_argument("--seed", type=int, default=0)
-    p_hist.add_argument("--cutoff-date", default="2024-01-01")
+    p_hist.add_argument("--cutoff-date", type=_iso_date, default=DEFAULT_ERA_CUTOFF)
     p_hist.add_argument("--exclude-tests", action="store_true", help="ignore test files when selecting commits")
     p_hist.set_defaults(func=cmd_history)
 
@@ -316,7 +272,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    rules_path = args.rules if args.rules is not None else os.environ.get(RULES_ENV)
+    try:
+        rules = load_starter_rules() if rules_path is None else load_rules(rules_path)
+    except (RuleError, OSError) as exc:
+        return _fail(exc, EXIT_BAD_RULES)
+    config_path = getattr(args, "config", None)
+    try:
+        config = ScanConfig() if config_path is None else load_scan_config(config_path)
+    except ScanError as exc:
+        return _fail(f"bad config: {exc}", EXIT_USAGE)
+    return args.func(args, rules, config)
 
 
 if __name__ == "__main__":

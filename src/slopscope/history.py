@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import os
 import random
 import subprocess
 import tarfile
@@ -11,8 +12,9 @@ from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from pathlib import Path
 
+from .adapters import PythonAdapter
 from .clones import DEFAULT_MIN_WINDOW, detect_clones
-from .erosion import ErosionParams, erosion_score
+from .erosion import erosion_score
 from .rules import RuleSet, match_rules
 from .scan import ScanConfig, scan_tree_with_sources
 from .trajectory import (
@@ -25,7 +27,6 @@ from .trajectory import (
     trajectory_summary,
 )
 
-DEFAULT_SOURCE_EXTENSIONS = frozenset({".py"})
 TEST_PATH_GLOBS = ("test_*.py", "*_test.py", "tests/*", "*/tests/*", "test/*", "*/test/*")
 
 
@@ -57,12 +58,8 @@ def _is_test_path(path: str) -> bool:
     return any(fnmatch.fnmatch(path, g) for g in TEST_PATH_GLOBS)
 
 
-def list_source_commits(
-    repo: str | Path,
-    source_extensions: frozenset[str] = DEFAULT_SOURCE_EXTENSIONS,
-    exclude_tests: bool = False,
-) -> list[CommitRef]:
-    """All commits that modify at least one source file, oldest first.
+def list_source_commits(repo: str | Path, exclude_tests: bool = False) -> list[CommitRef]:
+    """All commits that modify at least one Python file, oldest first.
 
     Merge commits carry no file list in plain ``git log`` output and are
     therefore never counted as source-modifying.
@@ -82,7 +79,7 @@ def list_source_commits(
         paths = [p for p in body.splitlines() if p.strip()]
         if exclude_tests:
             paths = [p for p in paths if not _is_test_path(p)]
-        if not any(("." + p.rsplit(".", 1)[-1]) in source_extensions for p in paths if "." in p):
+        if not any(os.path.splitext(p)[1] in PythonAdapter.extensions for p in paths):
             continue
         commits.append(
             CommitRef(sha=sha, committed_at=datetime.fromtimestamp(int(epoch), tz=timezone.utc))
@@ -95,7 +92,6 @@ def sample_commits(
     repo: str | Path,
     max_commits: int = 30,
     seed: int = 0,
-    source_extensions: frozenset[str] = DEFAULT_SOURCE_EXTENSIONS,
     exclude_tests: bool = False,
 ) -> list[CommitRef]:
     """Uniform sample without replacement of source-modifying commits.
@@ -103,7 +99,7 @@ def sample_commits(
     Deterministic for a fixed seed; output is chronological. If fewer than
     ``max_commits`` commits qualify, all of them are returned.
     """
-    commits = list_source_commits(repo, source_extensions, exclude_tests)
+    commits = list_source_commits(repo, exclude_tests)
     if len(commits) > max_commits:
         commits = random.Random(seed).sample(commits, max_commits)
         commits.sort(key=lambda c: (c.committed_at, c.sha))
@@ -131,13 +127,13 @@ class CheckpointAnalysis:
     inventory: object
     matches: list
     clones: list
+    source_lines: dict[str, frozenset[int]]  # per file, the lines that count toward LOC
 
 
 def measure_checkpoint(
     workspace: str | Path,
     config: ScanConfig | None = None,
     rules: RuleSet | None = None,
-    erosion_params: ErosionParams | None = None,
     min_window: int = DEFAULT_MIN_WINDOW,
     label: str = "",
     index: int = 0,
@@ -145,7 +141,7 @@ def measure_checkpoint(
 ) -> CheckpointAnalysis:
     """Scan a snapshot and compute the full metric bundle."""
     inventory, sources = scan_tree_with_sources(workspace, config)
-    erosion = erosion_score(inventory, erosion_params)
+    erosion = erosion_score(inventory)
 
     matches = []
     for path in sorted(sources):
@@ -156,12 +152,13 @@ def measure_checkpoint(
 
     from .verbosity import verbosity_score
 
+    source_lines = {path: src.source.source_lines for path, src in sources.items()}
     verbosity = verbosity_score(
         inventory.file_loc(),
         matches,
         clones,
         file_line_count={f.path: f.line_count for f in inventory.files},
-        source_lines={path: src.source.source_lines for path, src in sources.items()},
+        source_lines=source_lines,
     )
     metrics = CheckpointMetrics(
         index=index,
@@ -173,7 +170,9 @@ def measure_checkpoint(
         max_cc=erosion.max_cc,
         timestamp=timestamp,
     )
-    return CheckpointAnalysis(metrics=metrics, inventory=inventory, matches=matches, clones=clones)
+    return CheckpointAnalysis(
+        metrics=metrics, inventory=inventory, matches=matches, clones=clones, source_lines=source_lines
+    )
 
 
 @dataclass(frozen=True)
@@ -190,7 +189,6 @@ def measure_history(
     cutoff: date = DEFAULT_ERA_CUTOFF,
     config: ScanConfig | None = None,
     rules: RuleSet | None = None,
-    erosion_params: ErosionParams | None = None,
     min_window: int = DEFAULT_MIN_WINDOW,
     exclude_tests: bool = False,
 ) -> HistoryResult:
@@ -213,7 +211,6 @@ def measure_history(
                 tmp,
                 config,
                 rules,
-                erosion_params,
                 min_window,
                 label=commit.sha,
                 index=i,

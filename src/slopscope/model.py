@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
+
+import yaml
 
 
 class ScanError(Exception):
@@ -11,6 +14,19 @@ class ScanError(Exception):
 
 class ConsistencyError(Exception):
     """Raised when inputs contradict each other (e.g. line past end of file)."""
+
+
+def read_yaml(path: str | Path, error: type[Exception] = ScanError):
+    """Parse a YAML (or JSON) file.
+
+    Any failure to read, decode or parse it is raised as ``error`` with a
+    one-line message.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return yaml.safe_load(fh)
+    except (OSError, ValueError, yaml.YAMLError) as exc:
+        raise error(f"{path}: {' '.join(str(exc).split())}") from exc
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,9 @@ import statistics
 from dataclasses import dataclass
 from pathlib import Path
 
-import yaml
-
 from .clones import DEFAULT_MIN_WINDOW
 from .history import HistoryResult, measure_history
-from .model import ScanError
+from .model import ScanError, read_yaml
 from .rules import RuleSet
 from .scan import ScanConfig
 from .trajectory import CheckpointMetrics, EraShift, TrajectorySummary
@@ -73,14 +71,17 @@ class PanelReport:
 
 
 def load_panel_config(path: str | Path) -> list[RepoSpec]:
-    """Panel config: a YAML/JSON list of {repo_path, repo_id, stars, ...}."""
-    with open(path, encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh) or []
+    """Panel config: a YAML/JSON list of {repo_path, repo_id, stars, ...}.
+
+    Raises ValueError if the file is not such a list.
+    """
+    raw = read_yaml(path, ValueError) or []
     if isinstance(raw, dict):
         raw = raw.get("repos", [])
-    specs = []
-    for entry in raw:
-        specs.append(
+    if not isinstance(raw, list) or not all(isinstance(entry, dict) for entry in raw):
+        raise ValueError(f"{path}: expected a list of repository mappings")
+    try:
+        return [
             RepoSpec(
                 repo_path=str(entry["repo_path"]),
                 repo_id=str(entry.get("repo_id", entry["repo_path"])),
@@ -88,8 +89,10 @@ def load_panel_config(path: str | Path) -> list[RepoSpec]:
                 max_commits=int(entry.get("max_commits", 30)),
                 seed=int(entry.get("seed", 0)),
             )
-        )
-    return specs
+            for entry in raw
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad repository entry: {exc!r}") from exc
 
 
 def build_panel_entry(

@@ -14,7 +14,6 @@ from .clones import CloneRegion
 from .erosion import ErosionReport
 from .history import HistoryResult
 from .model import SourceInventory
-from .panel import PanelReport
 from .rules import RuleMatch
 from .trajectory import CheckpointMetrics, EraShift, TrajectorySummary
 from .verbosity import VerbosityBreakdown
@@ -158,23 +157,6 @@ def history_to_dict(result: HistoryResult) -> dict:
     }
 
 
-def panel_to_dict(report: PanelReport) -> dict:
-    return {
-        "overall": asdict(report.overall),
-        "tiers": {name: asdict(stats) for name, stats in sorted(report.tiers.items())},
-        "rising_fraction_erosion": report.rising_fraction_erosion,
-        "rising_fraction_verbosity": report.rising_fraction_verbosity,
-        "median_slope_erosion": report.median_slope_erosion,
-        "median_slope_verbosity": report.median_slope_verbosity,
-        "n_era_eligible": report.n_era_eligible,
-        "median_era_shift_erosion": report.median_era_shift_erosion,
-        "median_era_shift_verbosity": report.median_era_shift_verbosity,
-        "exceed_reference_verbosity": report.exceed_reference_verbosity,
-        "exceed_reference_erosion": report.exceed_reference_erosion,
-        "failed": list(report.failed),
-    }
-
-
 def envelope(payload_type: str, payload: dict, config: dict, deterministic: bool) -> dict:
     digest = hashlib.sha256(
         json.dumps(config, sort_keys=True, ensure_ascii=False).encode()
@@ -190,8 +172,12 @@ def envelope(payload_type: str, payload: dict, config: dict, deterministic: bool
     return out
 
 
-def scan_report_csv(payload: dict) -> str:
-    """One row per file plus a TOTAL row; header fixed (see docs/schema)."""
+def scan_report_csv(payload: dict, source_lines: dict[str, frozenset[int]]) -> str:
+    """One row per file plus a TOTAL row; header fixed (see docs/schema).
+
+    Like the verbosity score, a file's flagged and clone lines count only
+    its ``source_lines``, so the file rows add up to the TOTAL row.
+    """
     per_file_flagged: dict[str, set[int]] = {}
     for match in payload.get("matches", []):
         per_file_flagged.setdefault(match["file"], set()).update(match["lines"])
@@ -220,8 +206,8 @@ def scan_report_csv(payload: dict) -> str:
                 f["line_count"],
                 len(spots),
                 max_ccs[f["path"]],
-                len(per_file_flagged.get(f["path"], ())),
-                len(per_file_cloned.get(f["path"], ())),
+                len(per_file_flagged.get(f["path"], set()) & source_lines[f["path"]]),
+                len(per_file_cloned.get(f["path"], set()) & source_lines[f["path"]]),
             ]
         )
     writer.writerow(

@@ -7,9 +7,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-import yaml
-
 from .adapters import SourceText
+from .model import read_yaml
 from .patterns import CompiledPattern, PatternError, compile_pattern, find_matches
 
 _REGEX_FLAGS = {"i": re.IGNORECASE, "m": re.MULTILINE, "s": re.DOTALL}
@@ -110,10 +109,7 @@ def build_ruleset(rules: list[QualityRule]) -> RuleSet:
 
 def load_rules(path: str | Path) -> RuleSet:
     """Load a YAML rule file (a list of rule mappings)."""
-    with open(path, encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
-    if raw is None:
-        raw = []
+    raw = read_yaml(path, RuleError) or []
     if not isinstance(raw, list):
         raise RuleError(f"{path}: rule file must contain a list of rules")
     rules: list[QualityRule] = []

@@ -7,10 +7,8 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-import yaml
-
 from .adapters import SourceText, adapter_for_extension
-from .model import FileRecord, ScanError, SourceInventory, merge_inventories
+from .model import FileRecord, ScanError, SourceInventory, merge_inventories, read_yaml
 
 # Directories that are never source, regardless of config.
 _ALWAYS_SKIP_DIRS = {".git", ".hg", ".svn", "__pycache__"}
@@ -23,31 +21,33 @@ class ScanConfig:
     exclude: tuple[str, ...] = ()
     minified_line_threshold: int = 500
 
-    def to_dict(self) -> dict:
-        return {
-            "languages": list(self.languages),
-            "encoding": self.encoding,
-            "exclude": list(self.exclude),
-            "minified_line_threshold": self.minified_line_threshold,
-        }
+
+# The type each config key's value must have; lists hold strings.
+_CONFIG_TYPES = {"languages": list, "encoding": str, "exclude": list, "minified_line_threshold": int}
+
+
+def _has_type(value, kind: type) -> bool:
+    if kind is list:
+        return isinstance(value, list) and all(isinstance(item, str) for item in value)
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def load_scan_config(path: str | Path) -> ScanConfig:
-    """Read a ScanConfig from a JSON or YAML file (JSON is a YAML subset)."""
-    with open(path, encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh) or {}
+    """Read a ScanConfig from a JSON or YAML file (JSON is a YAML subset).
+
+    Raises ScanError if the file cannot be read or parsed, holds an unknown
+    key, or holds a value of the wrong type.
+    """
+    raw = read_yaml(path) or {}
     if not isinstance(raw, dict):
-        raise ScanError(f"config {path}: expected a mapping")
-    known = {"languages", "encoding", "exclude", "minified_line_threshold"}
-    unknown = set(raw) - known
+        raise ScanError(f"{path}: expected a mapping")
+    unknown = set(raw) - set(_CONFIG_TYPES)
     if unknown:
-        raise ScanError(f"config {path}: unknown keys {sorted(unknown)}")
-    return ScanConfig(
-        languages=tuple(raw.get("languages", ["python"])),
-        encoding=raw.get("encoding", "utf-8"),
-        exclude=tuple(raw.get("exclude", [])),
-        minified_line_threshold=int(raw.get("minified_line_threshold", 500)),
-    )
+        raise ScanError(f"{path}: unknown keys {sorted(unknown)}")
+    for key, value in raw.items():
+        if not _has_type(value, _CONFIG_TYPES[key]):
+            raise ScanError(f"{path}: {key} has the wrong type: {value!r}")
+    return ScanConfig(**{key: tuple(v) if isinstance(v, list) else v for key, v in raw.items()})
 
 
 @dataclass
@@ -67,10 +67,18 @@ def _excluded(relpath: str, patterns: tuple[str, ...]) -> bool:
     )
 
 
-def _scan_one(root: Path, relpath: str, config: ScanConfig) -> tuple[SourceInventory, ParsedSource | None]:
+def scan_file(root: Path, relpath: str, config: ScanConfig) -> tuple[SourceInventory, ParsedSource | None]:
+    """Read, decode and parse one file whose extension an adapter claims.
+
+    A file that cannot be measured comes back as a skip with its reason and
+    no ParsedSource. Symbolic links are never followed: they may point out
+    of the tree, or at a device that never ends.
+    """
     adapter = adapter_for_extension(os.path.splitext(relpath)[1], list(config.languages))
     assert adapter is not None  # caller filtered by extension
     full = root / relpath
+    if full.is_symlink():
+        return SourceInventory(skipped=((relpath, "symlink"),)), None
     try:
         data = full.read_bytes()
     except OSError:
@@ -121,7 +129,7 @@ def scan_tree_with_sources(
     root = Path(root)
     if not root.is_dir():
         raise ScanError(f"root does not exist or is not a directory: {root}")
-    results = [_scan_one(root, p, config) for p in _eligible_paths(root, config)]
+    results = [scan_file(root, p, config) for p in _eligible_paths(root, config)]
     inventory = merge_inventories([inv for inv, _ in results])
     sources = {src.path: src for _, src in results if src is not None}
     return inventory, sources

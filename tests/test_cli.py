@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+
+import pytest
 
 from slopscope.cli import (
     EXIT_BAD_RULES,
@@ -11,7 +15,7 @@ from slopscope.cli import (
     main,
 )
 
-from conftest import FIXTURES, write_tree
+from conftest import FIXTURES, handler_source, write_tree
 
 GOLDEN_TREE = str(FIXTURES / "golden_tree")
 
@@ -74,6 +78,47 @@ class TestExitCodes:
         assert "broken" in err
 
 
+# Each bad input, the files it needs, and its documented exit code.
+BAD_INPUTS = {
+    "scan-missing-config": (["scan", "{tree}", "--config", "/nonexistent.yaml"], EXIT_USAGE),
+    "history-missing-config": (["history", "{repo}", "--config", "/nonexistent.yaml"], EXIT_USAGE),
+    "malformed-config": (["scan", "{tree}", "--config", "{malformed}"], EXIT_USAGE),
+    "string-exclude": (["scan", "{tree}", "--config", "{string_exclude}"], EXIT_USAGE),
+    "zero-min-window": (["scan", "{tree}", "--min-window", "0"], EXIT_USAGE),
+    "negative-max-commits": (["history", "{repo}", "--max-commits", "-1"], EXIT_USAGE),
+    "bogus-cutoff-date": (["history", "{repo}", "--cutoff-date", "bogus"], EXIT_USAGE),
+    "malformed-panel": (["panel", "{malformed}"], EXIT_USAGE),
+    "scalar-panel": (["panel", "{scalar}"], EXIT_USAGE),
+    "undecodable-rules-test": (["rules", "test", "identity-comprehension", "{undecodable}"], EXIT_UNREADABLE),
+    "unparsable-rules-test": (["rules", "test", "broad-except", "{unparsable}"], EXIT_UNREADABLE),
+    "unclaimed-rules-test": (["rules", "test", "identity-comprehension", "{unclaimed}"], EXIT_USAGE),
+}
+BAD_FILES = {
+    "malformed.yaml": b"exclude: [a\n",
+    "string_exclude.yaml": b'exclude: "x"\n',
+    "scalar.yaml": b"42\n",
+    "undecodable.py": b"x = 1\n\xff\n",
+    "unparsable.py": b"def (:\n",
+    "unclaimed.txt": b"ys = [x for x in xs]\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_input_exits_with_one_line(name, capsys, tmp_path, history_repo):
+    argv, expected = BAD_INPUTS[name]
+    paths = {"tree": str(write_tree(tmp_path / "tree", SIMPLE_TREE)), "repo": str(history_repo)}
+    for filename, data in BAD_FILES.items():
+        (tmp_path / filename).write_bytes(data)
+        paths[filename.split(".")[0]] = str(tmp_path / filename)
+    code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == expected
+    assert out == "" and "Traceback" not in err
+    lines = err.splitlines()
+    errors = [line for line in lines if line.startswith("slopscope")]
+    assert len(errors) == 1 and errors[0] == lines[-1]
+    assert len(lines) == 1 or lines[0].startswith("usage:")  # argparse prints its usage first
+
+
 class TestScanReport:
     def test_sweep_has_nine_rows(self, capsys, tmp_path):
         write_tree(tmp_path, SIMPLE_TREE)
@@ -108,6 +153,23 @@ class TestScanReport:
         assert code == EXIT_OK
         golden = (FIXTURES / "golden_scan.csv").read_text()
         assert out == golden
+
+    def test_csv_file_rows_count_source_lines_like_the_total(self, capsys, tmp_path):
+        write_tree(tmp_path, {
+            "walk.py": """\
+                def walk(d):
+                    for k in d.keys():
+
+                        # every key
+                        print(k)
+                """,
+        })
+        code, out, _ = run_cli(capsys, "scan", str(tmp_path), "--format", "csv")
+        assert code == EXIT_OK
+        header, row, total = (line.split(",") for line in out.splitlines())
+        fields = dict(zip(header, row))
+        assert (fields["loc"], fields["flagged_lines"]) == ("3", "2")
+        assert total[header.index("flagged_lines")] == "2"
 
     def test_out_flag_writes_file(self, capsys, tmp_path):
         write_tree(tmp_path / "tree", SIMPLE_TREE)
@@ -148,6 +210,18 @@ class TestDeterminism:
             )
             runs.add(out)
         assert len(runs) == 1
+
+    def test_digest_covers_the_rule_file(self, capsys, tmp_path):
+        write_tree(tmp_path / "tree", SIMPLE_TREE)
+        digests = []
+        for word in ("TODO", "FIXME"):
+            rules = tmp_path / f"{word}.yaml"
+            rules.write_text(f"- {{id: marker, kind: regex, pattern: '{word}'}}\n")
+            _, out, _ = run_cli(capsys, "scan", str(tmp_path / "tree"), "--deterministic", "--rules", str(rules))
+            report = json.loads(out)
+            assert report["payload"]["matches"] == []
+            digests.append(report["config_digest"])
+        assert digests[0] != digests[1]
 
     def test_canonical_json_shape(self, capsys, tmp_path):
         write_tree(tmp_path, SIMPLE_TREE)
@@ -236,6 +310,16 @@ class TestPanelCommand:
         erosion = [r["payload"]["entries"][0]["head_erosion"] for r in reports]
         assert erosion[1] < erosion[0]
 
+    def test_digest_covers_the_repositories(self, capsys, tmp_path, history_repo):
+        digests = []
+        for stars in (42, 43):
+            panel = tmp_path / str(stars) / "panel.yaml"
+            panel.parent.mkdir()
+            panel.write_text(f"- {{repo_path: '{history_repo}', repo_id: fixture, stars: {stars}}}\n")
+            _, out, _ = run_cli(capsys, "panel", str(panel), "--deterministic")
+            digests.append(json.loads(out)["config_digest"])
+        assert digests[0] != digests[1]
+
     def test_format_is_not_offered(self, capsys, tmp_path):
         config = tmp_path / "panel.yaml"
         config.write_text(f"- {{repo_path: '{tmp_path}', repo_id: x, stars: 1}}\n")
@@ -297,3 +381,33 @@ class TestRulesEnv:
         code, out, _ = run_cli(capsys, "rules", "list", "--rules", str(flag_rules))
         assert code == EXIT_OK
         assert out.startswith("flag-rule")
+
+
+def _outside_file(tmp_path):
+    """A file outside the measured tree whose one function would top the hotspots."""
+    outside = tmp_path / "outside" / "secret.py"
+    outside.parent.mkdir()
+    outside.write_text(handler_source("outside_secret", "v"))
+    return outside
+
+
+class TestSymlinks:
+    def test_scan_skips_a_link_out_of_the_tree(self, capsys, tmp_path):
+        tree = write_tree(tmp_path / "tree", SIMPLE_TREE)
+        os.symlink(_outside_file(tmp_path), tree / "leak.py")
+        code, out, _ = run_cli(capsys, "scan", str(tree), "--deterministic")
+        assert code == EXIT_OK
+        payload = json.loads(out)["payload"]
+        assert payload["inventory"]["skipped"] == [{"path": "leak.py", "reason": "symlink"}]
+        assert [c["qualified_name"] for c in payload["callables"]] == ["pick"]
+
+    def test_history_skips_a_committed_link_out_of_the_tree(self, capsys, tmp_path):
+        repo = write_tree(tmp_path / "repo", SIMPLE_TREE)
+        os.symlink(_outside_file(tmp_path), repo / "leak.py")
+        for args in (["init", "-q"], ["add", "-A"],
+                     ["-c", "user.name=t", "-c", "user.email=t@example.com", "commit", "-q", "-m", "link"]):
+            subprocess.run(["git", "-C", str(repo), *args], check=True, capture_output=True)
+        code, out, _ = run_cli(capsys, "history", str(repo), "--deterministic")
+        assert code == EXIT_OK
+        (checkpoint,) = json.loads(out)["payload"]["checkpoints"]
+        assert [h["qualified_name"] for h in checkpoint["erosion"]["hotspots"]] == ["pick"]

@@ -74,6 +74,14 @@ def test_scan_report_validates(capsys, tmp_path):
     _validator("scan_report.schema.json").validate(report)
 
 
+def test_scan_report_with_a_skipped_link_validates(capsys, tmp_path):
+    write_tree(tmp_path, SLOPPY_TREE)
+    (tmp_path / "link.py").symlink_to(tmp_path / "app.py")
+    report = _run_json(capsys, "scan", str(tmp_path), "--deterministic")
+    assert {"path": "link.py", "reason": "symlink"} in report["payload"]["inventory"]["skipped"]
+    _validator("scan_report.schema.json").validate(report)
+
+
 def test_scan_report_with_timestamp_validates(capsys, tmp_path):
     write_tree(tmp_path, SLOPPY_TREE)
     report = _run_json(capsys, "scan", str(tmp_path))

@@ -196,6 +196,10 @@ def test_load_scan_config(tmp_path):
     assert config.encoding == "utf-8"
 
     bad = tmp_path / "bad.yaml"
-    bad.write_text("mystery_key: 1\n")
+    for text in ("mystery_key: 1\n", 'exclude: "vendor/*"\n', "minified_line_threshold: '900'\n",
+                 "languages: [python, 3]\n", "exclude: [a\n"):
+        bad.write_text(text)
+        with pytest.raises(ScanError):
+            load_scan_config(bad)
     with pytest.raises(ScanError):
-        load_scan_config(bad)
+        load_scan_config(tmp_path / "missing.yaml")
