@@ -6,9 +6,14 @@ the same name appears more than once, every occurrence must match the same
 source text. ``$NAME?`` marks an optional metavariable (the pattern still
 matches when the element is absent), and ``$$`` stands for a literal ``$``.
 
-A pattern that parses as a single expression is matched against every
-expression node of the target tree. A pattern that parses as one or more
-statements is matched against contiguous statement windows of that length.
+A pattern that parses as a single expression is matched against expression
+nodes of the target tree, and a pattern that parses as one or more
+statements against contiguous statement windows of that length. Each file's
+tree is walked once into a ``TreeIndex``; candidates are then looked up by
+the type of the pattern's root (an expression root, or the first statement
+of a window), since no node of another type can match it. A root that is a
+metavariable (``$X``, or a bare ``$S`` statement) matches any node, so it
+falls back to every expression or every window.
 """
 
 from __future__ import annotations
@@ -197,42 +202,74 @@ def _position(node: ast.AST) -> tuple[tuple[int, int], tuple[int, int]]:
     )
 
 
-def _statement_lists(tree: ast.AST):
-    for node in ast.walk(tree):
-        for fname in node._fields:
-            value = getattr(node, fname, None)
-            if isinstance(value, list) and value and all(isinstance(v, ast.stmt) for v in value):
-                yield value
+@dataclass(frozen=True)
+class TreeIndex:
+    """One file's syntax tree, walked once and grouped by node type.
+
+    ``exprs`` holds every expression node in ``ast.walk`` order, and
+    ``windows`` every (statement list, start index) pair: lists in walk
+    order, starts ascending. The ``*_by_type`` maps split the same entries
+    by the type of the node, or of the window's first statement, keeping
+    that order.
+    """
+
+    exprs: list[ast.expr]
+    exprs_by_type: dict[type, list[ast.expr]]
+    windows: list[tuple[list[ast.stmt], int]]
+    windows_by_type: dict[type, list[tuple[list[ast.stmt], int]]]
+
+    @classmethod
+    def from_tree(cls, tree: ast.AST) -> TreeIndex:
+        index = cls([], {}, [], {})
+        for node in ast.walk(tree):
+            if isinstance(node, ast.expr):  # no expression holds a statement list
+                index.exprs.append(node)
+                index.exprs_by_type.setdefault(type(node), []).append(node)
+                continue
+            for fname in node._fields:
+                value = getattr(node, fname, None)
+                if isinstance(value, list) and value and all(isinstance(v, ast.stmt) for v in value):
+                    for i, stmt in enumerate(value):
+                        index.windows.append((value, i))
+                        index.windows_by_type.setdefault(type(stmt), []).append((value, i))
+        return index
 
 
-def find_matches(compiled: CompiledPattern, tree: ast.AST, source: SourceText) -> list[PatternMatch]:
-    """All matches of a compiled pattern in one parsed file."""
+def find_matches(compiled: CompiledPattern, index: TreeIndex, source: SourceText) -> list[PatternMatch]:
+    """All matches of a compiled pattern in one indexed file."""
     matches: dict[tuple[tuple[int, int], tuple[int, int]], PatternMatch] = {}
     for variant in compiled.variants:
+        root = variant.nodes[0]
         if variant.kind == "expr":
-            pat = variant.nodes[0]
-            for node in ast.walk(tree):
-                if not isinstance(node, ast.expr):
-                    continue
+            if _placeholder_name(root) is None:
+                candidates = index.exprs_by_type.get(type(root), [])
+            else:
+                candidates = index.exprs
+            for node in candidates:
                 m = _Matcher(source)
-                if m.match_node(pat, node):
+                if m.match_node(root, node):
                     start, end = _position(node)
                     matches.setdefault(
                         (start, end),
                         PatternMatch(start, end, m.node_text(node) or "", dict(m.bindings)),
                     )
         else:
+            if _stmt_placeholder_name(root) is None:
+                windows = index.windows_by_type.get(type(root), [])
+            else:
+                windows = index.windows
             width = len(variant.nodes)
-            for stmts in _statement_lists(tree):
-                for i in range(len(stmts) - width + 1):
-                    window = stmts[i : i + width]
-                    m = _Matcher(source)
-                    if all(
-                        m.match_node(p, s, stmt_position=True)
-                        for p, s in zip(variant.nodes, window)
-                    ):
-                        start, _ = _position(window[0])
-                        _, end = _position(window[-1])
-                        text = "\n".join(filter(None, (m.node_text(s) for s in window)))
-                        matches.setdefault((start, end), PatternMatch(start, end, text, dict(m.bindings)))
+            for stmts, i in windows:
+                if i + width > len(stmts):
+                    continue
+                window = stmts[i : i + width]
+                m = _Matcher(source)
+                if all(
+                    m.match_node(p, s, stmt_position=True)
+                    for p, s in zip(variant.nodes, window)
+                ):
+                    start, _ = _position(window[0])
+                    _, end = _position(window[-1])
+                    text = "\n".join(filter(None, (m.node_text(s) for s in window)))
+                    matches.setdefault((start, end), PatternMatch(start, end, text, dict(m.bindings)))
     return sorted(matches.values(), key=lambda pm: (pm.start, pm.end))

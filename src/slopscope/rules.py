@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .adapters import SourceText
 from .model import read_yaml
-from .patterns import CompiledPattern, PatternError, compile_pattern, find_matches
+from .patterns import CompiledPattern, PatternError, TreeIndex, compile_pattern, find_matches
 
 _REGEX_FLAGS = {"i": re.IGNORECASE, "m": re.MULTILINE, "s": re.DOTALL}
 
@@ -165,8 +165,13 @@ def _regex_matches(rule: QualityRule, regex: re.Pattern, path: str, source: Sour
 
 
 def match_rules(path: str, source: SourceText, tree, language: str, rules: RuleSet) -> list[RuleMatch]:
-    """Every match of every applicable rule in one file, canonically ordered."""
+    """Every match of every applicable rule in one file, canonically ordered.
+
+    The tree is indexed once, on the first pattern rule, and the index is
+    dropped when this call returns.
+    """
     out: list[RuleMatch] = []
+    index = None
     for rule in rules:
         if not rule.applies_to(language):
             continue
@@ -175,7 +180,9 @@ def match_rules(path: str, source: SourceText, tree, language: str, rules: RuleS
             out.extend(_regex_matches(rule, compiled, path, source))
         elif tree is not None:
             assert isinstance(compiled, CompiledPattern)
-            for pm in find_matches(compiled, tree, source):
+            if index is None:
+                index = TreeIndex.from_tree(tree)
+            for pm in find_matches(compiled, index, source):
                 out.append(
                     RuleMatch(
                         rule_id=rule.id,

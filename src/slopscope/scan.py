@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import codecs
 import fnmatch
 import os
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,7 +38,9 @@ def load_scan_config(path: str | Path) -> ScanConfig:
     """Read a ScanConfig from a JSON or YAML file (JSON is a YAML subset).
 
     Raises ScanError if the file cannot be read or parsed, holds an unknown
-    key, or holds a value of the wrong type.
+    key, or holds a value of the wrong type or out of range: an encoding
+    Python does not know, or a minified-line threshold below 1 (either would
+    skip every file of a tree).
     """
     raw = read_yaml(path) or {}
     if not isinstance(raw, dict):
@@ -47,6 +51,12 @@ def load_scan_config(path: str | Path) -> ScanConfig:
     for key, value in raw.items():
         if not _has_type(value, _CONFIG_TYPES[key]):
             raise ScanError(f"{path}: {key} has the wrong type: {value!r}")
+    if raw.get("minified_line_threshold", 1) < 1:
+        raise ScanError(f"{path}: minified_line_threshold must be at least 1: {raw['minified_line_threshold']!r}")
+    try:
+        codecs.lookup(raw.get("encoding", "utf-8"))
+    except LookupError:
+        raise ScanError(f"{path}: unknown encoding: {raw['encoding']!r}") from None
     return ScanConfig(**{key: tuple(v) if isinstance(v, list) else v for key, v in raw.items()})
 
 
@@ -72,14 +82,18 @@ def scan_file(root: Path, relpath: str, config: ScanConfig) -> tuple[SourceInven
 
     A file that cannot be measured comes back as a skip with its reason and
     no ParsedSource. Symbolic links are never followed: they may point out
-    of the tree, or at a device that never ends.
+    of the tree, or at a device that never ends. Nothing but a regular file
+    is opened: a FIFO or a device may block a read forever.
     """
     adapter = adapter_for_extension(os.path.splitext(relpath)[1], list(config.languages))
     assert adapter is not None  # caller filtered by extension
     full = root / relpath
-    if full.is_symlink():
-        return SourceInventory(skipped=((relpath, "symlink"),)), None
     try:
+        mode = full.lstat().st_mode
+        if stat.S_ISLNK(mode):
+            return SourceInventory(skipped=((relpath, "symlink"),)), None
+        if not stat.S_ISREG(mode):
+            return SourceInventory(skipped=((relpath, "special"),)), None
         data = full.read_bytes()
     except OSError:
         return SourceInventory(skipped=((relpath, "unreadable"),)), None

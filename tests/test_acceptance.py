@@ -295,8 +295,7 @@ def test_criterion_10_byte_identical_reports(capsys, tmp_path, history_repo):
     assert len(histories) == 1
 
 
-@criterion("criterion-11 scale-budget")
-def test_criterion_11_large_tree_within_budget(tmp_path):
+def write_large_tree(root):
     # ~105k source lines: 250 files, 105 four-line functions each.
     chunk = "".join(
         f"def fn_{{fi}}_{i}(a, b):\n"
@@ -305,12 +304,32 @@ def test_criterion_11_large_tree_within_budget(tmp_path):
         f"    return a - b\n\n" for i in range(105)
     )
     files = {f"mod_{fi:03d}.py": chunk.format(fi=fi) for fi in range(250)}
-    write_tree(tmp_path, files)
+    write_tree(root, files)
+
+
+@criterion("criterion-11 scale-budget")
+def test_criterion_11_large_tree_within_budget(tmp_path):
+    write_large_tree(tmp_path)
 
     started = time.monotonic()
     inv = scan_tree(tmp_path)
     elapsed = time.monotonic() - started
     assert inv.total_loc >= 100_000
     assert elapsed < 60.0, f"scan took {elapsed:.1f}s"
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    assert peak_kib < 1024 * 1024, f"peak RSS {peak_kib / 1024:.0f} MiB"
+
+
+@criterion("criterion-12 full-pipeline-budget")
+def test_criterion_12_full_pipeline_within_budget(tmp_path):
+    # The criterion-11 tree through every layer a checkpoint runs: scan,
+    # every starter rule, clone detection, erosion and verbosity.
+    write_large_tree(tmp_path)
+
+    started = time.monotonic()
+    analysis = measure_checkpoint(tmp_path, rules=load_starter_rules())
+    elapsed = time.monotonic() - started
+    assert analysis.metrics.loc >= 100_000
+    assert elapsed < 30.0, f"measure_checkpoint took {elapsed:.1f}s"
     peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     assert peak_kib < 1024 * 1024, f"peak RSS {peak_kib / 1024:.0f} MiB"

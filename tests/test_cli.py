@@ -3,9 +3,12 @@ from __future__ import annotations
 import json
 import os
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import slopscope
 from slopscope.cli import (
     EXIT_BAD_RULES,
     EXIT_OK,
@@ -84,6 +87,8 @@ BAD_INPUTS = {
     "history-missing-config": (["history", "{repo}", "--config", "/nonexistent.yaml"], EXIT_USAGE),
     "malformed-config": (["scan", "{tree}", "--config", "{malformed}"], EXIT_USAGE),
     "string-exclude": (["scan", "{tree}", "--config", "{string_exclude}"], EXIT_USAGE),
+    "zero-minified-threshold": (["scan", "{tree}", "--config", "{zero_threshold}"], EXIT_USAGE),
+    "unknown-encoding": (["history", "{repo}", "--config", "{unknown_encoding}"], EXIT_USAGE),
     "zero-min-window": (["scan", "{tree}", "--min-window", "0"], EXIT_USAGE),
     "negative-max-commits": (["history", "{repo}", "--max-commits", "-1"], EXIT_USAGE),
     "bogus-cutoff-date": (["history", "{repo}", "--cutoff-date", "bogus"], EXIT_USAGE),
@@ -96,6 +101,8 @@ BAD_INPUTS = {
 BAD_FILES = {
     "malformed.yaml": b"exclude: [a\n",
     "string_exclude.yaml": b'exclude: "x"\n',
+    "zero_threshold.yaml": b"minified_line_threshold: 0\n",
+    "unknown_encoding.yaml": b"encoding: nope\n",
     "scalar.yaml": b"42\n",
     "undecodable.py": b"x = 1\n\xff\n",
     "unparsable.py": b"def (:\n",
@@ -399,6 +406,21 @@ class TestSymlinks:
         assert code == EXIT_OK
         payload = json.loads(out)["payload"]
         assert payload["inventory"]["skipped"] == [{"path": "leak.py", "reason": "symlink"}]
+        assert [c["qualified_name"] for c in payload["callables"]] == ["pick"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+    def test_scan_skips_a_fifo_without_opening_it(self, tmp_path):
+        tree = write_tree(tmp_path / "tree", SIMPLE_TREE)
+        os.mkfifo(tree / "pipe.py")
+        # In a child process with a timeout: opening the FIFO would block forever.
+        env = {**os.environ, "PYTHONPATH": str(Path(slopscope.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "slopscope.cli", "scan", str(tree), "--deterministic"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        payload = json.loads(done.stdout)["payload"]
+        assert payload["inventory"]["skipped"] == [{"path": "pipe.py", "reason": "special"}]
         assert [c["qualified_name"] for c in payload["callables"]] == ["pick"]
 
     def test_history_skips_a_committed_link_out_of_the_tree(self, capsys, tmp_path):

@@ -1,0 +1,210 @@
+"""Indexed pattern matching against the per-variant walk it replaced.
+
+``find_matches_by_walk`` below is ``patterns.find_matches`` as it was before
+files were indexed: every variant walks the whole tree again and tries every
+expression node or every statement window. The indexed path must return the
+same matches, text and captures included, in the same order, on the bundled
+fixtures, on this package and its tests, on a fixed sample of the local
+standard library, and for patterns whose root is a metavariable or whose
+optional metavariables give variants of different root types.
+"""
+
+from __future__ import annotations
+
+import ast
+import sys
+import sysconfig
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+import slopscope
+import slopscope.rules
+from slopscope.adapters import SourceText
+from slopscope.patterns import (
+    CompiledPattern,
+    PatternMatch,
+    TreeIndex,
+    _Matcher,
+    _position,
+    compile_pattern,
+    find_matches,
+)
+from slopscope.rules import load_starter_rules, match_rules
+
+from conftest import FIXTURES
+
+
+def _statement_lists(tree: ast.AST):
+    for node in ast.walk(tree):
+        for fname in node._fields:
+            value = getattr(node, fname, None)
+            if isinstance(value, list) and value and all(isinstance(v, ast.stmt) for v in value):
+                yield value
+
+
+def find_matches_by_walk(compiled: CompiledPattern, tree: ast.AST, source: SourceText) -> list[PatternMatch]:
+    """All matches of a compiled pattern in one parsed file."""
+    matches: dict[tuple[tuple[int, int], tuple[int, int]], PatternMatch] = {}
+    for variant in compiled.variants:
+        if variant.kind == "expr":
+            pat = variant.nodes[0]
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.expr):
+                    continue
+                m = _Matcher(source)
+                if m.match_node(pat, node):
+                    start, end = _position(node)
+                    matches.setdefault(
+                        (start, end),
+                        PatternMatch(start, end, m.node_text(node) or "", dict(m.bindings)),
+                    )
+        else:
+            width = len(variant.nodes)
+            for stmts in _statement_lists(tree):
+                for i in range(len(stmts) - width + 1):
+                    window = stmts[i : i + width]
+                    m = _Matcher(source)
+                    if all(
+                        m.match_node(p, s, stmt_position=True)
+                        for p, s in zip(variant.nodes, window)
+                    ):
+                        start, _ = _position(window[0])
+                        _, end = _position(window[-1])
+                        text = "\n".join(filter(None, (m.node_text(s) for s in window)))
+                        matches.setdefault((start, end), PatternMatch(start, end, text, dict(m.bindings)))
+    return sorted(matches.values(), key=lambda pm: (pm.start, pm.end))
+
+
+def match_rules_by_walk(monkeypatch, *args):
+    """``match_rules`` with the per-variant walk in place of the index."""
+    with monkeypatch.context() as patch:
+        patch.setattr(slopscope.rules, "TreeIndex", SimpleNamespace(from_tree=lambda tree: tree))
+        patch.setattr(slopscope.rules, "find_matches", find_matches_by_walk)
+        return match_rules(*args)
+
+
+def _stdlib_sample() -> list[Path]:
+    """Every third top-level module of the running interpreter's library, 60 at most."""
+    modules = sorted(Path(sysconfig.get_paths()["stdlib"]).glob("*.py"))
+    return modules[::3][:60]
+
+
+TESTS = Path(__file__).parent
+CORPORA = {
+    "cc_corpus": sorted((FIXTURES / "cc_corpus").rglob("*.py")),
+    "golden_tree": sorted((FIXTURES / "golden_tree").rglob("*.py")),
+    "slopscope": sorted(Path(slopscope.__file__).parent.rglob("*.py")),
+    "tests": sorted(p for p in TESTS.rglob("*.py") if "fixtures" not in p.parts),
+    "stdlib": _stdlib_sample(),
+}
+
+# Patterns whose root is a metavariable, and patterns whose optional
+# metavariables give variants with different root types: "($A?, $B)" is a
+# Tuple or, with $A left out, the bare metavariable $B; "$A?\nreturn $B" is a
+# window led by a bare statement or a lone Return.
+PATTERNS = (
+    "$X",
+    "$F($X)",
+    "$S\nreturn $V",
+    "$S\n$T",
+    "($A?, $B)",
+    "$A?\nreturn $B",
+    "$F($A, $B?)",
+    "$V = $E\nreturn $V",
+    "f'{$X}'",
+    "$X == $X",
+    "if $C:\n    $S",
+    "return",
+)
+
+# Same-span nesting: an expression statement and its value, and (before
+# Python 3.12) an f-string and the constant pieces that share its span.
+NESTED = "def f(x):\n    g(x)\n    return f'{x}a' + f'b{x!r:>4}'\n"
+
+
+def _parsed(path: Path) -> tuple[SourceText, ast.AST]:
+    text = path.read_text(encoding="utf-8")
+    return SourceText.from_text(text), ast.parse(text)
+
+
+def _with_captures(found):
+    return [(m, m.captures) for m in found]
+
+
+def test_stdlib_sample_is_large_enough():
+    assert len(CORPORA["stdlib"]) >= 50
+
+
+@pytest.mark.parametrize("corpus", sorted(CORPORA))
+def test_starter_rules_match_as_by_walk(corpus, monkeypatch):
+    rules = load_starter_rules()
+    total = 0
+    for path in CORPORA[corpus]:
+        source, tree = _parsed(path)
+        found = match_rules(path.name, source, tree, "python", rules)
+        by_walk = match_rules_by_walk(monkeypatch, path.name, source, tree, "python", rules)
+        assert _with_captures(found) == _with_captures(by_walk), path
+        total += len(found)
+    assert total > 0
+
+
+@pytest.mark.parametrize("corpus", sorted(CORPORA))
+def test_hand_written_patterns_match_as_by_walk(corpus):
+    compiled = [compile_pattern(p) for p in PATTERNS]
+    hits = 0
+    for path in CORPORA[corpus]:
+        source, tree = _parsed(path)
+        index = TreeIndex.from_tree(tree)
+        for pattern in compiled:
+            found = find_matches(pattern, index, source)
+            assert _with_captures(found) == _with_captures(find_matches_by_walk(pattern, tree, source)), pattern.source
+            hits += bool(found)
+    assert hits > 0
+
+
+def test_variants_of_different_root_types():
+    roots = {p: {type(v.nodes[0]) for v in compile_pattern(p).variants} for p in ("($A?, $B)", "$A?\nreturn $B")}
+    assert roots == {"($A?, $B)": {ast.Tuple, ast.Name}, "$A?\nreturn $B": {ast.Expr, ast.Return}}
+    source = SourceText.from_text("def f(a, b):\n    a = (a, b)\n    return a\n")
+    tree = ast.parse(source.text)
+    for pattern, texts in (("($A?, $B)", {"(a, b)", "a"}), ("$A?\nreturn $B", {"a = (a, b)\nreturn a", "return a"})):
+        compiled = compile_pattern(pattern)
+        found = find_matches(compiled, TreeIndex.from_tree(tree), source)
+        assert texts <= {m.text for m in found}  # both variants matched
+        assert _with_captures(found) == _with_captures(find_matches_by_walk(compiled, tree, source))
+
+
+def test_nested_same_span_nodes_keep_the_first_match():
+    source = SourceText.from_text(NESTED)
+    tree = ast.parse(NESTED)
+    spans = [_position(n) for n in ast.walk(tree) if isinstance(n, (ast.expr, ast.stmt))]
+    assert len(spans) > len(set(spans))  # the case under test occurs
+    index = TreeIndex.from_tree(tree)
+    for pattern in map(compile_pattern, PATTERNS):
+        found = find_matches(pattern, index, source)
+        assert _with_captures(found) == _with_captures(find_matches_by_walk(pattern, tree, source)), pattern.source
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 12), reason="f-string pieces carry their own spans from 3.12")
+def test_stdlib_sample_has_nested_same_span_expressions():
+    def has_same_span_child(tree):
+        return any(
+            isinstance(child, ast.expr) and _position(child) == _position(node)
+            for node in ast.walk(tree) if isinstance(node, ast.expr)
+            for child in ast.iter_child_nodes(node)
+        )
+
+    assert any(has_same_span_child(_parsed(path)[1]) for path in CORPORA["stdlib"])
+
+
+def test_index_keeps_walk_order():
+    tree = ast.parse(NESTED)
+    index = TreeIndex.from_tree(tree)
+    assert index.exprs == [n for n in ast.walk(tree) if isinstance(n, ast.expr)]
+    assert [(id(stmts), i) for stmts, i in index.windows] == [
+        (id(stmts), i) for stmts in _statement_lists(tree) for i in range(len(stmts))
+    ]
+    for kind, nodes in index.exprs_by_type.items():
+        assert nodes == [n for n in index.exprs if type(n) is kind]

@@ -5,7 +5,7 @@ import ast
 import pytest
 
 from slopscope.adapters import SourceText
-from slopscope.patterns import PatternError, compile_pattern, find_matches
+from slopscope.patterns import PatternError, TreeIndex, compile_pattern, find_matches
 from slopscope.rules import (
     QualityRule,
     RuleError,
@@ -17,7 +17,7 @@ from slopscope.rules import (
 
 
 def matches_of(pattern: str, source: str):
-    return find_matches(compile_pattern(pattern), ast.parse(source), SourceText.from_text(source))
+    return find_matches(compile_pattern(pattern), TreeIndex.from_tree(ast.parse(source)), SourceText.from_text(source))
 
 
 class TestMetavariables:

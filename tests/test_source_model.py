@@ -197,7 +197,8 @@ def test_load_scan_config(tmp_path):
 
     bad = tmp_path / "bad.yaml"
     for text in ("mystery_key: 1\n", 'exclude: "vendor/*"\n', "minified_line_threshold: '900'\n",
-                 "languages: [python, 3]\n", "exclude: [a\n"):
+                 "languages: [python, 3]\n", "exclude: [a\n", "minified_line_threshold: 0\n",
+                 "minified_line_threshold: -5\n", "encoding: nope\n"):
         bad.write_text(text)
         with pytest.raises(ScanError):
             load_scan_config(bad)
