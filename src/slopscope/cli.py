@@ -124,7 +124,7 @@ def cmd_scan(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> in
         )
         Path(args.emit_matches).write_text(lines, encoding="utf-8")
     return _emit(args, rules, config, "ScanReport", payload, {},
-                 lambda p: scan_report_csv(p, analysis.source_lines))
+                 lambda p: scan_report_csv(p, analysis.files))
 
 
 def cmd_history(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> int:
@@ -141,7 +141,9 @@ def cmd_history(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) ->
         )
     except GitError as exc:
         return _fail(exc, EXIT_UNREADABLE)
-    if not result.checkpoints:
+    if result.skipped_commits and not result.checkpoints:
+        print("slopscope: no sampled commit could be read", file=sys.stderr)
+    elif not result.checkpoints:
         print("slopscope: no source-modifying commits found", file=sys.stderr)
 
     payload = {**history_to_dict(result), "repo": "." if args.deterministic else str(args.repo)}

@@ -30,7 +30,9 @@ class CloneRegion:
 
 
 @dataclass(frozen=True)
-class _NormalizedFile:
+class NormalizedFile:
+    """A file's clone-relevant content, as ``normalize_file`` gives it."""
+
     path: str
     # One entry per normalized line: (normalized token text, physical line).
     lines: tuple[str, ...]
@@ -49,7 +51,7 @@ def _normalize_token(tok: tokenize.TokenInfo) -> str | None:
     return None
 
 
-def normalize_file(path: str, text: str) -> _NormalizedFile:
+def normalize_file(path: str, text: str) -> NormalizedFile:
     """Token-normalize a file into per-line fingerprint strings.
 
     Multi-line tokens (e.g. triple-quoted strings) are attributed to their
@@ -69,7 +71,7 @@ def normalize_file(path: str, text: str) -> _NormalizedFile:
     for lineno in sorted(per_line):
         lines.append(" ".join(per_line[lineno]))
         physical.append(lineno)
-    return _NormalizedFile(path, tuple(lines), tuple(physical))
+    return NormalizedFile(path, tuple(lines), tuple(physical))
 
 
 class _UnionFind:
@@ -87,7 +89,7 @@ class _UnionFind:
 
 
 def detect_clones_normalized(
-    files: list[_NormalizedFile], min_window: int = DEFAULT_MIN_WINDOW
+    files: list[NormalizedFile], min_window: int = DEFAULT_MIN_WINDOW
 ) -> list[CloneRegion]:
     if min_window < 1:
         raise ValueError("min_window must be positive")
@@ -159,10 +161,14 @@ def detect_clones_normalized(
 
 
 def detect_clones(
-    texts: dict[str, str], min_window: int = DEFAULT_MIN_WINDOW
+    texts: dict[str, str | NormalizedFile], min_window: int = DEFAULT_MIN_WINDOW
 ) -> list[CloneRegion]:
-    """Detect type-2 clones across a set of files (path -> source text)."""
-    files = [normalize_file(path, texts[path]) for path in sorted(texts)]
+    """Detect type-2 clones across a set of files: path -> source text, or
+    the file already normalized by ``normalize_file``."""
+    files = [
+        text if isinstance(text, NormalizedFile) else normalize_file(path, text)
+        for path, text in sorted(texts.items())
+    ]
     return detect_clones_normalized(files, min_window)
 
 

@@ -2,21 +2,21 @@
 
 from __future__ import annotations
 
-import io
 import os
 import random
 import subprocess
-import tarfile
-import tempfile
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, replace
 from datetime import date, datetime, timezone
 from pathlib import Path
 
+from . import clones, verbosity
 from .adapters import PythonAdapter
-from .clones import DEFAULT_MIN_WINDOW, detect_clones
+from .clones import DEFAULT_MIN_WINDOW, CloneRegion, NormalizedFile, detect_clones
 from .erosion import erosion_score
-from .rules import RuleSet, match_rules
-from .scan import ScanConfig, scan_tree_with_sources
+from .model import SourceInventory, merge_inventories
+from .rules import RuleMatch, RuleSet, match_rules
+from .scan import ParsedSource, ScanConfig, is_eligible, scan_tree_with_sources
 from .trajectory import (
     DEFAULT_ERA_CUTOFF,
     CheckpointMetrics,
@@ -40,7 +40,7 @@ class CommitRef:
     committed_at: datetime  # committer date, UTC
 
 
-def _git(repo: str | Path, *args: str) -> str:
+def _git(repo: str | Path, *args: str) -> bytes:
     proc = subprocess.run(
         ["git", "-C", str(repo), *args],
         capture_output=True,
@@ -49,7 +49,7 @@ def _git(repo: str | Path, *args: str) -> str:
     )
     if proc.returncode != 0:
         raise GitError(proc.stderr.decode("utf-8", "replace").strip() or f"git {' '.join(args)} failed")
-    return proc.stdout.decode("utf-8", "replace")
+    return proc.stdout
 
 
 def _is_test_path(path: str) -> bool:
@@ -65,7 +65,7 @@ def list_source_commits(repo: str | Path, exclude_tests: bool = False) -> list[C
     therefore never counted as source-modifying.
     """
     try:
-        raw = _git(repo, "log", "--pretty=format:\x01%H\x09%ct", "--name-only")
+        raw = _git(repo, "log", "--pretty=format:\x01%H\x09%ct", "--name-only").decode("utf-8", "replace")
     except GitError as err:
         if "does not have any commits" in str(err):
             return []
@@ -106,17 +106,110 @@ def sample_commits(
     return commits
 
 
-def materialize_commit(repo: str | Path, sha: str, dest: str | Path) -> None:
-    """Extract one commit's tree into ``dest`` via git archive."""
-    proc = subprocess.run(
-        ["git", "-C", str(repo), "archive", "--format=tar", sha],
-        capture_output=True,
-        check=False,
+class ObjectStore:
+    """Reads the blobs of one repository through one long-lived
+    ``git cat-file --batch`` process.
+
+    Requests go one at a time: one object id is written and its whole reply
+    read before the next, so neither side can block on a full pipe.
+    ``close`` (or leaving a ``with`` block) ends the process.
+    """
+
+    def __init__(self, repo: str | Path) -> None:
+        self.repo = repo
+        self._proc = subprocess.Popen(
+            ["git", "-C", str(repo), "cat-file", "--batch"],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+        )
+
+    def read(self, blob: str) -> bytes:
+        """The bytes of one blob; GitError if the repository lacks it."""
+        stdin, stdout = self._proc.stdin, self._proc.stdout
+        try:
+            stdin.write(blob.encode() + b"\n")
+            stdin.flush()
+            header = stdout.readline().split()
+            if len(header) != 3:  # "<id> missing", or the process died
+                raise GitError(f"blob {blob} {header[-1].decode(errors='replace') if header else 'unreadable'}")
+            size = int(header[2])
+            data = stdout.read(size + 1)  # the content and a newline
+        except OSError as exc:
+            raise GitError(f"blob {blob} unreadable: {exc}") from exc
+        if len(data) != size + 1:
+            raise GitError(f"blob {blob} unreadable: reply cut short")
+        return data[:size]
+
+    def close(self) -> None:
+        self._proc.communicate()  # closes stdin, which ends the process
+
+    def __enter__(self) -> ObjectStore:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+@dataclass(frozen=True)
+class CommitTree:
+    """The files of one commit that a scan of its checkout would measure,
+    as git stores them: each path's blob id, and the paths of symbolic
+    links, which are skipped unread."""
+
+    blobs: dict[str, str]
+    links: tuple[str, ...]
+    store: ObjectStore
+
+
+def materialize_commit(store: ObjectStore, sha: str, config: ScanConfig) -> CommitTree:
+    """List one commit's eligible files with ``git ls-tree``.
+
+    Eligibility is a scan's (``scan.is_eligible``). Gitlinks (submodules)
+    are passed by: a checkout holds no file of theirs.
+    """
+    raw = _git(store.repo, "ls-tree", "-r", "-z", "--full-tree", sha)
+    blobs: dict[str, str] = {}
+    links: list[str] = []
+    for entry in raw.split(b"\0"):
+        if not entry:
+            continue
+        meta, _, name = entry.partition(b"\t")
+        mode, kind, blob = meta.split()
+        path = os.fsdecode(name)
+        if kind != b"blob" or not is_eligible(path, config):
+            continue
+        if mode == b"120000":
+            links.append(path)
+        else:
+            blobs[path] = blob.decode()
+    return CommitTree(blobs, tuple(links), store)
+
+
+@dataclass(frozen=True)
+class FileAnalysis:
+    """Everything one file adds to a checkpoint, without its syntax tree:
+    its record and callables (or its skip), rule matches, source lines and
+    clone-normalized lines."""
+
+    inventory: SourceInventory
+    matches: tuple[RuleMatch, ...] = ()
+    source_lines: frozenset[int] = frozenset()
+    normalized: NormalizedFile | None = None
+
+
+def _skipped(path: str, reason: str) -> FileAnalysis:
+    return FileAnalysis(SourceInventory(skipped=((path, reason),)))
+
+
+def _analyse(src: ParsedSource, rules: RuleSet | None) -> FileAnalysis:
+    matches = match_rules(src.path, src.source, src.tree, src.language, rules) if rules is not None else []
+    return FileAnalysis(
+        inventory=src.inventory,
+        matches=tuple(matches),
+        source_lines=src.source.source_lines,
+        normalized=clones.normalize_file(src.path, src.source.text),
     )
-    if proc.returncode != 0:
-        raise GitError(proc.stderr.decode("utf-8", "replace").strip())
-    with tarfile.open(fileobj=io.BytesIO(proc.stdout)) as tar:
-        tar.extractall(dest)
 
 
 @dataclass(frozen=True)
@@ -124,55 +217,71 @@ class CheckpointAnalysis:
     """Full measurement of one workspace snapshot."""
 
     metrics: CheckpointMetrics
-    inventory: object
-    matches: list
-    clones: list
-    source_lines: dict[str, frozenset[int]]  # per file, the lines that count toward LOC
+    inventory: SourceInventory
+    matches: list[RuleMatch]
+    clones: list[CloneRegion]
+    files: dict[str, FileAnalysis]  # every eligible path, sorted
 
 
 def measure_checkpoint(
-    workspace: str | Path,
+    workspace: str | Path | CommitTree,
     config: ScanConfig | None = None,
     rules: RuleSet | None = None,
     min_window: int = DEFAULT_MIN_WINDOW,
     label: str = "",
     index: int = 0,
     timestamp: datetime | None = None,
+    reuse: Mapping[tuple[str, str], FileAnalysis] | None = None,
 ) -> CheckpointAnalysis:
-    """Scan a snapshot and compute the full metric bundle."""
-    inventory, sources = scan_tree_with_sources(workspace, config)
+    """Measure a snapshot: a directory, or a commit ``materialize_commit``
+    listed.
+
+    A commit's file whose (path, blob id) is a key of ``reuse`` takes that
+    analysis; only the other files are read and analysed. Clones, erosion
+    and verbosity are always computed over every file.
+    """
+    config = config or ScanConfig()
+    if isinstance(workspace, CommitTree):
+        reuse = reuse or {}
+        files = {path: _skipped(path, "symlink") for path in workspace.links}
+        fresh: dict[str, bytes] = {}
+        for path, blob in workspace.blobs.items():
+            if (path, blob) in reuse:
+                files[path] = reuse[(path, blob)]
+            else:
+                fresh[path] = workspace.store.read(blob)
+        scanned, sources = scan_tree_with_sources(fresh, config)
+    else:
+        files = {}
+        scanned, sources = scan_tree_with_sources(workspace, config)
+    files.update((path, _skipped(path, reason)) for path, reason in scanned.skipped)
+    while sources:  # drop each syntax tree as soon as its file is analysed
+        path, src = sources.popitem()
+        files[path] = _analyse(src, rules)
+    files = dict(sorted(files.items()))
+
+    inventory = merge_inventories([f.inventory for f in files.values()])
     erosion = erosion_score(inventory)
-
-    matches = []
-    for path in sorted(sources):
-        src = sources[path]
-        if rules is not None:
-            matches.extend(match_rules(path, src.source, src.tree, src.language, rules))
-    clones = detect_clones({p: s.source.text for p, s in sources.items()}, min_window)
-
-    from .verbosity import verbosity_score
-
-    source_lines = {path: src.source.source_lines for path, src in sources.items()}
-    verbosity = verbosity_score(
+    matches = [m for f in files.values() for m in f.matches]
+    regions = detect_clones({p: f.normalized for p, f in files.items() if f.normalized is not None}, min_window)
+    breakdown = verbosity.verbosity_score(
         inventory.file_loc(),
         matches,
-        clones,
+        regions,
         file_line_count={f.path: f.line_count for f in inventory.files},
-        source_lines=source_lines,
+        source_lines={path: f.source_lines for path, f in files.items()},
     )
     metrics = CheckpointMetrics(
         index=index,
         label=label or str(workspace),
         erosion=erosion,
-        verbosity=verbosity,
+        verbosity=breakdown,
         loc=inventory.total_loc,
         high_cc_count=erosion.high_cc_count,
         max_cc=erosion.max_cc,
         timestamp=timestamp,
     )
-    return CheckpointAnalysis(
-        metrics=metrics, inventory=inventory, matches=matches, clones=clones, source_lines=source_lines
-    )
+    return CheckpointAnalysis(metrics=metrics, inventory=inventory, matches=matches, clones=regions, files=files)
 
 
 @dataclass(frozen=True)
@@ -180,6 +289,7 @@ class HistoryResult:
     checkpoints: list[CheckpointMetrics]
     summary: TrajectorySummary | None
     era: EraShift | None
+    skipped_commits: tuple[tuple[str, str], ...] = ()  # (sha, reason) of each commit that could not be read
 
 
 def measure_history(
@@ -192,37 +302,52 @@ def measure_history(
     min_window: int = DEFAULT_MIN_WINDOW,
     exclude_tests: bool = False,
 ) -> HistoryResult:
-    """Sample a repository's commits and measure each snapshot."""
+    """Sample a repository's commits and measure each snapshot.
+
+    Files are read from git's object store, and a file whose path and blob
+    the previous checkpoint also held is not analysed again. A commit that
+    cannot be listed or read is reported in ``skipped_commits``, not
+    measured.
+    """
     if not (Path(repo) / ".git").exists() and not (Path(repo) / "HEAD").exists():
         raise GitError(f"not a git repository: {repo}")
+    config = config or ScanConfig()
     commits = sample_commits(repo, max_commits, seed, exclude_tests=exclude_tests)
     if not commits:
         return HistoryResult(checkpoints=[], summary=None, era=None)
 
     phases = bin_phases(len(commits))
     checkpoints: list[CheckpointMetrics] = []
-    for i, commit in enumerate(commits):
-        with tempfile.TemporaryDirectory(prefix="slopscope-") as tmp:
+    skipped: list[tuple[str, str]] = []
+    # Only the last measured checkpoint's files are kept for reuse: a file
+    # unchanged since an earlier sampled commit is nearly always unchanged
+    # since the last one too, and memory stays bounded by two snapshots.
+    reuse: dict[tuple[str, str], FileAnalysis] = {}
+    with ObjectStore(repo) as store:
+        for i, commit in enumerate(commits):
             try:
-                materialize_commit(repo, commit.sha, tmp)
-            except GitError:
-                continue  # unreadable commit: excluded, not imputed
-            analysis = measure_checkpoint(
-                tmp,
-                config,
-                rules,
-                min_window,
-                label=commit.sha,
-                index=i,
-                timestamp=commit.committed_at,
-            )
-        checkpoints.append(
-            CheckpointMetrics(
-                **{**analysis.metrics.__dict__, "phase": phases[i]},
-            )
-        )
+                tree = materialize_commit(store, commit.sha, config)
+                analysis = measure_checkpoint(
+                    tree,
+                    config,
+                    rules,
+                    min_window,
+                    label=commit.sha,
+                    index=i,
+                    timestamp=commit.committed_at,
+                    reuse=reuse,
+                )
+            except GitError as err:
+                skipped.append((commit.sha, str(err)))
+                continue  # unreadable commit: reported, not imputed
+            reuse = {(path, blob): analysis.files[path] for path, blob in tree.blobs.items()}
+            checkpoints.append(replace(analysis.metrics, phase=phases[i]))
 
     if not checkpoints:
-        return HistoryResult(checkpoints=[], summary=None, era=None)
-    summary = trajectory_summary(checkpoints)
-    return HistoryResult(checkpoints=checkpoints, summary=summary, era=era_split(checkpoints, cutoff))
+        return HistoryResult(checkpoints=[], summary=None, era=None, skipped_commits=tuple(skipped))
+    return HistoryResult(
+        checkpoints=checkpoints,
+        summary=trajectory_summary(checkpoints),
+        era=era_split(checkpoints, cutoff),
+        skipped_commits=tuple(skipped),
+    )

@@ -12,7 +12,7 @@ from datetime import datetime, timezone
 from . import __version__
 from .clones import CloneRegion
 from .erosion import ErosionReport
-from .history import HistoryResult
+from .history import FileAnalysis, HistoryResult
 from .model import SourceInventory
 from .rules import RuleMatch
 from .trajectory import CheckpointMetrics, EraShift, TrajectorySummary
@@ -154,6 +154,7 @@ def history_to_dict(result: HistoryResult) -> dict:
         "checkpoints": [checkpoint_to_dict(c) for c in result.checkpoints],
         "summary": summary_to_dict(result.summary) if result.summary else None,
         "era": era_to_dict(result.era) if result.era else None,
+        "skipped_commits": [{"sha": sha, "reason": reason} for sha, reason in result.skipped_commits],
     }
 
 
@@ -172,11 +173,12 @@ def envelope(payload_type: str, payload: dict, config: dict, deterministic: bool
     return out
 
 
-def scan_report_csv(payload: dict, source_lines: dict[str, frozenset[int]]) -> str:
+def scan_report_csv(payload: dict, files: dict[str, FileAnalysis]) -> str:
     """One row per file plus a TOTAL row; header fixed (see docs/schema).
 
     Like the verbosity score, a file's flagged and clone lines count only
-    its ``source_lines``, so the file rows add up to the TOTAL row.
+    its source lines (``files[path].source_lines``), so the file rows add up
+    to the TOTAL row.
     """
     per_file_flagged: dict[str, set[int]] = {}
     for match in payload.get("matches", []):
@@ -206,8 +208,8 @@ def scan_report_csv(payload: dict, source_lines: dict[str, frozenset[int]]) -> s
                 f["line_count"],
                 len(spots),
                 max_ccs[f["path"]],
-                len(per_file_flagged.get(f["path"], set()) & source_lines[f["path"]]),
-                len(per_file_cloned.get(f["path"], set()) & source_lines[f["path"]]),
+                len(per_file_flagged.get(f["path"], set()) & files[f["path"]].source_lines),
+                len(per_file_cloned.get(f["path"], set()) & files[f["path"]].source_lines),
             ]
         )
     writer.writerow(

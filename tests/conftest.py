@@ -90,6 +90,15 @@ def build_history_repo(dest: Path, commits=None) -> Path:
     return dest
 
 
+def drop_blob(repo: Path, revision: str) -> str:
+    """Delete the loose object of a blob (``<commit>:<path>``) from a
+    repository; return the blob's id."""
+    blob = subprocess.run(["git", "-C", str(repo), "rev-parse", revision],
+                          capture_output=True, text=True, check=True).stdout.strip()
+    (repo / ".git" / "objects" / blob[:2] / blob[2:]).unlink()
+    return blob
+
+
 @pytest.fixture(scope="session")
 def history_repo(tmp_path_factory) -> Path:
     return build_history_repo(tmp_path_factory.mktemp("histrepo"))

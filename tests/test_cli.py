@@ -89,6 +89,7 @@ BAD_INPUTS = {
     "string-exclude": (["scan", "{tree}", "--config", "{string_exclude}"], EXIT_USAGE),
     "zero-minified-threshold": (["scan", "{tree}", "--config", "{zero_threshold}"], EXIT_USAGE),
     "unknown-encoding": (["history", "{repo}", "--config", "{unknown_encoding}"], EXIT_USAGE),
+    "non-text-encoding": (["scan", "{tree}", "--config", "{rot13_encoding}"], EXIT_USAGE),
     "zero-min-window": (["scan", "{tree}", "--min-window", "0"], EXIT_USAGE),
     "negative-max-commits": (["history", "{repo}", "--max-commits", "-1"], EXIT_USAGE),
     "bogus-cutoff-date": (["history", "{repo}", "--cutoff-date", "bogus"], EXIT_USAGE),
@@ -103,6 +104,7 @@ BAD_FILES = {
     "string_exclude.yaml": b'exclude: "x"\n',
     "zero_threshold.yaml": b"minified_line_threshold: 0\n",
     "unknown_encoding.yaml": b"encoding: nope\n",
+    "rot13_encoding.yaml": b"encoding: rot13\n",
     "scalar.yaml": b"42\n",
     "undecodable.py": b"x = 1\n\xff\n",
     "unparsable.py": b"def (:\n",

@@ -1,10 +1,21 @@
 from __future__ import annotations
 
+import hashlib
+import io
 import json
-from datetime import timezone
+import os
+import random
+import subprocess
+import tarfile
+import tempfile
+from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 
+from slopscope import history
+from slopscope.adapters import ADAPTERS
+from slopscope.cli import main
 from slopscope.history import (
     GitError,
     list_source_commits,
@@ -12,8 +23,10 @@ from slopscope.history import (
     measure_history,
     sample_commits,
 )
+from slopscope.rules import load_starter_rules
+from slopscope.scan import ScanConfig
 
-from conftest import FIXTURES, MAIN_V1, build_history_repo, write_tree
+from conftest import FIXTURES, MAIN_V1, SLOP, build_history_repo, drop_blob, handler_source, write_tree
 
 
 def _manifest() -> dict:
@@ -125,3 +138,213 @@ class TestMeasureHistory:
         subprocess.run(["git", "-C", str(repo), "init", "-q"], check=True)
         result = measure_history(repo)
         assert result.checkpoints == [] and result.summary is None
+
+
+def test_a_commit_with_a_missing_blob_is_reported_and_the_rest_measured(tmp_path):
+    repo = build_history_repo(tmp_path / "repo")
+    shas = [c.sha for c in list_source_commits(repo)]
+    blob = drop_blob(repo, f"{shas[2]}:util.py")  # UTIL_V1, in the third commit only
+
+    out = tmp_path / "report.json"
+    code = main(["history", str(repo), "--deterministic", "--out", str(out)])
+    assert code == 0
+    payload = json.loads(out.read_text())["payload"]
+    assert payload["skipped_commits"] == [{"sha": shas[2], "reason": f"blob {blob} missing"}]
+    assert [cp["label"] for cp in payload["checkpoints"]] == shas[:2] + shas[3:]
+    assert [cp["index"] for cp in payload["checkpoints"]] == [0, 1, 3, 4]
+    assert payload["summary"]["missing_checkpoints"] == [2]
+
+
+def test_each_path_and_blob_is_analysed_once(history_repo, monkeypatch):
+    parses = []
+    parse = ADAPTERS["python"].parse
+    monkeypatch.setattr(ADAPTERS["python"], "parse", lambda text: parses.append(text) or parse(text))
+    temp_dirs = []
+    mkdtemp = tempfile.mkdtemp
+    monkeypatch.setattr(tempfile, "mkdtemp", lambda *a, **k: temp_dirs.append((a, k)) or mkdtemp(*a, **k))
+
+    result = measure_history(history_repo, rules=load_starter_rules())
+    assert len(result.checkpoints) == 5
+    # main.py v1 and v2, util.py v1 and v2, slop.py.
+    assert len(parses) == 5
+    assert temp_dirs == []
+
+
+# -- the object-store path against a checkout of every sampled commit ------
+
+EXCLUDE_VENDOR = ScanConfig(exclude=("vendor/*",))
+
+_TEMPLATES = (
+    "def {f}(xs):\n    return [x for x in xs]\n",
+    "def {f}(a):\n    if a == True:\n        return 1\n    return 2\n",
+    "def {f}(d):\n    for k in d.keys():\n        print(k)\n",
+    "def {f}(items):\n    try:\n        return items[0]\n    except:\n        pass\n",
+    "def {f}(s):\n    if len(s) == 0:\n        return None\n    return s\n",
+    "class {F}:\n    def get(self, key):\n        return self.data.get(key, None)\n",
+)
+
+
+def _module(rng: random.Random) -> bytes:
+    parts = []
+    for _ in range(rng.randint(1, 4)):
+        name = "f" + "".join(rng.choice("abcdefgh") for _ in range(6))
+        if rng.random() < 0.25:
+            parts.append(handler_source(name, rng.choice("xyz")))  # complex, and a clone of its kin
+        else:
+            parts.append(rng.choice(_TEMPLATES).format(f=name, F=name.title()))
+    return "\n\n".join(parts).encode()
+
+
+# Committed at fixed points of the generated history and kept from then on.
+_SPECIAL = {
+    2: {"__pycache__/x.py": b"x = [a for a in b]\n", "pkg/__pycache__/y.py": b"y = 1\n"},
+    3: {"vendor/lib.py": SLOP.encode(), "pkg/.hg/hooks.py": b"z = 2\n"},
+    5: {"legacy.py": b"s = '\xe9t\xe9'\n", "broken.py": b"def broken(:\n    pass\n"},
+    6: {"packed.py": b"x = [" + b"1, " * 300 + b"]\n"},
+    7: {"pkg/caf\u00e9.py": _TEMPLATES[0].format(f="f", F="F").encode()},
+    30: {"legacy.py": b"s = '\xe0'\nt = 1\n", "broken.py": b"def fixed():\n    pass\n"},
+}
+
+
+def _build_generated_repo(dest: Path, n_commits: int = 56, seed: int = 3) -> Path:
+    """A history of nested packages with every case the listing must get
+    right: skipped directories, an excluded directory, a link, gitlinks,
+    undecodable, unparsable and minified files, renames of an unchanged
+    blob, one blob at two paths, and a file deleted and later restored."""
+    def git(*args: str, env: dict | None = None) -> None:
+        subprocess.run(["git", "-C", str(dest), *args], check=True, capture_output=True, env=env)
+
+    rng = random.Random(seed)
+    dest.mkdir(parents=True)
+    submodule_commit = "0123456789abcdef0123456789abcdef01234567"
+    git("init", "-q", "-b", "main")
+    git("config", "user.email", "fixtures@example.com")
+    git("config", "user.name", "Fixture Builder")
+    modules = {"pkg/__init__.py": b"", "pkg/core.py": _module(rng), "pkg/sub/__init__.py": b"",
+               "pkg/sub/deep/leaf.py": _module(rng), "app.py": _module(rng)}
+    deleted: dict[str, bytes] = {}
+    start = datetime(2023, 1, 1, tzinfo=timezone.utc)
+    for i in range(n_commits):
+        files = dict(_SPECIAL.get(i, {}))
+        action = i % 6 if i > 8 else -1
+        movable = sorted(p for p in modules if not p.endswith("__init__.py"))
+        if action == 0:  # rename an unchanged blob
+            old = rng.choice(movable)
+            new = f"pkg/sub/moved_{i}.py" if "/" not in old else f"moved_{i}.py"
+            modules[new] = modules.pop(old)
+            (dest / old).unlink()
+        elif action == 1:  # one blob at two paths
+            src = rng.choice(movable)
+            modules[f"pkg/copy_{i}.py"] = modules[src]
+        elif action == 2 and not deleted:  # delete; restored four commits later
+            path = rng.choice(movable)
+            deleted[path] = modules.pop(path)
+            (dest / path).unlink()
+        elif action == 2 or (action == 3 and rng.random() < 0.5):
+            modules[f"pkg/sub/new_{i}.py"] = _module(rng)
+        else:
+            path = rng.choice(movable)
+            modules[path] = modules[path] + b"\n\n" + _module(rng)
+        if i % 6 == 0 and deleted and i > 12:
+            modules.update(deleted)
+            deleted.clear()
+        modules["pkg/core.py"] = modules.get("pkg/core.py", b"") + f"\nVERSION = {i}\n".encode()
+        for path, data in {**modules, **files}.items():
+            (dest / path).parent.mkdir(parents=True, exist_ok=True)
+            (dest / path).write_bytes(data)
+        if i == 4:
+            os.symlink("pkg/core.py", dest / "link.py")
+        git("add", "-A")  # drops the gitlinks, which have no directory here
+        git("update-index", "--add", "--cacheinfo", f"160000,{submodule_commit},sub")
+        git("update-index", "--add", "--cacheinfo", f"160000,{submodule_commit},pkg/ext.py")
+        when = (start + timedelta(days=13 * i)).isoformat()
+        git("commit", "-q", "-m", f"commit {i}", env=dict(os.environ, GIT_AUTHOR_DATE=when, GIT_COMMITTER_DATE=when))
+    return dest
+
+
+@pytest.fixture(scope="module")
+def generated_repo(tmp_path_factory) -> Path:
+    return _build_generated_repo(tmp_path_factory.mktemp("generated") / "repo")
+
+
+def _checkout(repo: Path, sha: str, dest: Path) -> Path:
+    """The commit as ``git archive`` exports it: the old materialisation."""
+    data = subprocess.run(["git", "-C", str(repo), "archive", "--format=tar", sha],
+                          capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(data)) as tar:
+        tar.extractall(dest, filter="data")
+    return dest
+
+
+def _blob_ids(root: Path, paths) -> set[tuple[str, str]]:
+    out = set()
+    for path in paths:
+        data = (root / path).read_bytes()
+        out.add((path, hashlib.sha1(b"blob %d\0" % len(data) + data).hexdigest()))
+    return out
+
+
+def _assert_history_matches_checkouts(repo: Path, tmp_path: Path, monkeypatch, config: ScanConfig,
+                                      max_commits: int, seed: int) -> list[tuple]:
+    """Measure a history and check every checkpoint against a checkout of
+    its commit; return each checkpoint's analysis and (path, blob) pairs."""
+    analysed: list[list[str]] = []
+    scan_tree_with_sources = history.scan_tree_with_sources
+    monkeypatch.setattr(history, "scan_tree_with_sources",
+                        lambda root, cfg: analysed.append(sorted(root)) or scan_tree_with_sources(root, cfg))
+    analyses = []
+    measure = history.measure_checkpoint
+    monkeypatch.setattr(history, "measure_checkpoint", lambda *a, **k: analyses.append(measure(*a, **k)) or analyses[-1])
+    rules = load_starter_rules()
+    result = measure_history(repo, max_commits=max_commits, seed=seed, config=config, rules=rules)
+    monkeypatch.undo()
+
+    commits = sample_commits(repo, max_commits, seed)
+    assert result.skipped_commits == ()
+    assert [a.metrics.label for a in analyses] == [c.sha for c in commits]
+    previous: set[tuple[str, str]] = set()
+    checked = []
+    for got, fresh, commit in zip(analyses, analysed, commits):
+        root = _checkout(repo, commit.sha, tmp_path / commit.sha)
+        want = measure_checkpoint(root, config, rules, label=commit.sha, index=got.metrics.index,
+                                  timestamp=commit.committed_at)
+        assert got.inventory == want.inventory  # records, callables and skip reasons
+        assert got.matches == want.matches
+        assert [m.captures for m in got.matches] == [m.captures for m in want.matches]
+        assert got.clones == want.clones
+        assert got.metrics == want.metrics
+        assert got.files == want.files
+
+        regular = [p for p in got.files if (p, "symlink") not in want.inventory.skipped]
+        pairs = _blob_ids(root, regular)
+        assert fresh == sorted(p for p, _ in pairs - previous), commit.sha
+        previous = pairs
+        checked.append((got, pairs))
+    return checked
+
+
+def test_history_repo_matches_checkouts(history_repo, tmp_path, monkeypatch):
+    _assert_history_matches_checkouts(history_repo, tmp_path, monkeypatch, ScanConfig(), 30, 0)
+
+
+@pytest.mark.parametrize("max_commits,seed", [(100, 0), (17, 5)])
+def test_generated_repo_matches_checkouts(generated_repo, tmp_path, monkeypatch, max_commits, seed):
+    checked = _assert_history_matches_checkouts(generated_repo, tmp_path, monkeypatch, EXCLUDE_VENDOR,
+                                                max_commits, seed)
+    if max_commits == 100:  # every case of the generated history was met
+        analyses = [a for a, _ in checked]
+        pairs = [p for _, p in checked]
+        empty = hashlib.sha1(b"blob 0\0").hexdigest()  # every __init__.py
+        assert any(len({b for _, b in now if b != empty}) < len([b for _, b in now if b != empty])
+                   for now in pairs)  # one blob at two paths
+        assert any(p != q and b == c for before, after in zip(pairs, pairs[1:])
+                   for p, b in after - before for q, c in before - after)  # an unchanged blob renamed
+        assert any(pair not in pairs[k + 1] and any(pair in later for later in pairs[k + 2:])
+                   for k in range(len(pairs) - 1) for pair in pairs[k])  # deleted, then restored
+        reasons = {reason for a in analyses for _, reason in a.inventory.skipped}
+        assert reasons == {"symlink", "decode", "parse", "minified"}
+        paths = {p for a in analyses for p in a.files}
+        assert "pkg/caf\u00e9.py" in paths and "pkg/sub/deep/leaf.py" in paths
+        assert not any(p.startswith(("vendor/", "sub", "pkg/ext")) or "__pycache__" in p or ".hg" in p
+                       for p in paths)
+        assert any(a.clones for a in analyses) and any(m.captures for a in analyses for m in a.matches)

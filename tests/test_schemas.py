@@ -11,7 +11,7 @@ jsonschema = pytest.importorskip("jsonschema")
 
 from slopscope.cli import main
 
-from conftest import write_tree
+from conftest import build_history_repo, drop_blob, write_tree
 
 SCHEMA_DIR = Path(__file__).parent.parent / "docs" / "schema"
 
@@ -100,6 +100,14 @@ def test_rule_matches_validate(capsys, tmp_path):
 
 def test_history_report_validates(capsys, history_repo):
     report = _run_json(capsys, "history", str(history_repo), "--deterministic")
+    _validator("history_report.schema.json").validate(report)
+
+
+def test_history_report_with_a_skipped_commit_validates(capsys, tmp_path):
+    repo = build_history_repo(tmp_path / "repo")
+    drop_blob(repo, "HEAD:slop.py")
+    report = _run_json(capsys, "history", str(repo), "--deterministic")
+    assert len(report["payload"]["skipped_commits"]) == 1  # the last commit added slop.py
     _validator("history_report.schema.json").validate(report)
 
 

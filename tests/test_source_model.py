@@ -198,9 +198,13 @@ def test_load_scan_config(tmp_path):
     bad = tmp_path / "bad.yaml"
     for text in ("mystery_key: 1\n", 'exclude: "vendor/*"\n', "minified_line_threshold: '900'\n",
                  "languages: [python, 3]\n", "exclude: [a\n", "minified_line_threshold: 0\n",
-                 "minified_line_threshold: -5\n", "encoding: nope\n"):
+                 "minified_line_threshold: -5\n", "encoding: nope\n", "encoding: rot13\n",
+                 "encoding: base64\n", "encoding: hex\n", "encoding: zlib\n", 'encoding: "utf\\0"\n'):
         bad.write_text(text)
         with pytest.raises(ScanError):
             load_scan_config(bad)
     with pytest.raises(ScanError):
         load_scan_config(tmp_path / "missing.yaml")
+    for name in ("latin-1", "utf-16", "cp1252"):
+        cfg.write_text(f"encoding: {name}\n")
+        assert load_scan_config(cfg).encoding == name
