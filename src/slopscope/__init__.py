@@ -2,12 +2,12 @@
 
 __version__ = "0.1.0"
 
-from .adapters import cyclomatic_complexity
 from .clones import CloneRegion, detect_clones
 from .erosion import ErosionParams, ErosionReport, complexity_mass, erosion_score, erosion_sensitivity
+from .history import scan_tree
 from .model import CallableRecord, FileRecord, SourceInventory
 from .rules import QualityRule, RuleMatch, RuleSet, load_rules, load_starter_rules, match_rules
-from .scan import ScanConfig, scan_tree
+from .scan import ScanConfig
 from .trajectory import CheckpointMetrics, EraShift, TrajectorySummary, bin_phases, era_split, trajectory_summary
 from .verbosity import VerbosityBreakdown, verbosity_score
 
@@ -28,7 +28,6 @@ __all__ = [
     "VerbosityBreakdown",
     "bin_phases",
     "complexity_mass",
-    "cyclomatic_complexity",
     "detect_clones",
     "era_split",
     "erosion_score",

@@ -2,8 +2,9 @@
 
 An adapter owns a language id and a set of file extensions, parses source
 text into a syntax tree, and enumerates callables with their cyclomatic
-complexity and SLOC. Adapters register themselves in ``ADAPTERS``; two
-adapters may never claim the same extension.
+complexity and SLOC from the ``TreeIndex`` that one walk of the tree
+builds. Adapters register themselves in ``ADAPTERS``; two adapters may
+never claim the same extension.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import ast
 import bisect
 import re
+from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Protocol
@@ -26,7 +28,8 @@ class GrammarAdapter(Protocol):
         """Parse source text; raises SyntaxError on failure."""
         ...
 
-    def enumerate_callables(self, path: str, source: SourceText, tree) -> list[CallableRecord]:
+    def enumerate_callables(self, path: str, source: SourceText, index: TreeIndex) -> list[CallableRecord]:
+        """The file's named callables, from the index its one walk built."""
         ...
 
 
@@ -84,45 +87,81 @@ class SourceText:
         return self.data[start : self.byte_starts[node.end_lineno - 1] + node.end_col_offset].decode()
 
 
-# Node types that open a new callable scope; decision points inside them
-# never count toward the enclosing callable. Lambdas deliberately do NOT
-# appear here: they fold into the nearest named callable.
-_SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+# Node types that add one decision point to the callable that owns them.
+_ONE_POINT = frozenset({ast.If, ast.IfExp, ast.For, ast.AsyncFor, ast.While, ast.ExceptHandler})
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def _walk_scope(root: ast.AST):
-    """Yield descendants of ``root`` without crossing into nested scopes."""
-    stack = list(ast.iter_child_nodes(root))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, _SCOPE_NODES):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
+@dataclass(frozen=True)
+class TreeIndex:
+    """One file's syntax tree, walked once.
 
-
-def cyclomatic_complexity(callable_node: ast.AST) -> int:
-    """1 + decision points of one callable body.
-
-    Decision points: if/elif/ternary, loop headers, except clauses, and/or
-    connectives, comprehension filter clauses, and match arms beyond the
-    first. Nested named callables are excluded.
+    ``exprs`` holds every expression node in ``ast.walk`` order, and
+    ``windows`` every (statement list, start index) pair: lists in walk
+    order, starts ascending. The ``*_by_type`` maps split the same entries
+    by the type of the node, or of the window's first statement, keeping
+    that order. ``callables`` holds one [qualified name, first line, last
+    line, cyclomatic complexity] entry per ``def`` or ``async def``.
     """
-    cc = 1
-    for node in _walk_scope(callable_node):
-        if isinstance(node, (ast.If, ast.IfExp)):
-            cc += 1
-        elif isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
-            cc += 1
-        elif isinstance(node, ast.ExceptHandler):
-            cc += 1
-        elif isinstance(node, ast.BoolOp):
-            cc += len(node.values) - 1
-        elif isinstance(node, ast.comprehension):
-            cc += len(node.ifs)
-        elif isinstance(node, ast.Match):
-            cc += max(0, len(node.cases) - 1)
-    return cc
+
+    exprs: list[ast.expr]
+    exprs_by_type: dict[type, list[ast.expr]]
+    windows: list[tuple[list[ast.stmt], int]]
+    windows_by_type: dict[type, list[tuple[list[ast.stmt], int]]]
+    callables: list[list]
+
+    @classmethod
+    def from_tree(cls, tree: ast.AST) -> TreeIndex:
+        """Walk ``tree`` breadth-first, in ``ast.walk`` order, without
+        recursion, so nesting no deeper than the parser allows cannot
+        exhaust the stack.
+
+        Each queued node carries its owner (the entry of the nearest
+        enclosing ``def``, or None under a ``class`` or at module level)
+        and the names of the scopes around it. A decision point counts
+        toward its owner: if/elif/ternary, loop headers, except clauses,
+        and/or connectives, comprehension filter clauses, and match arms
+        beyond the first. A def's decorators, defaults and annotations are
+        its own; lambdas fold into their owner.
+        """
+        index = cls([], {}, [], {}, [])
+        exprs, exprs_by_type = index.exprs, index.exprs_by_type
+        windows, windows_by_type = index.windows, index.windows_by_type
+        queue = deque([(tree, (None, ()))])
+        while queue:
+            node, context = queue.popleft()
+            kind = type(node)
+            owner, scope = context
+            if owner is not None:
+                if kind in _ONE_POINT:
+                    owner[3] += 1
+                elif kind is ast.BoolOp:
+                    owner[3] += len(node.values) - 1
+                elif kind is ast.comprehension:
+                    owner[3] += len(node.ifs)
+                elif kind is ast.Match:
+                    owner[3] += max(0, len(node.cases) - 1)
+            if kind in _DEFS:
+                names = (*scope, node.name)
+                owner = [".".join(names), node.lineno, node.end_lineno or node.lineno, 1]
+                index.callables.append(owner)
+                context = (owner, names)
+            elif kind is ast.ClassDef:
+                context = (None, (*scope, node.name))
+            if isinstance(node, ast.expr):
+                exprs.append(node)
+                exprs_by_type.setdefault(kind, []).append(node)
+            for fname in node._fields:
+                value = getattr(node, fname, None)
+                if isinstance(value, ast.AST):
+                    queue.append((value, context))
+                elif isinstance(value, list) and value:
+                    if all(isinstance(v, ast.stmt) for v in value):
+                        for i, stmt in enumerate(value):
+                            windows.append((value, i))
+                            windows_by_type.setdefault(type(stmt), []).append((value, i))
+                    queue.extend((item, context) for item in value if isinstance(item, ast.AST))
+        return index
 
 
 class PythonAdapter:
@@ -132,32 +171,14 @@ class PythonAdapter:
     def parse(self, text: str) -> ast.Module:
         return ast.parse(text)
 
-    def enumerate_callables(self, path: str, source: SourceText, tree: ast.Module) -> list[CallableRecord]:
-        records: list[CallableRecord] = []
-        self._collect(tree, path, source, [], records)
+    def enumerate_callables(self, path: str, source: SourceText, index: TreeIndex) -> list[CallableRecord]:
+        records = [
+            CallableRecord(qualified_name=name, file=path, span=(start, end), cc=cc,
+                           sloc=max(1, source.sloc(start, end)))
+            for name, start, end, cc in index.callables
+        ]
         records.sort(key=lambda c: (c.span[0], c.qualified_name))
         return records
-
-    def _collect(self, node: ast.AST, path: str, source: SourceText,
-                 scope: list[str], out: list[CallableRecord]) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                name = ".".join(scope + [child.name])
-                start, end = child.lineno, child.end_lineno or child.lineno
-                out.append(
-                    CallableRecord(
-                        qualified_name=name,
-                        file=path,
-                        span=(start, end),
-                        cc=cyclomatic_complexity(child),
-                        sloc=max(1, source.sloc(start, end)),
-                    )
-                )
-                self._collect(child, path, source, scope + [child.name], out)
-            elif isinstance(child, ast.ClassDef):
-                self._collect(child, path, source, scope + [child.name], out)
-            else:
-                self._collect(child, path, source, scope, out)
 
 
 ADAPTERS: dict[str, GrammarAdapter] = {PythonAdapter.language: PythonAdapter()}

@@ -20,7 +20,7 @@ from pathlib import Path
 from .adapters import adapter_for_extension
 from .clones import DEFAULT_MIN_WINDOW
 from .erosion import erosion_sensitivity
-from .history import GitError, measure_checkpoint, measure_history
+from .history import GitError, measure_checkpoint, measure_history, scan_tree_with_sources
 from .model import ScanError
 from .panel import build_panel_entry, load_panel_config, panel_aggregate
 from .report import (
@@ -36,8 +36,8 @@ from .report import (
     scan_report_csv,
     verbosity_to_dict,
 )
-from .rules import RuleError, RuleSet, load_rules, load_starter_rules, match_rules
-from .scan import ScanConfig, load_scan_config, scan_file
+from .rules import RuleError, RuleSet, load_rules, load_starter_rules
+from .scan import ScanConfig, load_scan_config, read_file
 from .trajectory import DEFAULT_ERA_CUTOFF
 
 RULES_ENV = "SLOPSCOPE_RULES"
@@ -89,10 +89,17 @@ def _emit(args, rules: RuleSet, config: ScanConfig, payload_type: str, payload: 
             **settings,
         }
         text = canonical_json(envelope(payload_type, payload, digested, args.deterministic))
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
+    if not args.out:
         sys.stdout.write(text)
+        return EXIT_OK
+    return _write(args.out, text)
+
+
+def _write(path: str, text: str) -> int:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        return _fail(f"cannot write {path}: {exc.strerror or exc}", EXIT_USAGE)
     return EXIT_OK
 
 
@@ -122,7 +129,8 @@ def cmd_scan(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> in
         lines = "".join(
             json.dumps(match_to_dict(m), sort_keys=True) + "\n" for m in analysis.matches
         )
-        Path(args.emit_matches).write_text(lines, encoding="utf-8")
+        if _write(args.emit_matches, lines) != EXIT_OK:
+            return EXIT_USAGE  # before the report, so a bad path writes nothing
     return _emit(args, rules, config, "ScanReport", payload, {},
                  lambda p: scan_report_csv(p, analysis.files))
 
@@ -169,7 +177,7 @@ def cmd_panel(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> i
             entries.append(build_panel_entry(spec, config, rules, args.min_window))
         except (GitError, ScanError, OSError) as exc:
             print(f"slopscope: {spec.repo_id}: {exc}", file=sys.stderr)
-            failed.append(spec.repo_id)
+            failed.append({"repo_id": spec.repo_id, "reason": str(exc)})
     if not entries:
         return _fail("every panel repository failed", EXIT_UNREADABLE)
 
@@ -212,10 +220,11 @@ def cmd_rules(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> i
     path = Path(args.file)
     if adapter_for_extension(path.suffix, list(config.languages)) is None:
         return _fail(f"{path}: no language adapter claims this file", EXIT_USAGE)
-    inventory, parsed = scan_file(path.parent, path.name, config)
-    if parsed is None:
-        return _fail(f"{path}: skipped ({inventory.skipped[0][1]})", EXIT_UNREADABLE)
-    for m in match_rules(path.name, parsed.source, parsed.tree, parsed.language, rules.subset({rule.id})):
+    file = [(path.name, read_file(path.parent, path.name))]
+    analysis = scan_tree_with_sources(file, config, rules.subset({rule.id}))[1][path.name]
+    if analysis.inventory.skipped:
+        return _fail(f"{path}: skipped ({analysis.inventory.skipped[0][1]})", EXIT_UNREADABLE)
+    for m in analysis.matches:
         print(json.dumps(match_to_dict(m), sort_keys=True))
     return EXIT_OK
 

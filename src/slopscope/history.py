@@ -2,21 +2,22 @@
 
 from __future__ import annotations
 
+import fnmatch
 import os
 import random
 import subprocess
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, replace
 from datetime import date, datetime, timezone
 from pathlib import Path
 
 from . import clones, verbosity
-from .adapters import PythonAdapter
+from .adapters import PythonAdapter, SourceText, TreeIndex, adapter_for_extension
 from .clones import DEFAULT_MIN_WINDOW, CloneRegion, NormalizedFile, detect_clones
 from .erosion import erosion_score
-from .model import SourceInventory, merge_inventories
+from .model import FileRecord, SourceInventory, merge_inventories
 from .rules import RuleMatch, RuleSet, match_rules
-from .scan import ParsedSource, ScanConfig, is_eligible, scan_tree_with_sources
+from .scan import ScanConfig, is_eligible, read_tree
 from .trajectory import (
     DEFAULT_ERA_CUTOFF,
     CheckpointMetrics,
@@ -53,38 +54,42 @@ def _git(repo: str | Path, *args: str) -> bytes:
 
 
 def _is_test_path(path: str) -> bool:
-    import fnmatch
-
     return any(fnmatch.fnmatch(path, g) for g in TEST_PATH_GLOBS)
 
 
 def list_source_commits(repo: str | Path, exclude_tests: bool = False) -> list[CommitRef]:
     """All commits that modify at least one Python file, oldest first.
 
-    Merge commits carry no file list in plain ``git log`` output and are
-    therefore never counted as source-modifying.
+    The log is read NUL-separated, so git never quotes a path. A commit's
+    header ends in a newline when file names follow it, and its file list
+    ends in an empty name. Merge commits carry no file list in plain
+    ``git log`` output and are therefore never counted as source-modifying.
     """
     try:
-        raw = _git(repo, "log", "--pretty=format:\x01%H\x09%ct", "--name-only").decode("utf-8", "replace")
+        raw = _git(repo, "log", "-z", "--pretty=format:%H %ct", "--name-only")
     except GitError as err:
         if "does not have any commits" in str(err):
             return []
         raise
+    logged: list[tuple[str, str, list[str]]] = []  # newest first
+    in_header = True
+    for token in raw.split(b"\0"):
+        if in_header:
+            if token:
+                header, newline, first = token.partition(b"\n")
+                sha, epoch = header.decode().split()
+                logged.append((sha, epoch, [os.fsdecode(first)] if newline else []))
+                in_header = not newline
+        elif token:
+            logged[-1][2].append(os.fsdecode(token))
+        else:
+            in_header = True
     commits: list[CommitRef] = []
-    for block in raw.split("\x01"):
-        if not block.strip():
-            continue
-        header, _, body = block.partition("\n")
-        sha, _, epoch = header.partition("\t")
-        paths = [p for p in body.splitlines() if p.strip()]
+    for sha, epoch, paths in reversed(logged):
         if exclude_tests:
             paths = [p for p in paths if not _is_test_path(p)]
-        if not any(os.path.splitext(p)[1] in PythonAdapter.extensions for p in paths):
-            continue
-        commits.append(
-            CommitRef(sha=sha, committed_at=datetime.fromtimestamp(int(epoch), tz=timezone.utc))
-        )
-    commits.reverse()  # git log is newest-first
+        if any(os.path.splitext(p)[1] in PythonAdapter.extensions for p in paths):
+            commits.append(CommitRef(sha, datetime.fromtimestamp(int(epoch), tz=timezone.utc)))
     return commits
 
 
@@ -202,14 +207,74 @@ def _skipped(path: str, reason: str) -> FileAnalysis:
     return FileAnalysis(SourceInventory(skipped=((path, reason),)))
 
 
-def _analyse(src: ParsedSource, rules: RuleSet | None) -> FileAnalysis:
-    matches = match_rules(src.path, src.source, src.tree, src.language, rules) if rules is not None else []
+def analyse_file(relpath: str, data: bytes, config: ScanConfig, rules: RuleSet | None) -> FileAnalysis:
+    """Measure the bytes of one file whose extension an adapter claims.
+
+    The text is decoded, split into lines, checked for minification and
+    parsed; one walk of the tree gives its callables and the index every
+    pattern rule reads. A file that cannot be measured comes back as a
+    skip with its reason. The tree and its index die on return.
+    """
+    adapter = adapter_for_extension(os.path.splitext(relpath)[1], list(config.languages))
+    assert adapter is not None  # caller filtered by extension
+    try:
+        text = data.decode(config.encoding)
+    except (UnicodeDecodeError, LookupError):
+        return _skipped(relpath, "decode")
+    source = SourceText.from_text(text)
+    if source.line_count and len(text) / source.line_count > config.minified_line_threshold:
+        return _skipped(relpath, "minified")
+    try:
+        index = TreeIndex.from_tree(adapter.parse(text))
+    except (SyntaxError, ValueError, RecursionError):
+        return _skipped(relpath, "parse")
+
+    record = FileRecord(relpath, adapter.language, loc=len(source.source_lines), line_count=source.line_count)
+    callables = adapter.enumerate_callables(relpath, source, index)
+    matches = match_rules(relpath, source, index, adapter.language, rules) if rules is not None else []
     return FileAnalysis(
-        inventory=src.inventory,
+        inventory=SourceInventory(files=(record,), callables=tuple(callables)),
         matches=tuple(matches),
-        source_lines=src.source.source_lines,
-        normalized=clones.normalize_file(src.path, src.source.text),
+        source_lines=source.source_lines,
+        normalized=clones.normalize_file(relpath, text),
     )
+
+
+def scan_tree_with_sources(
+    files: Iterable[tuple[str, bytes | str | FileAnalysis]], config: ScanConfig, rules: RuleSet | None = None
+) -> tuple[SourceInventory, dict[str, FileAnalysis]]:
+    """Analyse one snapshot, one file at a time.
+
+    ``files`` gives each eligible path with the bytes to analyse, the
+    reason it was skipped unread, or an analysis kept from an earlier
+    snapshot. Returns the snapshot's inventory and every path's analysis,
+    sorted by path.
+    """
+    analyses: dict[str, FileAnalysis] = {}
+    for path, item in files:
+        if isinstance(item, bytes):
+            analyses[path] = analyse_file(path, item, config, rules)
+        elif isinstance(item, str):
+            analyses[path] = _skipped(path, item)
+        else:
+            analyses[path] = item
+    analyses = dict(sorted(analyses.items()))
+    return merge_inventories([f.inventory for f in analyses.values()]), analyses
+
+
+def scan_tree(root: str | Path, config: ScanConfig | None = None) -> SourceInventory:
+    """Scan a directory into a SourceInventory. Deterministic for a fixed tree."""
+    config = config or ScanConfig()
+    return scan_tree_with_sources(read_tree(root, config), config)[0]
+
+
+def _read_commit(tree: CommitTree, reuse: Mapping[tuple[str, str], FileAnalysis]):
+    """Each file of a commit: a link's skip reason, the analysis ``reuse``
+    holds for its (path, blob), or else the blob's bytes, read on demand."""
+    for path in tree.links:
+        yield path, "symlink"
+    for path, blob in tree.blobs.items():
+        yield path, reuse[(path, blob)] if (path, blob) in reuse else tree.store.read(blob)
 
 
 @dataclass(frozen=True)
@@ -234,7 +299,7 @@ def measure_checkpoint(
     reuse: Mapping[tuple[str, str], FileAnalysis] | None = None,
 ) -> CheckpointAnalysis:
     """Measure a snapshot: a directory, or a commit ``materialize_commit``
-    listed.
+    listed. Both stream through one loop, one file at a time.
 
     A commit's file whose (path, blob id) is a key of ``reuse`` takes that
     analysis; only the other files are read and analysed. Clones, erosion
@@ -242,25 +307,10 @@ def measure_checkpoint(
     """
     config = config or ScanConfig()
     if isinstance(workspace, CommitTree):
-        reuse = reuse or {}
-        files = {path: _skipped(path, "symlink") for path in workspace.links}
-        fresh: dict[str, bytes] = {}
-        for path, blob in workspace.blobs.items():
-            if (path, blob) in reuse:
-                files[path] = reuse[(path, blob)]
-            else:
-                fresh[path] = workspace.store.read(blob)
-        scanned, sources = scan_tree_with_sources(fresh, config)
+        snapshot = _read_commit(workspace, reuse or {})
     else:
-        files = {}
-        scanned, sources = scan_tree_with_sources(workspace, config)
-    files.update((path, _skipped(path, reason)) for path, reason in scanned.skipped)
-    while sources:  # drop each syntax tree as soon as its file is analysed
-        path, src = sources.popitem()
-        files[path] = _analyse(src, rules)
-    files = dict(sorted(files.items()))
-
-    inventory = merge_inventories([f.inventory for f in files.values()])
+        snapshot = read_tree(workspace, config)
+    inventory, files = scan_tree_with_sources(snapshot, config, rules)
     erosion = erosion_score(inventory)
     matches = [m for f in files.values() for m in f.matches]
     regions = detect_clones({p: f.normalized for p, f in files.items() if f.normalized is not None}, min_window)

@@ -67,26 +67,31 @@ class PanelReport:
     median_era_shift_verbosity: float | None
     exceed_reference_verbosity: float | None = None
     exceed_reference_erosion: float | None = None
-    failed: tuple[str, ...] = ()
+    failed: tuple[dict[str, str], ...] = ()  # {repo_id, reason} of each repository that could not be measured
 
 
 def load_panel_config(path: str | Path) -> list[RepoSpec]:
     """Panel config: a YAML/JSON list of {repo_path, repo_id, stars, ...}.
 
-    Raises ValueError if the file is not such a list.
+    Raises ValueError if the file is not such a list, or if an entry's
+    ``max_commits`` is not an integer of at least 1.
     """
     raw = read_yaml(path, ValueError) or []
     if isinstance(raw, dict):
         raw = raw.get("repos", [])
     if not isinstance(raw, list) or not all(isinstance(entry, dict) for entry in raw):
         raise ValueError(f"{path}: expected a list of repository mappings")
+    for entry in raw:
+        max_commits = entry.get("max_commits", 30)
+        if not isinstance(max_commits, int) or isinstance(max_commits, bool) or max_commits < 1:
+            raise ValueError(f"{path}: max_commits must be a positive integer, got {max_commits!r}")
     try:
         return [
             RepoSpec(
                 repo_path=str(entry["repo_path"]),
                 repo_id=str(entry.get("repo_id", entry["repo_path"])),
                 stars=int(entry.get("stars", 0)),
-                max_commits=int(entry.get("max_commits", 30)),
+                max_commits=entry.get("max_commits", 30),
                 seed=int(entry.get("seed", 0)),
             )
             for entry in raw
@@ -110,7 +115,7 @@ def build_panel_entry(
         min_window=min_window,
     )
     if not result.checkpoints:
-        raise ScanError(f"{spec.repo_id}: no measurable checkpoints")
+        raise ScanError("no measurable checkpoints")
     return RepoPanelEntry(
         repo_id=spec.repo_id,
         star_tier=star_tier(spec.stars),
@@ -136,7 +141,7 @@ def panel_aggregate(
     entries: list[RepoPanelEntry],
     reference_mean_verbosity: float | None = None,
     reference_mean_erosion: float | None = None,
-    failed: tuple[str, ...] = (),
+    failed: tuple[dict[str, str], ...] = (),
 ) -> PanelReport:
     """Cross-sectional and trajectory aggregates; permutation-invariant."""
     if not entries:
@@ -173,5 +178,5 @@ def panel_aggregate(
             if reference_mean_erosion is not None
             else None
         ),
-        failed=tuple(sorted(failed)),
+        failed=tuple(sorted(failed, key=lambda f: f["repo_id"])),
     )

@@ -9,11 +9,11 @@ matches when the element is absent), and ``$$`` stands for a literal ``$``.
 A pattern that parses as a single expression is matched against expression
 nodes of the target tree, and a pattern that parses as one or more
 statements against contiguous statement windows of that length. Each file's
-tree is walked once into a ``TreeIndex``; candidates are then looked up by
-the type of the pattern's root (an expression root, or the first statement
-of a window), since no node of another type can match it. A root that is a
-metavariable (``$X``, or a bare ``$S`` statement) matches any node, so it
-falls back to every expression or every window.
+tree is walked once into an ``adapters.TreeIndex``; candidates are then
+looked up by the type of the pattern's root (an expression root, or the
+first statement of a window), since no node of another type can match it.
+A root that is a metavariable (``$X``, or a bare ``$S`` statement) matches
+any node, so it falls back to every expression or every window.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 
-from .adapters import SourceText
+from .adapters import SourceText, TreeIndex
 
 _PLACEHOLDER_PREFIX = "_slopscope_mv_"
 _MV_TOKEN = re.compile(r"\$\$|\$([A-Za-z_][A-Za-z0-9_]*)(\??)")
@@ -200,39 +200,6 @@ def _position(node: ast.AST) -> tuple[tuple[int, int], tuple[int, int]]:
         (node.lineno, node.col_offset + 1),
         (node.end_lineno or node.lineno, (node.end_col_offset or node.col_offset) + 1),
     )
-
-
-@dataclass(frozen=True)
-class TreeIndex:
-    """One file's syntax tree, walked once and grouped by node type.
-
-    ``exprs`` holds every expression node in ``ast.walk`` order, and
-    ``windows`` every (statement list, start index) pair: lists in walk
-    order, starts ascending. The ``*_by_type`` maps split the same entries
-    by the type of the node, or of the window's first statement, keeping
-    that order.
-    """
-
-    exprs: list[ast.expr]
-    exprs_by_type: dict[type, list[ast.expr]]
-    windows: list[tuple[list[ast.stmt], int]]
-    windows_by_type: dict[type, list[tuple[list[ast.stmt], int]]]
-
-    @classmethod
-    def from_tree(cls, tree: ast.AST) -> TreeIndex:
-        index = cls([], {}, [], {})
-        for node in ast.walk(tree):
-            if isinstance(node, ast.expr):  # no expression holds a statement list
-                index.exprs.append(node)
-                index.exprs_by_type.setdefault(type(node), []).append(node)
-                continue
-            for fname in node._fields:
-                value = getattr(node, fname, None)
-                if isinstance(value, list) and value and all(isinstance(v, ast.stmt) for v in value):
-                    for i, stmt in enumerate(value):
-                        index.windows.append((value, i))
-                        index.windows_by_type.setdefault(type(stmt), []).append((value, i))
-        return index
 
 
 def find_matches(compiled: CompiledPattern, index: TreeIndex, source: SourceText) -> list[PatternMatch]:

@@ -7,9 +7,9 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .adapters import SourceText
+from .adapters import SourceText, TreeIndex
 from .model import read_yaml
-from .patterns import CompiledPattern, PatternError, TreeIndex, compile_pattern, find_matches
+from .patterns import PatternError, compile_pattern, find_matches
 
 _REGEX_FLAGS = {"i": re.IGNORECASE, "m": re.MULTILINE, "s": re.DOTALL}
 
@@ -164,34 +164,26 @@ def _regex_matches(rule: QualityRule, regex: re.Pattern, path: str, source: Sour
     return out
 
 
-def match_rules(path: str, source: SourceText, tree, language: str, rules: RuleSet) -> list[RuleMatch]:
-    """Every match of every applicable rule in one file, canonically ordered.
-
-    The tree is indexed once, on the first pattern rule, and the index is
-    dropped when this call returns.
-    """
+def match_rules(path: str, source: SourceText, index: TreeIndex, language: str, rules: RuleSet) -> list[RuleMatch]:
+    """Every match of every applicable rule in one indexed file, canonically ordered."""
     out: list[RuleMatch] = []
-    index = None
     for rule in rules:
         if not rule.applies_to(language):
             continue
         compiled = rules.compiled(rule)
         if rule.kind == "regex":
             out.extend(_regex_matches(rule, compiled, path, source))
-        elif tree is not None:
-            assert isinstance(compiled, CompiledPattern)
-            if index is None:
-                index = TreeIndex.from_tree(tree)
-            for pm in find_matches(compiled, index, source):
-                out.append(
-                    RuleMatch(
-                        rule_id=rule.id,
-                        file=path,
-                        start=pm.start,
-                        end=pm.end,
-                        lines=tuple(range(pm.start[0], pm.end[0] + 1)),
-                        captures=pm.captures,
-                    )
+            continue
+        for pm in find_matches(compiled, index, source):
+            out.append(
+                RuleMatch(
+                    rule_id=rule.id,
+                    file=path,
+                    start=pm.start,
+                    end=pm.end,
+                    lines=tuple(range(pm.start[0], pm.end[0] + 1)),
+                    captures=pm.captures,
                 )
+            )
     out.sort(key=lambda m: (m.file, m.start, m.end, m.rule_id))
     return out

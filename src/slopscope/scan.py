@@ -1,16 +1,16 @@
-"""Directory scanning: walk a tree, parse eligible files, build the inventory."""
+"""Scan configuration, file eligibility, and reading a directory tree."""
 
 from __future__ import annotations
 
 import fnmatch
 import os
 import stat
-from collections.abc import Mapping
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
-from .adapters import SourceText, adapter_for_extension
-from .model import FileRecord, ScanError, SourceInventory, merge_inventories, read_yaml
+from .adapters import adapter_for_extension
+from .model import ScanError, read_yaml
 
 # Directories that are never source, regardless of config.
 _ALWAYS_SKIP_DIRS = {".git", ".hg", ".svn", "__pycache__"}
@@ -61,18 +61,6 @@ def load_scan_config(path: str | Path) -> ScanConfig:
     return ScanConfig(**{key: tuple(v) if isinstance(v, list) else v for key, v in raw.items()})
 
 
-@dataclass
-class ParsedSource:
-    """Line table, syntax tree and inventory (record and callables) of one
-    scanned file."""
-
-    path: str
-    language: str
-    source: SourceText
-    tree: object
-    inventory: SourceInventory
-
-
 def _excluded(relpath: str, patterns: tuple[str, ...]) -> bool:
     return any(
         fnmatch.fnmatch(relpath, pat) or fnmatch.fnmatch(os.path.basename(relpath), pat)
@@ -93,43 +81,8 @@ def is_eligible(relpath: str, config: ScanConfig) -> bool:
     )
 
 
-def _skip(relpath: str, reason: str) -> tuple[SourceInventory, None]:
-    return SourceInventory(skipped=((relpath, reason),)), None
-
-
-def scan_bytes(relpath: str, data: bytes, config: ScanConfig) -> tuple[SourceInventory, ParsedSource | None]:
-    """Decode and parse the bytes of one file whose extension an adapter
-    claims. A file that cannot be measured comes back as a skip with its
-    reason and no ParsedSource."""
-    adapter = adapter_for_extension(os.path.splitext(relpath)[1], list(config.languages))
-    assert adapter is not None  # caller filtered by extension
-    try:
-        text = data.decode(config.encoding)
-    except (UnicodeDecodeError, LookupError):
-        return _skip(relpath, "decode")
-
-    source = SourceText.from_text(text)
-    if source.line_count and len(text) / source.line_count > config.minified_line_threshold:
-        return _skip(relpath, "minified")
-
-    try:
-        tree = adapter.parse(text)
-    except (SyntaxError, ValueError, RecursionError):
-        return _skip(relpath, "parse")
-
-    record = FileRecord(
-        path=relpath,
-        language=adapter.language,
-        loc=len(source.source_lines),
-        line_count=source.line_count,
-    )
-    callables = adapter.enumerate_callables(relpath, source, tree)
-    inventory = SourceInventory(files=(record,), callables=tuple(callables))
-    return inventory, ParsedSource(relpath, adapter.language, source, tree, inventory)
-
-
-def scan_file(root: Path, relpath: str, config: ScanConfig) -> tuple[SourceInventory, ParsedSource | None]:
-    """Read one file whose extension an adapter claims, then ``scan_bytes``.
+def read_file(root: Path, relpath: str) -> bytes | str:
+    """The bytes of one file, or the reason it is skipped unread.
 
     Symbolic links are never followed: they may point out of the tree, or
     at a device that never ends. Nothing but a regular file is opened: a
@@ -139,13 +92,12 @@ def scan_file(root: Path, relpath: str, config: ScanConfig) -> tuple[SourceInven
     try:
         mode = full.lstat().st_mode
         if stat.S_ISLNK(mode):
-            return _skip(relpath, "symlink")
+            return "symlink"
         if not stat.S_ISREG(mode):
-            return _skip(relpath, "special")
-        data = full.read_bytes()
+            return "special"
+        return full.read_bytes()
     except OSError:
-        return _skip(relpath, "unreadable")
-    return scan_bytes(relpath, data, config)
+        return "unreadable"
 
 
 def _eligible_paths(root: Path, config: ScanConfig) -> list[str]:
@@ -159,28 +111,11 @@ def _eligible_paths(root: Path, config: ScanConfig) -> list[str]:
     return sorted(paths)
 
 
-def scan_tree_with_sources(
-    root: str | Path | Mapping[str, bytes], config: ScanConfig | None = None
-) -> tuple[SourceInventory, dict[str, ParsedSource]]:
-    """Scan a tree, keeping line tables and trees for downstream matching.
-
-    ``root`` is a directory, or the eligible files of a tree already read:
-    a mapping from each path to its bytes.
-    """
-    config = config or ScanConfig()
-    if isinstance(root, Mapping):
-        results = [scan_bytes(path, data, config) for path, data in sorted(root.items())]
-    else:
-        root = Path(root)
-        if not root.is_dir():
-            raise ScanError(f"root does not exist or is not a directory: {root}")
-        results = [scan_file(root, p, config) for p in _eligible_paths(root, config)]
-    inventory = merge_inventories([inv for inv, _ in results])
-    sources = {src.path: src for _, src in results if src is not None}
-    return inventory, sources
-
-
-def scan_tree(root: str | Path, config: ScanConfig | None = None) -> SourceInventory:
-    """Scan a tree into a SourceInventory. Deterministic for a fixed tree."""
-    inventory, _ = scan_tree_with_sources(root, config)
-    return inventory
+def read_tree(root: str | Path, config: ScanConfig) -> Iterator[tuple[str, bytes | str]]:
+    """Each eligible file of a directory, in path order, with its bytes or
+    the reason it is skipped unread. Files are read one at a time, as the
+    caller asks for them."""
+    root = Path(root)
+    if not root.is_dir():
+        raise ScanError(f"root does not exist or is not a directory: {root}")
+    return ((relpath, read_file(root, relpath)) for relpath in _eligible_paths(root, config))

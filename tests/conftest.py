@@ -1,12 +1,32 @@
 from __future__ import annotations
 
 import subprocess
+import sysconfig
 import textwrap
 from pathlib import Path
 
 import pytest
 
+import slopscope
+
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _stdlib_sample() -> list[Path]:
+    """Every third top-level module of the running interpreter's library, 60 at most."""
+    modules = sorted(Path(sysconfig.get_paths()["stdlib"]).glob("*.py"))
+    return modules[::3][:60]
+
+
+TESTS = Path(__file__).parent
+# Python files that the oracle tests run the indexed and one-walk paths on.
+CORPORA = {
+    "cc_corpus": sorted((FIXTURES / "cc_corpus").rglob("*.py")),
+    "golden_tree": sorted((FIXTURES / "golden_tree").rglob("*.py")),
+    "slopscope": sorted(Path(slopscope.__file__).parent.rglob("*.py")),
+    "tests": sorted(p for p in TESTS.rglob("*.py") if "fixtures" not in p.parts),
+    "stdlib": _stdlib_sample(),
+}
 
 MAIN_V1 = """\
 def run(a):
@@ -56,6 +76,10 @@ def handler_source(name: str, var: str) -> str:
 
 
 SLOP = handler_source("handle_alpha", "x") + "\n\n" + handler_source("handle_beta", "y")
+
+# A parenthesised sum of 1,200 terms, one per line: the parser accepts it,
+# but a walk that recurses once per nesting level exhausts the stack.
+DEEP_SUM = "x = (\n" + "1 +\n" * 1199 + "1\n)\n"
 
 # (files after the commit, committer date)
 HISTORY_COMMITS = [

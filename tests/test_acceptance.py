@@ -20,10 +20,9 @@ import pytest
 from slopscope.cli import main
 from slopscope.clones import DEFAULT_MIN_WINDOW, clone_lines, detect_clones
 from slopscope.erosion import erosion_score, erosion_sensitivity
-from slopscope.history import measure_checkpoint, measure_history
+from slopscope.history import measure_checkpoint, measure_history, scan_tree
 from slopscope.model import CallableRecord, SourceInventory
 from slopscope.rules import RuleMatch, load_starter_rules
-from slopscope.scan import scan_tree
 from slopscope.trajectory import bin_phases, era_split, trajectory_summary
 from slopscope.verbosity import verbosity_score
 

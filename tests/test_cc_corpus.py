@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from slopscope.scan import scan_tree
+from slopscope import scan_tree
 
 from conftest import FIXTURES
 

@@ -18,7 +18,7 @@ from slopscope.cli import (
     main,
 )
 
-from conftest import FIXTURES, handler_source, write_tree
+from conftest import DEEP_SUM, FIXTURES, handler_source, write_tree
 
 GOLDEN_TREE = str(FIXTURES / "golden_tree")
 
@@ -98,6 +98,12 @@ BAD_INPUTS = {
     "undecodable-rules-test": (["rules", "test", "identity-comprehension", "{undecodable}"], EXIT_UNREADABLE),
     "unparsable-rules-test": (["rules", "test", "broad-except", "{unparsable}"], EXIT_UNREADABLE),
     "unclaimed-rules-test": (["rules", "test", "identity-comprehension", "{unclaimed}"], EXIT_USAGE),
+    "negative-panel-max-commits": (["panel", "{negative_max_commits}"], EXIT_USAGE),
+    "zero-panel-max-commits": (["panel", "{zero_max_commits}"], EXIT_USAGE),
+    "fractional-panel-max-commits": (["panel", "{fractional_max_commits}"], EXIT_USAGE),
+    "string-panel-max-commits": (["panel", "{string_max_commits}"], EXIT_USAGE),
+    "unwritable-out": (["scan", "{tree}", "--out", "{tree}/no/such/dir/r.json"], EXIT_USAGE),
+    "unwritable-emit-matches": (["scan", "{tree}", "--emit-matches", "{tree}/no/such/dir/m.jsonl"], EXIT_USAGE),
 }
 BAD_FILES = {
     "malformed.yaml": b"exclude: [a\n",
@@ -109,6 +115,10 @@ BAD_FILES = {
     "undecodable.py": b"x = 1\n\xff\n",
     "unparsable.py": b"def (:\n",
     "unclaimed.txt": b"ys = [x for x in xs]\n",
+    "negative_max_commits.yaml": b"- {repo_path: repo, max_commits: -1}\n",
+    "zero_max_commits.yaml": b"- {repo_path: repo, repo_id: zero, max_commits: 0}\n",
+    "fractional_max_commits.yaml": b"- {repo_path: repo, max_commits: 2.5}\n",
+    "string_max_commits.yaml": b"- {repo_path: repo, max_commits: '5'}\n",
 }
 
 
@@ -290,10 +300,30 @@ class TestPanelCommand:
             f"- {{repo_path: '{history_repo}', repo_id: good, stars: 42}}\n"
             f"- {{repo_path: '{tmp_path / 'ghost'}', repo_id: bad, stars: 1}}\n"
         )
-        code, out, _ = run_cli(capsys, "panel", str(config), "--deterministic")
+        code, out, err = run_cli(capsys, "panel", str(config), "--deterministic")
         assert code == EXIT_OK
         payload = json.loads(out)["payload"]
-        assert payload["failed"] == ["bad"]
+        reason = f"not a git repository: {tmp_path / 'ghost'}"
+        assert payload["failed"] == [{"repo_id": "bad", "reason": reason}]
+        assert err == f"slopscope: bad: {reason}\n"
+
+    def test_failures_sorted_by_id_and_named_once(self, capsys, tmp_path, history_repo):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        subprocess.run(["git", "-C", str(empty), "init", "-q"], check=True)
+        config = tmp_path / "panel.yaml"
+        config.write_text(
+            f"- {{repo_path: '{history_repo}', repo_id: good, stars: 42}}\n"
+            f"- {{repo_path: '{empty}', repo_id: zero, stars: 1}}\n"
+            f"- {{repo_path: '{tmp_path / 'ghost'}', repo_id: bad, stars: 1}}\n"
+        )
+        code, out, err = run_cli(capsys, "panel", str(config), "--deterministic")
+        assert code == EXIT_OK
+        payload = json.loads(out)["payload"]
+        assert [f["repo_id"] for f in payload["failed"]] == ["bad", "zero"]
+        assert payload["failed"][1]["reason"] == "no measurable checkpoints"
+        assert payload["failed_count"] == 2
+        assert "slopscope: zero: no measurable checkpoints\n" in err and err.count("zero") == 1
 
     def test_min_window_changes_report(self, capsys, tmp_path, history_repo):
         config = tmp_path / "panel.yaml"
@@ -370,6 +400,22 @@ class TestRulesCommand:
         code, _, err = run_cli(capsys, "rules", "test", "no-such-rule", str(target))
         assert code == EXIT_USAGE
         assert "unknown rule id" in err
+
+
+class TestDeepNesting:
+    def test_scan_measures_a_deeply_nested_file(self, capsys, tmp_path):
+        tree = write_tree(tmp_path / "tree", {**SIMPLE_TREE, "deep.py": DEEP_SUM})
+        code, out, err = run_cli(capsys, "scan", str(tree), "--deterministic")
+        assert code == EXIT_OK, err
+        inventory = json.loads(out)["payload"]["inventory"]
+        assert [f["path"] for f in inventory["files"]] == ["app.py", "deep.py"]
+        assert inventory["skipped"] == []
+
+    def test_rules_test_on_a_deeply_nested_file(self, capsys, tmp_path):
+        target = tmp_path / "deep.py"
+        target.write_text(DEEP_SUM)
+        code, out, err = run_cli(capsys, "rules", "test", "identity-comprehension", str(target))
+        assert (code, out, err) == (EXIT_OK, "", "")
 
 
 class TestRulesEnv:

@@ -26,7 +26,7 @@ from slopscope.history import (
 from slopscope.rules import load_starter_rules
 from slopscope.scan import ScanConfig
 
-from conftest import FIXTURES, MAIN_V1, SLOP, build_history_repo, drop_blob, handler_source, write_tree
+from conftest import DEEP_SUM, FIXTURES, MAIN_V1, SLOP, build_history_repo, drop_blob, handler_source, write_tree
 
 
 def _manifest() -> dict:
@@ -58,6 +58,19 @@ class TestCommitListing:
     def test_not_a_repo(self, tmp_path):
         with pytest.raises(GitError):
             list_source_commits(tmp_path)
+
+    def test_names_git_quotes_are_listed(self, tmp_path):
+        # Each commit after the first adds one file whose name plain
+        # ``git log`` would quote; the last adds only a test file.
+        names = ("caf\u00e9.py", "tab\there.py", 'say"hi".py', "back\\slash.py", "test_\u00fcn\u00ef.py")
+        files = {"main.py": MAIN_V1}
+        commits = [(dict(files), "2023-05-10T10:00:00+00:00")]
+        for day, name in enumerate(names, start=11):
+            files[name] = "x = 1\n"
+            commits.append((dict(files), f"2023-05-{day}T10:00:00+00:00"))
+        repo = build_history_repo(tmp_path / "repo", commits=commits)
+        assert len(list_source_commits(repo)) == 6
+        assert len(list_source_commits(repo, exclude_tests=True)) == 5
 
     def test_exclude_tests_changes_eligibility(self, tmp_path):
         repo = build_history_repo(
@@ -202,6 +215,7 @@ _SPECIAL = {
     5: {"legacy.py": b"s = '\xe9t\xe9'\n", "broken.py": b"def broken(:\n    pass\n"},
     6: {"packed.py": b"x = [" + b"1, " * 300 + b"]\n"},
     7: {"pkg/caf\u00e9.py": _TEMPLATES[0].format(f="f", F="F").encode()},
+    8: {"pkg/deep.py": DEEP_SUM.encode()},
     30: {"legacy.py": b"s = '\xe0'\nt = 1\n", "broken.py": b"def fixed():\n    pass\n"},
 }
 
@@ -288,13 +302,19 @@ def _assert_history_matches_checkouts(repo: Path, tmp_path: Path, monkeypatch, c
                                       max_commits: int, seed: int) -> list[tuple]:
     """Measure a history and check every checkpoint against a checkout of
     its commit; return each checkpoint's analysis and (path, blob) pairs."""
-    analysed: list[list[str]] = []
-    scan_tree_with_sources = history.scan_tree_with_sources
-    monkeypatch.setattr(history, "scan_tree_with_sources",
-                        lambda root, cfg: analysed.append(sorted(root)) or scan_tree_with_sources(root, cfg))
+    analysed: list[list[str]] = []  # the paths each checkpoint analysed afresh
+    analyse_file = history.analyse_file
+    monkeypatch.setattr(history, "analyse_file",
+                        lambda path, *a: analysed[-1].append(path) or analyse_file(path, *a))
     analyses = []
     measure = history.measure_checkpoint
-    monkeypatch.setattr(history, "measure_checkpoint", lambda *a, **k: analyses.append(measure(*a, **k)) or analyses[-1])
+
+    def measure_and_keep(*args, **kwargs):
+        analysed.append([])
+        analyses.append(measure(*args, **kwargs))
+        return analyses[-1]
+
+    monkeypatch.setattr(history, "measure_checkpoint", measure_and_keep)
     rules = load_starter_rules()
     result = measure_history(repo, max_commits=max_commits, seed=seed, config=config, rules=rules)
     monkeypatch.undo()
@@ -317,7 +337,7 @@ def _assert_history_matches_checkouts(repo: Path, tmp_path: Path, monkeypatch, c
 
         regular = [p for p in got.files if (p, "symlink") not in want.inventory.skipped]
         pairs = _blob_ids(root, regular)
-        assert fresh == sorted(p for p, _ in pairs - previous), commit.sha
+        assert sorted(fresh) == sorted(p for p, _ in pairs - previous), commit.sha
         previous = pairs
         checked.append((got, pairs))
     return checked
@@ -345,6 +365,7 @@ def test_generated_repo_matches_checkouts(generated_repo, tmp_path, monkeypatch,
         assert reasons == {"symlink", "decode", "parse", "minified"}
         paths = {p for a in analyses for p in a.files}
         assert "pkg/caf\u00e9.py" in paths and "pkg/sub/deep/leaf.py" in paths
+        assert any(f.path == "pkg/deep.py" for a in analyses for f in a.inventory.files)  # measured, not skipped
         assert not any(p.startswith(("vendor/", "sub", "pkg/ext")) or "__pycache__" in p or ".hg" in p
                        for p in paths)
         assert any(a.clones for a in analyses) and any(m.captures for a in analyses for m in a.matches)

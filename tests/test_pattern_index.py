@@ -13,13 +13,10 @@ from __future__ import annotations
 
 import ast
 import sys
-import sysconfig
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
-import slopscope
 import slopscope.rules
 from slopscope.adapters import SourceText
 from slopscope.patterns import (
@@ -33,7 +30,7 @@ from slopscope.patterns import (
 )
 from slopscope.rules import load_starter_rules, match_rules
 
-from conftest import FIXTURES
+from conftest import CORPORA
 
 
 def _statement_lists(tree: ast.AST):
@@ -77,28 +74,12 @@ def find_matches_by_walk(compiled: CompiledPattern, tree: ast.AST, source: Sourc
     return sorted(matches.values(), key=lambda pm: (pm.start, pm.end))
 
 
-def match_rules_by_walk(monkeypatch, *args):
-    """``match_rules`` with the per-variant walk in place of the index."""
+def match_rules_by_walk(monkeypatch, path, source, tree, language, rules):
+    """``match_rules`` with the per-variant walk of ``tree`` in place of the index."""
     with monkeypatch.context() as patch:
-        patch.setattr(slopscope.rules, "TreeIndex", SimpleNamespace(from_tree=lambda tree: tree))
         patch.setattr(slopscope.rules, "find_matches", find_matches_by_walk)
-        return match_rules(*args)
+        return match_rules(path, source, tree, language, rules)
 
-
-def _stdlib_sample() -> list[Path]:
-    """Every third top-level module of the running interpreter's library, 60 at most."""
-    modules = sorted(Path(sysconfig.get_paths()["stdlib"]).glob("*.py"))
-    return modules[::3][:60]
-
-
-TESTS = Path(__file__).parent
-CORPORA = {
-    "cc_corpus": sorted((FIXTURES / "cc_corpus").rglob("*.py")),
-    "golden_tree": sorted((FIXTURES / "golden_tree").rglob("*.py")),
-    "slopscope": sorted(Path(slopscope.__file__).parent.rglob("*.py")),
-    "tests": sorted(p for p in TESTS.rglob("*.py") if "fixtures" not in p.parts),
-    "stdlib": _stdlib_sample(),
-}
 
 # Patterns whose root is a metavariable, and patterns whose optional
 # metavariables give variants with different root types: "($A?, $B)" is a
@@ -143,7 +124,7 @@ def test_starter_rules_match_as_by_walk(corpus, monkeypatch):
     total = 0
     for path in CORPORA[corpus]:
         source, tree = _parsed(path)
-        found = match_rules(path.name, source, tree, "python", rules)
+        found = match_rules(path.name, source, TreeIndex.from_tree(tree), "python", rules)
         by_walk = match_rules_by_walk(monkeypatch, path.name, source, tree, "python", rules)
         assert _with_captures(found) == _with_captures(by_walk), path
         total += len(found)

@@ -118,6 +118,20 @@ def test_panel_report_validates(capsys, tmp_path, history_repo):
     _validator("panel_report.schema.json").validate(report)
 
 
+def test_panel_report_with_a_failed_repository_validates(capsys, tmp_path, history_repo):
+    config = tmp_path / "panel.yaml"
+    config.write_text(
+        f"- {{repo_path: '{history_repo}', repo_id: fixture, stars: 42}}\n"
+        f"- {{repo_path: '{tmp_path / 'ghost'}', repo_id: ghost, stars: 1}}\n"
+    )
+    report = _run_json(capsys, "panel", str(config), "--deterministic")
+    assert [f["repo_id"] for f in report["payload"]["failed"]] == ["ghost"]
+    _validator("panel_report.schema.json").validate(report)
+    report["payload"]["failed"] = ["ghost"]  # the old shape: ids without reasons
+    with pytest.raises(jsonschema.ValidationError):
+        _validator("panel_report.schema.json").validate(report)
+
+
 def test_schema_rejects_malformed_match():
     validator = _validator("rule_match.schema.json")
     with pytest.raises(jsonschema.ValidationError):

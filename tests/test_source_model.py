@@ -4,9 +4,10 @@ import ast
 
 import pytest
 
-from slopscope.adapters import PythonAdapter, SourceText, cyclomatic_complexity
+from slopscope.adapters import PythonAdapter, SourceText, TreeIndex
+from slopscope.history import scan_tree
 from slopscope.model import CallableRecord, FileRecord, ScanError, merge_inventories
-from slopscope.scan import ScanConfig, load_scan_config, scan_tree
+from slopscope.scan import ScanConfig, load_scan_config
 
 from conftest import write_tree
 
@@ -44,7 +45,9 @@ TREE_FILES = {
 
 
 def _cc(src: str) -> int:
-    return cyclomatic_complexity(ast.parse(src).body[0])
+    """Complexity of the first callable of ``src``."""
+    source = SourceText.from_text(src)
+    return PythonAdapter().enumerate_callables("m.py", source, TreeIndex.from_tree(ast.parse(src)))[0].cc
 
 
 class TestScanTree:
@@ -123,7 +126,7 @@ class TestEnumerateCallables:
     def test_no_functions(self):
         adapter = PythonAdapter()
         source = SourceText.from_text("x = 1\n")
-        assert adapter.enumerate_callables("m.py", source, ast.parse(source.text)) == []
+        assert adapter.enumerate_callables("m.py", source, TreeIndex.from_tree(ast.parse(source.text))) == []
 
     def test_methods_and_module_function(self, tmp_path):
         write_tree(tmp_path, {"m.py": TREE_FILES["pkg/alpha.py"]})

@@ -328,8 +328,9 @@ class TestPanelAggregate:
         assert panel_aggregate(entries).median_slope_erosion == pytest.approx(0.05)
 
     def test_failed_repos_carried_through(self):
-        report = panel_aggregate([entry("ok", 10, 0.2, 0.2)], failed=("zzz", "bad"))
-        assert report.failed == ("bad", "zzz")
+        zzz, bad = {"repo_id": "zzz", "reason": "gone"}, {"repo_id": "bad", "reason": "not a git repository"}
+        report = panel_aggregate([entry("ok", 10, 0.2, 0.2)], failed=(zzz, bad))
+        assert report.failed == (bad, zzz)
 
     def test_empty_panel_rejected(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,9 @@ from hypothesis import given, strategies as st
 from slopscope.clones import CloneRegion, detect_clones
 from slopscope.erosion import erosion_score
 from slopscope.model import ConsistencyError
-from slopscope.rules import RuleMatch, load_starter_rules, match_rules
+from slopscope.history import scan_tree_with_sources
+from slopscope.rules import RuleMatch, load_starter_rules
+from slopscope.scan import ScanConfig, read_tree
 from slopscope.verbosity import verbosity_score
 
 from conftest import write_tree
@@ -134,15 +136,9 @@ class TestWholeFileDuplication:
     verbosity can only go up: the clone detector sees each file twice."""
 
     def _measure(self, root):
-        inv, sources = _scan_with_sources(root)
-        rules = load_starter_rules()
-        matches = []
-        texts = {}
-        for path in sorted(sources):
-            parsed = sources[path]
-            texts[path] = parsed.source.text
-            matches.extend(match_rules(path, parsed.source, parsed.tree, "python", rules))
-        clones = detect_clones(texts)
+        inv, files = _analyse_tree(root)
+        matches = [m for f in files.values() for m in f.matches]
+        clones = detect_clones({path: f.normalized for path, f in files.items()})
         verbosity = verbosity_score(
             {f.path: f.loc for f in inv.files}, matches, clones
         )
@@ -167,18 +163,15 @@ class TestWholeFileDuplication:
                 assert verbosity_b > verbosity_a
 
 
-def _scan_with_sources(root):
-    from slopscope.scan import scan_tree_with_sources
-
-    return scan_tree_with_sources(root)
+def _analyse_tree(root):
+    config = ScanConfig()
+    return scan_tree_with_sources(read_tree(root, config), config, load_starter_rules())
 
 
 def test_fixture_module_end_to_end(tmp_path):
     write_tree(tmp_path, {"m.py": SLOPPY_MODULE})
-    inv, sources = _scan_with_sources(tmp_path)
-    rules = load_starter_rules()
-    parsed = sources["m.py"]
-    matches = match_rules("m.py", parsed.source, parsed.tree, "python", rules)
+    inv, files = _analyse_tree(tmp_path)
+    matches = list(files["m.py"].matches)
     # identity-comprehension on line 2, len-eq-zero guard on line 3,
     # single-use-return on lines 5-6.
     hit_lines = {line for m in matches for line in m.lines}
