@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .clones import CloneRegion, detect_clones
 from .erosion import ErosionParams, ErosionReport, complexity_mass, erosion_score, erosion_sensitivity
-from .history import scan_tree
+from .history import measure_checkpoint
 from .model import CallableRecord, FileRecord, SourceInventory
 from .rules import QualityRule, RuleMatch, RuleSet, load_rules, load_starter_rules, match_rules
 from .scan import ScanConfig
@@ -35,7 +35,7 @@ __all__ = [
     "load_rules",
     "load_starter_rules",
     "match_rules",
-    "scan_tree",
+    "measure_checkpoint",
     "trajectory_summary",
     "verbosity_score",
 ]

@@ -1,10 +1,9 @@
-"""Grammar adapters: per-language parsing and callable extraction.
+"""Python source: its lines, its one-walk syntax-tree index, and callables.
 
-An adapter owns a language id and a set of file extensions, parses source
-text into a syntax tree, and enumerates callables with their cyclomatic
-complexity and SLOC from the ``TreeIndex`` that one walk of the tree
-builds. Adapters register themselves in ``ADAPTERS``; two adapters may
-never claim the same extension.
+``PythonAdapter`` parses source text into a syntax tree and enumerates
+callables with their cyclomatic complexity and SLOC from the ``TreeIndex``
+that one walk of the tree builds. Python is the only language measured;
+``ADAPTERS`` holds the one instance every file is parsed through.
 """
 
 from __future__ import annotations
@@ -15,22 +14,8 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Protocol
 
 from .model import CallableRecord
-
-
-class GrammarAdapter(Protocol):
-    language: str
-    extensions: frozenset[str]
-
-    def parse(self, text: str):
-        """Parse source text; raises SyntaxError on failure."""
-        ...
-
-    def enumerate_callables(self, path: str, source: SourceText, index: TreeIndex) -> list[CallableRecord]:
-        """The file's named callables, from the index its one walk built."""
-        ...
 
 
 def is_source_line(line: str) -> bool:
@@ -166,12 +151,13 @@ class TreeIndex:
 
 class PythonAdapter:
     language = "python"
-    extensions = frozenset({".py"})
 
     def parse(self, text: str) -> ast.Module:
+        """Parse source text; raises SyntaxError on failure."""
         return ast.parse(text)
 
     def enumerate_callables(self, path: str, source: SourceText, index: TreeIndex) -> list[CallableRecord]:
+        """The file's named callables, from the index its one walk built."""
         records = [
             CallableRecord(qualified_name=name, file=path, span=(start, end), cc=cc,
                            sloc=max(1, source.sloc(start, end)))
@@ -181,20 +167,4 @@ class PythonAdapter:
         return records
 
 
-ADAPTERS: dict[str, GrammarAdapter] = {PythonAdapter.language: PythonAdapter()}
-
-
-def adapter_for_extension(ext: str, languages: list[str]) -> GrammarAdapter | None:
-    for lang in languages:
-        adapter = ADAPTERS.get(lang)
-        if adapter is not None and ext in adapter.extensions:
-            return adapter
-    return None
-
-
-def register_adapter(adapter: GrammarAdapter) -> None:
-    for existing in ADAPTERS.values():
-        overlap = existing.extensions & adapter.extensions
-        if overlap and existing.language != adapter.language:
-            raise ValueError(f"extension(s) {sorted(overlap)} already claimed by {existing.language}")
-    ADAPTERS[adapter.language] = adapter
+ADAPTERS: dict[str, PythonAdapter] = {PythonAdapter.language: PythonAdapter()}

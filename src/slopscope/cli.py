@@ -17,7 +17,6 @@ from dataclasses import asdict
 from datetime import date
 from pathlib import Path
 
-from .adapters import adapter_for_extension
 from .clones import DEFAULT_MIN_WINDOW
 from .erosion import erosion_sensitivity
 from .history import GitError, measure_checkpoint, measure_history, scan_tree_with_sources
@@ -37,7 +36,7 @@ from .report import (
     verbosity_to_dict,
 )
 from .rules import RuleError, RuleSet, load_rules, load_starter_rules
-from .scan import ScanConfig, load_scan_config, read_file
+from .scan import ScanConfig, is_python, load_scan_config, read_file
 from .trajectory import DEFAULT_ERA_CUTOFF
 
 RULES_ENV = "SLOPSCOPE_RULES"
@@ -211,15 +210,15 @@ def cmd_panel(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> i
 def cmd_rules(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> int:
     if args.rules_command == "list":
         for rule in rules:
-            print(f"{rule.id}\t{rule.kind}\t{rule.category}\t{','.join(rule.languages)}")
+            print(f"{rule.id}\t{rule.kind}\t{rule.category}")
         return EXIT_OK
 
     rule = rules.get(args.rule_id)
     if rule is None:
         return _fail(f"unknown rule id: {args.rule_id}", EXIT_USAGE)
     path = Path(args.file)
-    if adapter_for_extension(path.suffix, list(config.languages)) is None:
-        return _fail(f"{path}: no language adapter claims this file", EXIT_USAGE)
+    if not is_python(path.name):
+        return _fail(f"{path}: not a Python (.py) file", EXIT_USAGE)
     file = [(path.name, read_file(path.parent, path.name))]
     analysis = scan_tree_with_sources(file, config, rules.subset({rule.id}))[1][path.name]
     if analysis.inventory.skipped:

@@ -12,12 +12,12 @@ from datetime import date, datetime, timezone
 from pathlib import Path
 
 from . import clones, verbosity
-from .adapters import PythonAdapter, SourceText, TreeIndex, adapter_for_extension
+from .adapters import ADAPTERS, SourceText, TreeIndex
 from .clones import DEFAULT_MIN_WINDOW, CloneRegion, NormalizedFile, detect_clones
 from .erosion import erosion_score
 from .model import FileRecord, SourceInventory, merge_inventories
 from .rules import RuleMatch, RuleSet, match_rules
-from .scan import ScanConfig, is_eligible, read_tree
+from .scan import ScanConfig, is_eligible, is_python, read_tree
 from .trajectory import (
     DEFAULT_ERA_CUTOFF,
     CheckpointMetrics,
@@ -42,12 +42,10 @@ class CommitRef:
 
 
 def _git(repo: str | Path, *args: str) -> bytes:
-    proc = subprocess.run(
-        ["git", "-C", str(repo), *args],
-        capture_output=True,
-        text=False,
-        check=False,
-    )
+    try:
+        proc = subprocess.run(["git", "-C", str(repo), *args], capture_output=True, check=False)
+    except OSError as exc:  # no git on PATH, say
+        raise GitError(f"cannot run git: {exc.strerror or exc}") from exc
     if proc.returncode != 0:
         raise GitError(proc.stderr.decode("utf-8", "replace").strip() or f"git {' '.join(args)} failed")
     return proc.stdout
@@ -88,7 +86,7 @@ def list_source_commits(repo: str | Path, exclude_tests: bool = False) -> list[C
     for sha, epoch, paths in reversed(logged):
         if exclude_tests:
             paths = [p for p in paths if not _is_test_path(p)]
-        if any(os.path.splitext(p)[1] in PythonAdapter.extensions for p in paths):
+        if any(is_python(p) for p in paths):
             commits.append(CommitRef(sha, datetime.fromtimestamp(int(epoch), tz=timezone.utc)))
     return commits
 
@@ -208,15 +206,14 @@ def _skipped(path: str, reason: str) -> FileAnalysis:
 
 
 def analyse_file(relpath: str, data: bytes, config: ScanConfig, rules: RuleSet | None) -> FileAnalysis:
-    """Measure the bytes of one file whose extension an adapter claims.
+    """Measure the bytes of one Python file.
 
     The text is decoded, split into lines, checked for minification and
     parsed; one walk of the tree gives its callables and the index every
     pattern rule reads. A file that cannot be measured comes back as a
     skip with its reason. The tree and its index die on return.
     """
-    adapter = adapter_for_extension(os.path.splitext(relpath)[1], list(config.languages))
-    assert adapter is not None  # caller filtered by extension
+    adapter = ADAPTERS["python"]
     try:
         text = data.decode(config.encoding)
     except (UnicodeDecodeError, LookupError):
@@ -231,7 +228,7 @@ def analyse_file(relpath: str, data: bytes, config: ScanConfig, rules: RuleSet |
 
     record = FileRecord(relpath, adapter.language, loc=len(source.source_lines), line_count=source.line_count)
     callables = adapter.enumerate_callables(relpath, source, index)
-    matches = match_rules(relpath, source, index, adapter.language, rules) if rules is not None else []
+    matches = match_rules(relpath, source, index, rules) if rules is not None else []
     return FileAnalysis(
         inventory=SourceInventory(files=(record,), callables=tuple(callables)),
         matches=tuple(matches),
@@ -260,12 +257,6 @@ def scan_tree_with_sources(
             analyses[path] = item
     analyses = dict(sorted(analyses.items()))
     return merge_inventories([f.inventory for f in analyses.values()]), analyses
-
-
-def scan_tree(root: str | Path, config: ScanConfig | None = None) -> SourceInventory:
-    """Scan a directory into a SourceInventory. Deterministic for a fixed tree."""
-    config = config or ScanConfig()
-    return scan_tree_with_sources(read_tree(root, config), config)[0]
 
 
 def _read_commit(tree: CommitTree, reuse: Mapping[tuple[str, str], FileAnalysis]):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import statistics
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -73,8 +74,11 @@ class PanelReport:
 def load_panel_config(path: str | Path) -> list[RepoSpec]:
     """Panel config: a YAML/JSON list of {repo_path, repo_id, stars, ...}.
 
-    Raises ValueError if the file is not such a list, or if an entry's
-    ``max_commits`` is not an integer of at least 1.
+    Raises ValueError if the file is not such a list, if an entry's
+    ``stars`` is not an integer of at least 0, its ``max_commits`` not one
+    of at least 1 or its ``seed`` not an integer (bools, floats and strings
+    are refused, not coerced), or if two entries share a ``repo_id`` (which
+    defaults to ``repo_path``): a repository must enter the aggregates once.
     """
     raw = read_yaml(path, ValueError) or []
     if isinstance(raw, dict):
@@ -82,22 +86,28 @@ def load_panel_config(path: str | Path) -> list[RepoSpec]:
     if not isinstance(raw, list) or not all(isinstance(entry, dict) for entry in raw):
         raise ValueError(f"{path}: expected a list of repository mappings")
     for entry in raw:
-        max_commits = entry.get("max_commits", 30)
-        if not isinstance(max_commits, int) or isinstance(max_commits, bool) or max_commits < 1:
-            raise ValueError(f"{path}: max_commits must be a positive integer, got {max_commits!r}")
+        for key, default, least in (("stars", 0, 0), ("max_commits", 30, 1), ("seed", 0, None)):
+            value = entry.get(key, default)
+            if not isinstance(value, int) or isinstance(value, bool) or (least is not None and value < least):
+                kind = "an integer" + ("" if least is None else f" of at least {least}")
+                raise ValueError(f"{path}: {key} must be {kind}, got {value!r}")
     try:
-        return [
+        specs = [
             RepoSpec(
                 repo_path=str(entry["repo_path"]),
                 repo_id=str(entry.get("repo_id", entry["repo_path"])),
-                stars=int(entry.get("stars", 0)),
+                stars=entry.get("stars", 0),
                 max_commits=entry.get("max_commits", 30),
-                seed=int(entry.get("seed", 0)),
+                seed=entry.get("seed", 0),
             )
             for entry in raw
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise ValueError(f"{path}: bad repository entry: {exc!r}") from exc
+    repeated = sorted(repo_id for repo_id, n in Counter(spec.repo_id for spec in specs).items() if n > 1)
+    if repeated:
+        raise ValueError(f"{path}: repo_id used more than once: {repeated}")
+    return specs
 
 
 def build_panel_entry(

@@ -15,7 +15,8 @@ _REGEX_FLAGS = {"i": re.IGNORECASE, "m": re.MULTILINE, "s": re.DOTALL}
 
 
 class RuleError(Exception):
-    """Raised when a rule file is malformed; message lists every bad rule."""
+    """Raised when a rule file is malformed; its one-line message lists
+    every bad rule."""
 
 
 @dataclass(frozen=True)
@@ -23,13 +24,9 @@ class QualityRule:
     id: str
     kind: str  # "pattern" | "regex"
     pattern: str
-    languages: tuple[str, ...] = ("python",)
     category: str = ""
     message: str = ""
     regex_flags: tuple[str, ...] = ()
-
-    def applies_to(self, language: str) -> bool:
-        return language in self.languages
 
 
 @dataclass(frozen=True)
@@ -103,7 +100,7 @@ def build_ruleset(rules: list[QualityRule]) -> RuleSet:
         except (PatternError, re.error) as exc:
             errors.append(f"{rule.id}: {exc}")
     if errors:
-        raise RuleError("invalid rules:\n  " + "\n  ".join(errors))
+        raise RuleError("invalid rules: " + "; ".join(errors))
     return RuleSet(tuple(rules), compiled)
 
 
@@ -118,7 +115,7 @@ def load_rules(path: str | Path) -> RuleSet:
         if not isinstance(entry, dict):
             errors.append(f"entry {i}: not a mapping")
             continue
-        unknown = set(entry) - {"id", "kind", "pattern", "languages", "category", "message", "regex_flags"}
+        unknown = set(entry) - {"id", "kind", "pattern", "category", "message", "regex_flags"}
         if unknown:
             errors.append(f"entry {i} ({entry.get('id', '?')}): unknown keys {sorted(unknown)}")
             continue
@@ -127,14 +124,13 @@ def load_rules(path: str | Path) -> RuleSet:
                 id=str(entry.get("id", "")),
                 kind=str(entry.get("kind", "pattern")),
                 pattern=str(entry.get("pattern", "")),
-                languages=tuple(entry.get("languages", ["python"])),
                 category=str(entry.get("category", "")),
                 message=str(entry.get("message", "")),
                 regex_flags=tuple(entry.get("regex_flags", [])),
             )
         )
     if errors:
-        raise RuleError(f"{path}: invalid rules:\n  " + "\n  ".join(errors))
+        raise RuleError(f"{path}: invalid rules: " + "; ".join(errors))
     return build_ruleset(rules)
 
 
@@ -164,12 +160,10 @@ def _regex_matches(rule: QualityRule, regex: re.Pattern, path: str, source: Sour
     return out
 
 
-def match_rules(path: str, source: SourceText, index: TreeIndex, language: str, rules: RuleSet) -> list[RuleMatch]:
-    """Every match of every applicable rule in one indexed file, canonically ordered."""
+def match_rules(path: str, source: SourceText, index: TreeIndex, rules: RuleSet) -> list[RuleMatch]:
+    """Every match of every rule in one indexed file, canonically ordered."""
     out: list[RuleMatch] = []
     for rule in rules:
-        if not rule.applies_to(language):
-            continue
         compiled = rules.compiled(rule)
         if rule.kind == "regex":
             out.extend(_regex_matches(rule, compiled, path, source))

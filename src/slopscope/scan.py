@@ -9,7 +9,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
-from .adapters import adapter_for_extension
 from .model import ScanError, read_yaml
 
 # Directories that are never source, regardless of config.
@@ -18,14 +17,13 @@ _ALWAYS_SKIP_DIRS = {".git", ".hg", ".svn", "__pycache__"}
 
 @dataclass(frozen=True)
 class ScanConfig:
-    languages: tuple[str, ...] = ("python",)
     encoding: str = "utf-8"
     exclude: tuple[str, ...] = ()
     minified_line_threshold: int = 500
 
 
 # The type each config key's value must have; lists hold strings.
-_CONFIG_TYPES = {"languages": list, "encoding": str, "exclude": list, "minified_line_threshold": int}
+_CONFIG_TYPES = {"encoding": str, "exclude": list, "minified_line_threshold": int}
 
 
 def _has_type(value, kind: type) -> bool:
@@ -68,17 +66,18 @@ def _excluded(relpath: str, patterns: tuple[str, ...]) -> bool:
     )
 
 
+def is_python(name: str) -> bool:
+    """Whether a file name or path is a Python source file's: it ends in
+    ``.py`` after a stem (a file named ``.py`` is not one)."""
+    return os.path.splitext(name)[1] == ".py"
+
+
 def is_eligible(relpath: str, config: ScanConfig) -> bool:
     """Whether a scan measures the file at ``relpath`` ('/'-separated,
     relative to the root): no directory on its way is one that is never
-    source, no ``exclude`` glob matches it, and an adapter claims its
-    extension."""
+    source, no ``exclude`` glob matches it, and it is a Python file."""
     *dirs, name = relpath.split("/")
-    return (
-        _ALWAYS_SKIP_DIRS.isdisjoint(dirs)
-        and not _excluded(relpath, config.exclude)
-        and adapter_for_extension(os.path.splitext(name)[1], list(config.languages)) is not None
-    )
+    return _ALWAYS_SKIP_DIRS.isdisjoint(dirs) and not _excluded(relpath, config.exclude) and is_python(name)
 
 
 def read_file(root: Path, relpath: str) -> bytes | str:

@@ -20,7 +20,7 @@ import pytest
 from slopscope.cli import main
 from slopscope.clones import DEFAULT_MIN_WINDOW, clone_lines, detect_clones
 from slopscope.erosion import erosion_score, erosion_sensitivity
-from slopscope.history import measure_checkpoint, measure_history, scan_tree
+from slopscope.history import measure_checkpoint, measure_history
 from slopscope.model import CallableRecord, SourceInventory
 from slopscope.rules import RuleMatch, load_starter_rules
 from slopscope.trajectory import bin_phases, era_split, trajectory_summary
@@ -91,7 +91,7 @@ def test_criterion_03_cc_corpus_exact():
     with open(FIXTURES / "cc_corpus" / "manifest.json", encoding="utf-8") as fh:
         manifest = json.load(fh)
     assert len(manifest) >= 30
-    inv = scan_tree(FIXTURES / "cc_corpus")
+    inv = measure_checkpoint(FIXTURES / "cc_corpus").inventory
     by_key = {f"{c.file}::{c.qualified_name}": c for c in inv.callables}
     assert set(by_key) == set(manifest)
     for key, expected in manifest.items():
@@ -311,7 +311,7 @@ def test_criterion_11_large_tree_within_budget(tmp_path):
     write_large_tree(tmp_path)
 
     started = time.monotonic()
-    inv = scan_tree(tmp_path)
+    inv = measure_checkpoint(tmp_path).inventory
     elapsed = time.monotonic() - started
     assert inv.total_loc >= 100_000
     assert elapsed < 60.0, f"scan took {elapsed:.1f}s"

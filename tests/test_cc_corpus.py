@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from slopscope import scan_tree
+from slopscope import measure_checkpoint
 
 from conftest import FIXTURES
 
@@ -21,14 +21,14 @@ def test_corpus_is_large_enough():
 
 
 def test_every_fixture_callable_is_in_the_manifest(cc_corpus):
-    inv = scan_tree(cc_corpus)
+    inv = measure_checkpoint(cc_corpus).inventory
     found = {f"{c.file}::{c.qualified_name}" for c in inv.callables}
     assert found == set(_manifest())
 
 
 @pytest.mark.parametrize("key,expected", sorted(_manifest().items()))
 def test_hand_counted_cc_and_sloc(cc_corpus, key, expected):
-    inv = scan_tree(cc_corpus)
+    inv = measure_checkpoint(cc_corpus).inventory
     by_key = {f"{c.file}::{c.qualified_name}": c for c in inv.callables}
     record = by_key[key]
     assert record.cc == expected["cc"], f"{key}: cc {record.cc} != hand count {expected['cc']}"

@@ -72,6 +72,12 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "history", str(tmp_path))
         assert code == EXIT_UNREADABLE
 
+    def test_history_without_git_on_path(self, capsys, tmp_path, history_repo, monkeypatch):
+        monkeypatch.setenv("PATH", str(tmp_path))
+        code, out, err = run_cli(capsys, "history", str(history_repo))
+        assert code == EXIT_UNREADABLE
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("slopscope: cannot run git")
+
     def test_invalid_rule_file(self, capsys, tmp_path):
         bad = tmp_path / "rules.yaml"
         bad.write_text("- {id: broken, kind: pattern, pattern: 'def ((('}\n")
@@ -90,6 +96,8 @@ BAD_INPUTS = {
     "zero-minified-threshold": (["scan", "{tree}", "--config", "{zero_threshold}"], EXIT_USAGE),
     "unknown-encoding": (["history", "{repo}", "--config", "{unknown_encoding}"], EXIT_USAGE),
     "non-text-encoding": (["scan", "{tree}", "--config", "{rot13_encoding}"], EXIT_USAGE),
+    "languages-config": (["scan", "{tree}", "--config", "{languages_config}"], EXIT_USAGE),
+    "languages-rules": (["scan", "{tree}", "--rules", "{languages_rules}"], EXIT_BAD_RULES),
     "zero-min-window": (["scan", "{tree}", "--min-window", "0"], EXIT_USAGE),
     "negative-max-commits": (["history", "{repo}", "--max-commits", "-1"], EXIT_USAGE),
     "bogus-cutoff-date": (["history", "{repo}", "--cutoff-date", "bogus"], EXIT_USAGE),
@@ -102,6 +110,15 @@ BAD_INPUTS = {
     "zero-panel-max-commits": (["panel", "{zero_max_commits}"], EXIT_USAGE),
     "fractional-panel-max-commits": (["panel", "{fractional_max_commits}"], EXIT_USAGE),
     "string-panel-max-commits": (["panel", "{string_max_commits}"], EXIT_USAGE),
+    "negative-panel-stars": (["panel", "{negative_stars}"], EXIT_USAGE),
+    "fractional-panel-stars": (["panel", "{fractional_stars}"], EXIT_USAGE),
+    "string-panel-stars": (["panel", "{string_stars}"], EXIT_USAGE),
+    "bool-panel-stars": (["panel", "{bool_stars}"], EXIT_USAGE),
+    "bool-panel-seed": (["panel", "{bool_seed}"], EXIT_USAGE),
+    "fractional-panel-seed": (["panel", "{fractional_seed}"], EXIT_USAGE),
+    "string-panel-seed": (["panel", "{string_seed}"], EXIT_USAGE),
+    "repeated-panel-repo-id": (["panel", "{repeated_repo_id}"], EXIT_USAGE),
+    "repeated-panel-repo-path": (["panel", "{repeated_repo_path}"], EXIT_USAGE),
     "unwritable-out": (["scan", "{tree}", "--out", "{tree}/no/such/dir/r.json"], EXIT_USAGE),
     "unwritable-emit-matches": (["scan", "{tree}", "--emit-matches", "{tree}/no/such/dir/m.jsonl"], EXIT_USAGE),
 }
@@ -111,6 +128,8 @@ BAD_FILES = {
     "zero_threshold.yaml": b"minified_line_threshold: 0\n",
     "unknown_encoding.yaml": b"encoding: nope\n",
     "rot13_encoding.yaml": b"encoding: rot13\n",
+    "languages_config.yaml": b"languages: [python]\n",
+    "languages_rules.yaml": b"- {id: r, kind: pattern, pattern: '$X == $X', languages: [python]}\n",
     "scalar.yaml": b"42\n",
     "undecodable.py": b"x = 1\n\xff\n",
     "unparsable.py": b"def (:\n",
@@ -119,6 +138,16 @@ BAD_FILES = {
     "zero_max_commits.yaml": b"- {repo_path: repo, repo_id: zero, max_commits: 0}\n",
     "fractional_max_commits.yaml": b"- {repo_path: repo, max_commits: 2.5}\n",
     "string_max_commits.yaml": b"- {repo_path: repo, max_commits: '5'}\n",
+    "negative_stars.yaml": b"- {repo_path: repo, stars: -1}\n",
+    "fractional_stars.yaml": b"- {repo_path: repo, repo_id: r, stars: 19999.9}\n",
+    "string_stars.yaml": b"- {repo_path: repo, repo_id: r, stars: '50'}\n",
+    "bool_stars.yaml": b"- {repo_path: repo, stars: true}\n",
+    "bool_seed.yaml": b"- {repo_path: repo, stars: 5, seed: true}\n",
+    "fractional_seed.yaml": b"- {repo_path: repo, seed: 1.5}\n",
+    "string_seed.yaml": b"- {repo_path: repo, seed: '1'}\n",
+    "repeated_repo_id.yaml": b"- {repo_path: repo, repo_id: r, stars: 20000}\n"
+                             b"- {repo_path: other, repo_id: r, stars: 50}\n",
+    "repeated_repo_path.yaml": b"- {repo_path: repo}\n- {repo_path: repo, stars: 50}\n",
 }
 
 
@@ -425,7 +454,7 @@ class TestRulesEnv:
         monkeypatch.setenv(RULES_ENV, str(custom))
         code, out, _ = run_cli(capsys, "rules", "list")
         assert code == EXIT_OK
-        assert out.splitlines() == ["only-rule\tregex\t\t" + "python"]
+        assert out.splitlines() == ["only-rule\tregex\t"]
 
     def test_flag_overrides_env(self, capsys, tmp_path, monkeypatch):
         env_rules = tmp_path / "env.yaml"

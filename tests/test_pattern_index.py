@@ -74,11 +74,11 @@ def find_matches_by_walk(compiled: CompiledPattern, tree: ast.AST, source: Sourc
     return sorted(matches.values(), key=lambda pm: (pm.start, pm.end))
 
 
-def match_rules_by_walk(monkeypatch, path, source, tree, language, rules):
+def match_rules_by_walk(monkeypatch, path, source, tree, rules):
     """``match_rules`` with the per-variant walk of ``tree`` in place of the index."""
     with monkeypatch.context() as patch:
         patch.setattr(slopscope.rules, "find_matches", find_matches_by_walk)
-        return match_rules(path, source, tree, language, rules)
+        return match_rules(path, source, tree, rules)
 
 
 # Patterns whose root is a metavariable, and patterns whose optional
@@ -124,8 +124,8 @@ def test_starter_rules_match_as_by_walk(corpus, monkeypatch):
     total = 0
     for path in CORPORA[corpus]:
         source, tree = _parsed(path)
-        found = match_rules(path.name, source, TreeIndex.from_tree(tree), "python", rules)
-        by_walk = match_rules_by_walk(monkeypatch, path.name, source, tree, "python", rules)
+        found = match_rules(path.name, source, TreeIndex.from_tree(tree), rules)
+        by_walk = match_rules_by_walk(monkeypatch, path.name, source, tree, rules)
         assert _with_captures(found) == _with_captures(by_walk), path
         total += len(found)
     assert total > 0

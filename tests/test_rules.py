@@ -100,38 +100,31 @@ class TestRuleLoading:
 class TestMatchRules:
     def test_empty_file(self):
         rules = load_starter_rules()
-        assert match_rules("m.py", SourceText.from_text(""), TreeIndex.from_tree(ast.parse("")), "python", rules) == []
+        assert match_rules("m.py", SourceText.from_text(""), TreeIndex.from_tree(ast.parse("")), rules) == []
 
     def test_identity_comprehension_flagged(self):
         rules = load_starter_rules()
         src = "ys = [x for x in xs]\n"
-        found = match_rules("m.py", SourceText.from_text(src), TreeIndex.from_tree(ast.parse(src)), "python", rules)
+        found = match_rules("m.py", SourceText.from_text(src), TreeIndex.from_tree(ast.parse(src)), rules)
         assert any(m.rule_id == "identity-comprehension" for m in found)
 
     def test_ordering(self):
         rules = load_starter_rules()
         src = "a = [x for x in xs]\nb = q == q\nc = len(q) > 0\n"
-        found = match_rules("m.py", SourceText.from_text(src), TreeIndex.from_tree(ast.parse(src)), "python", rules)
+        found = match_rules("m.py", SourceText.from_text(src), TreeIndex.from_tree(ast.parse(src)), rules)
         keys = [(m.file, m.start, m.end, m.rule_id) for m in found]
         assert keys == sorted(keys)
-
-    def test_language_filter(self):
-        rules = build_ruleset(
-            [QualityRule(id="r", kind="pattern", pattern="$X == $X", languages=("javascript",))]
-        )
-        src = "a == a\n"
-        assert match_rules("m.py", SourceText.from_text(src), TreeIndex.from_tree(ast.parse(src)), "python", rules) == []
 
     def test_regex_rule_lines(self):
         rules = load_starter_rules()
         src = "try:\n    go()\nexcept Exception:\n    raise\n"
-        found = match_rules("m.py", SourceText.from_text(src), TreeIndex.from_tree(ast.parse(src)), "python", rules)
+        found = match_rules("m.py", SourceText.from_text(src), TreeIndex.from_tree(ast.parse(src)), rules)
         broad = [m for m in found if m.rule_id == "broad-except"]
         assert broad and broad[0].lines == (3,)
 
     def test_match_lines_cover_span(self):
         rules = load_starter_rules()
         src = "def f():\n    if cond:\n        return True\n    return False\n"
-        found = match_rules("m.py", SourceText.from_text(src), TreeIndex.from_tree(ast.parse(src)), "python", rules)
+        found = match_rules("m.py", SourceText.from_text(src), TreeIndex.from_tree(ast.parse(src)), rules)
         hit = [m for m in found if m.rule_id == "if-return-bool-fallthrough"]
         assert hit[0].lines == (2, 3, 4)

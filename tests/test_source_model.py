@@ -5,7 +5,7 @@ import ast
 import pytest
 
 from slopscope.adapters import PythonAdapter, SourceText, TreeIndex
-from slopscope.history import scan_tree
+from slopscope.history import measure_checkpoint
 from slopscope.model import CallableRecord, FileRecord, ScanError, merge_inventories
 from slopscope.scan import ScanConfig, load_scan_config
 
@@ -52,28 +52,28 @@ def _cc(src: str) -> int:
 
 class TestScanTree:
     def test_empty_directory(self, tmp_path):
-        inv = scan_tree(tmp_path)
+        inv = measure_checkpoint(tmp_path).inventory
         assert inv.files == () and inv.callables == ()
 
     def test_undecodable_file_is_skipped(self, tmp_path):
         (tmp_path / "bad.py").write_bytes(b"\xff\xfe\x00broken\xff")
-        inv = scan_tree(tmp_path)
+        inv = measure_checkpoint(tmp_path).inventory
         assert inv.files == ()
         assert inv.skipped == (("bad.py", "decode"),)
 
     def test_unparsable_file_is_skipped(self, tmp_path):
         (tmp_path / "syntax.py").write_text("def broken(:\n")
-        inv = scan_tree(tmp_path)
+        inv = measure_checkpoint(tmp_path).inventory
         assert inv.skipped == (("syntax.py", "parse"),)
 
     def test_minified_file_is_skipped(self, tmp_path):
         (tmp_path / "blob.py").write_text("x = " + "1 + " * 300 + "1\n")
-        inv = scan_tree(tmp_path)
+        inv = measure_checkpoint(tmp_path).inventory
         assert inv.skipped == (("blob.py", "minified"),)
 
     def test_fixture_tree_matches_manifest(self, tmp_path):
         write_tree(tmp_path, TREE_FILES)
-        inv = scan_tree(tmp_path)
+        inv = measure_checkpoint(tmp_path).inventory
         assert [f.path for f in inv.files] == ["pkg/alpha.py", "pkg/beta.py", "sub/gamma.py"]
         assert len(inv.callables) == 7
         names = [(c.file, c.qualified_name) for c in inv.callables]
@@ -89,24 +89,24 @@ class TestScanTree:
 
     def test_missing_root_is_fatal(self, tmp_path):
         with pytest.raises(ScanError):
-            scan_tree(tmp_path / "nope")
+            measure_checkpoint(tmp_path / "nope")
 
     def test_scan_is_idempotent(self, tmp_path):
         write_tree(tmp_path, TREE_FILES)
-        assert scan_tree(tmp_path) == scan_tree(tmp_path)
+        assert measure_checkpoint(tmp_path).inventory == measure_checkpoint(tmp_path).inventory
 
     def test_union_property(self, tmp_path):
         write_tree(tmp_path, TREE_FILES)
-        whole = scan_tree(tmp_path)
+        whole = measure_checkpoint(tmp_path).inventory
         parts = [
-            scan_tree(tmp_path, ScanConfig(exclude=("pkg/*",))),
-            scan_tree(tmp_path, ScanConfig(exclude=("sub/*",))),
+            measure_checkpoint(tmp_path, ScanConfig(exclude=("pkg/*",))).inventory,
+            measure_checkpoint(tmp_path, ScanConfig(exclude=("sub/*",))).inventory,
         ]
         assert merge_inventories(parts) == whole
 
     def test_exclude_globs(self, tmp_path):
         write_tree(tmp_path, TREE_FILES)
-        inv = scan_tree(tmp_path, ScanConfig(exclude=("sub/*",)))
+        inv = measure_checkpoint(tmp_path, ScanConfig(exclude=("sub/*",))).inventory
         assert all(f.path.startswith("pkg/") for f in inv.files)
 
     def test_odd_line_breaks_follow_the_parser(self, tmp_path):
@@ -114,7 +114,7 @@ class TestScanTree:
         (tmp_path / "m.py").write_text(
             "def f(a):\n    x = 1\x0c\n    return a\n\n\ndef g():\n    return 2\n", encoding="utf-8"
         )
-        inv = scan_tree(tmp_path)
+        inv = measure_checkpoint(tmp_path).inventory
         assert (inv.files[0].line_count, inv.files[0].loc) == (7, 5)
         assert {c.qualified_name: (c.span, c.sloc) for c in inv.callables} == {
             "f": ((1, 3), 3),
@@ -130,12 +130,12 @@ class TestEnumerateCallables:
 
     def test_methods_and_module_function(self, tmp_path):
         write_tree(tmp_path, {"m.py": TREE_FILES["pkg/alpha.py"]})
-        inv = scan_tree(tmp_path)
+        inv = measure_checkpoint(tmp_path).inventory
         assert len(inv.callables) == 3
 
     def test_nested_function_gets_own_record(self, tmp_path):
         write_tree(tmp_path, {"m.py": TREE_FILES["pkg/beta.py"]})
-        inv = scan_tree(tmp_path)
+        inv = measure_checkpoint(tmp_path).inventory
         spans = {c.qualified_name: c.span for c in inv.callables}
         assert set(spans) == {"outer", "outer.inner"}
         assert spans["outer"] != spans["outer.inner"]
@@ -192,7 +192,7 @@ class TestRecords:
 
 def test_load_scan_config(tmp_path):
     cfg = tmp_path / "scan.yaml"
-    cfg.write_text("languages: [python]\nexclude: ['vendored/*']\nminified_line_threshold: 900\n")
+    cfg.write_text("exclude: ['vendored/*']\nminified_line_threshold: 900\n")
     config = load_scan_config(cfg)
     assert config.exclude == ("vendored/*",)
     assert config.minified_line_threshold == 900
@@ -200,7 +200,7 @@ def test_load_scan_config(tmp_path):
 
     bad = tmp_path / "bad.yaml"
     for text in ("mystery_key: 1\n", 'exclude: "vendor/*"\n', "minified_line_threshold: '900'\n",
-                 "languages: [python, 3]\n", "exclude: [a\n", "minified_line_threshold: 0\n",
+                 "exclude: [a, 3]\n", "exclude: [a\n", "minified_line_threshold: 0\n",
                  "minified_line_threshold: -5\n", "encoding: nope\n", "encoding: rot13\n",
                  "encoding: base64\n", "encoding: hex\n", "encoding: zlib\n", 'encoding: "utf\\0"\n'):
         bad.write_text(text)

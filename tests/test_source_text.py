@@ -101,7 +101,7 @@ def test_empty_and_unterminated_text():
 def test_lone_cr_puts_regex_match_on_the_parser_line():
     text = "x = 1\rtry:\n    go()\nexcept Exception:\n    pass\n"
     handler = next(n for n in ast.walk(ast.parse(text)) if isinstance(n, ast.ExceptHandler))
-    found = match_rules("m.py", SourceText.from_text(text), TreeIndex.from_tree(ast.parse(text)), "python",
+    found = match_rules("m.py", SourceText.from_text(text), TreeIndex.from_tree(ast.parse(text)),
                         load_starter_rules())
     broad = [m for m in found if m.rule_id == "broad-except"]
     assert [m.lines for m in broad] == [(handler.lineno,)] == [(4,)]
