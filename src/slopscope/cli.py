@@ -36,7 +36,7 @@ from .report import (
     verbosity_to_dict,
 )
 from .rules import RuleError, RuleSet, load_rules, load_starter_rules
-from .scan import ScanConfig, is_python, load_scan_config, read_file
+from .scan import ScanConfig, decode_path, is_python, load_scan_config, read_file
 from .trajectory import DEFAULT_ERA_CUTOFF
 
 RULES_ENV = "SLOPSCOPE_RULES"
@@ -219,8 +219,9 @@ def cmd_rules(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> i
     path = Path(args.file)
     if not is_python(path.name):
         return _fail(f"{path}: not a Python (.py) file", EXIT_USAGE)
-    file = [(path.name, read_file(path.parent, path.name))]
-    analysis = scan_tree_with_sources(file, config, rules.subset({rule.id}))[1][path.name]
+    name = decode_path(os.fsencode(path.name))
+    file = [(name, read_file(path.parent, path.name))]
+    analysis = scan_tree_with_sources(file, config, rules.subset({rule.id}))[1][name]
     if analysis.inventory.skipped:
         return _fail(f"{path}: skipped ({analysis.inventory.skipped[0][1]})", EXIT_UNREADABLE)
     for m in analysis.matches:

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import fnmatch
-import os
 import random
+import re
+import stat
 import subprocess
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, replace
 from datetime import date, datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 from . import clones, verbosity
 from .adapters import ADAPTERS, SourceText, TreeIndex
@@ -17,7 +19,7 @@ from .clones import DEFAULT_MIN_WINDOW, CloneRegion, NormalizedFile, detect_clon
 from .erosion import erosion_score
 from .model import FileRecord, SourceInventory, merge_inventories
 from .rules import RuleMatch, RuleSet, match_rules
-from .scan import ScanConfig, is_eligible, is_python, read_tree
+from .scan import ALWAYS_SKIP_DIRS, ScanConfig, decode_path, is_eligible, is_python, read_tree
 from .trajectory import (
     DEFAULT_ERA_CUTOFF,
     CheckpointMetrics,
@@ -29,6 +31,10 @@ from .trajectory import (
 )
 
 TEST_PATH_GLOBS = ("test_*.py", "*_test.py", "tests/*", "*/tests/*", "test/*", "*/test/*")
+
+# One entry of a tree object, up to its raw object id: octal mode, name.
+_TREE_ENTRY = re.compile(rb"([0-7]+) ([^\0]+)\0")
+_S_IFGITLINK = 0o160000  # the mode git gives a submodule's commit
 
 
 class GitError(Exception):
@@ -76,10 +82,10 @@ def list_source_commits(repo: str | Path, exclude_tests: bool = False) -> list[C
             if token:
                 header, newline, first = token.partition(b"\n")
                 sha, epoch = header.decode().split()
-                logged.append((sha, epoch, [os.fsdecode(first)] if newline else []))
+                logged.append((sha, epoch, [decode_path(first)] if newline else []))
                 in_header = not newline
         elif token:
-            logged[-1][2].append(os.fsdecode(token))
+            logged[-1][2].append(decode_path(token))
         else:
             in_header = True
     commits: list[CommitRef] = []
@@ -110,16 +116,15 @@ def sample_commits(
 
 
 class ObjectStore:
-    """Reads the blobs of one repository through one long-lived
+    """Reads the objects of one repository through one long-lived
     ``git cat-file --batch`` process.
 
-    Requests go one at a time: one object id is written and its whole reply
-    read before the next, so neither side can block on a full pipe.
-    ``close`` (or leaving a ``with`` block) ends the process.
+    Requests go one at a time: one object is named and its whole reply read
+    before the next, so neither side can block on a full pipe. ``close``
+    (or leaving a ``with`` block) ends the process.
     """
 
     def __init__(self, repo: str | Path) -> None:
-        self.repo = repo
         self._proc = subprocess.Popen(
             ["git", "-C", str(repo), "cat-file", "--batch"],
             stdin=subprocess.PIPE,
@@ -127,22 +132,50 @@ class ObjectStore:
             stderr=subprocess.DEVNULL,
         )
 
-    def read(self, blob: str) -> bytes:
-        """The bytes of one blob; GitError if the repository lacks it."""
+    def _read(self, kind: str, name: str) -> tuple[str, bytes]:
+        """The id and content of the object ``name`` names (an id, or any
+        revision git resolves); GitError if it is missing or not a ``kind``."""
         stdin, stdout = self._proc.stdin, self._proc.stdout
         try:
-            stdin.write(blob.encode() + b"\n")
+            stdin.write(name.encode() + b"\n")
             stdin.flush()
             header = stdout.readline().split()
-            if len(header) != 3:  # "<id> missing", or the process died
-                raise GitError(f"blob {blob} {header[-1].decode(errors='replace') if header else 'unreadable'}")
+            if len(header) != 3:  # "<name> missing", or the process died
+                raise GitError(f"{kind} {name} {header[-1].decode(errors='replace') if header else 'unreadable'}")
             size = int(header[2])
             data = stdout.read(size + 1)  # the content and a newline
         except OSError as exc:
-            raise GitError(f"blob {blob} unreadable: {exc}") from exc
+            raise GitError(f"{kind} {name} unreadable: {exc}") from exc
         if len(data) != size + 1:
-            raise GitError(f"blob {blob} unreadable: reply cut short")
-        return data[:size]
+            raise GitError(f"{kind} {name} unreadable: reply cut short")
+        if header[1] != kind.encode():
+            raise GitError(f"{kind} {name} is a {header[1].decode(errors='replace')}")
+        return header[0].decode(), data[:size]
+
+    def read(self, blob: str) -> bytes:
+        """The bytes of one blob; GitError if the repository lacks it."""
+        return self._read("blob", blob)[1]
+
+    def read_tree(self, name: str) -> tuple[str, list[tuple[int, bytes, str]]]:
+        """The id of the tree ``name`` names and its entries, in git's order:
+        each one's mode, raw name and object id. GitError if the tree is
+        missing or malformed.
+
+        A tree object is a run of ``<octal mode> <name>\\0<raw id>``
+        entries. A raw id is as long as the id in the reply header: 20
+        bytes in a SHA-1 repository, 32 in a SHA-256 one.
+        """
+        tree, data = self._read("tree", name)
+        size = len(tree) // 2
+        entries: list[tuple[int, bytes, str]] = []
+        pos = 0
+        while pos < len(data):
+            entry = _TREE_ENTRY.match(data, pos)
+            if entry is None or entry.end() + size > len(data):
+                raise GitError(f"tree {tree} malformed")
+            pos = entry.end() + size
+            entries.append((int(entry[1], 8), entry[2], data[entry.end() : pos].hex()))
+        return tree, entries
 
     def close(self) -> None:
         self._proc.communicate()  # closes stdin, which ends the process
@@ -154,39 +187,79 @@ class ObjectStore:
         self.close()
 
 
+class TreeListing(NamedTuple):
+    """What one tree object adds to a commit's files: its eligible blobs
+    and links, and the subtrees below it that a scan would enter, as
+    (path prefix, tree id)."""
+
+    blobs: tuple[tuple[str, str], ...]
+    links: tuple[str, ...]
+    subtrees: tuple[tuple[str, str], ...]
+
+
+def _list_tree(prefix: str, entries: list[tuple[int, bytes, str]], config: ScanConfig) -> TreeListing:
+    blobs: list[tuple[str, str]] = []
+    links: list[str] = []
+    subtrees: list[tuple[str, str]] = []
+    for mode, raw, oid in entries:
+        name = decode_path(raw)
+        path = prefix + name
+        kind = mode & 0o170000  # stat.S_IFMT, for a mode of any size
+        if kind == stat.S_IFDIR:
+            if name not in ALWAYS_SKIP_DIRS:  # never source: a scan does not enter it either
+                subtrees.append((path + "/", oid))
+        elif kind == _S_IFGITLINK or not is_eligible(path, config):
+            continue
+        elif kind == stat.S_IFLNK:
+            links.append(path)
+        else:
+            blobs.append((path, oid))
+    return TreeListing(tuple(blobs), tuple(links), tuple(subtrees))
+
+
 @dataclass(frozen=True)
 class CommitTree:
     """The files of one commit that a scan of its checkout would measure,
     as git stores them: each path's blob id, and the paths of symbolic
-    links, which are skipped unread."""
+    links, which are skipped unread. ``trees`` holds the listing of every
+    tree of the commit under its (path prefix, tree id)."""
 
     blobs: dict[str, str]
     links: tuple[str, ...]
     store: ObjectStore
+    trees: dict[tuple[str, str], TreeListing]
 
 
-def materialize_commit(store: ObjectStore, sha: str, config: ScanConfig) -> CommitTree:
-    """List one commit's eligible files with ``git ls-tree``.
+def materialize_commit(
+    store: ObjectStore, sha: str, config: ScanConfig, previous: CommitTree | None = None
+) -> CommitTree:
+    """List one commit's eligible files from its tree objects.
 
-    Eligibility is a scan's (``scan.is_eligible``). Gitlinks (submodules)
-    are passed by: a checkout holds no file of theirs.
+    The root tree (``<sha>^{tree}``) and the subtrees below it are read
+    through the store's ``cat-file --batch`` process. A subtree that
+    ``previous`` (the commit listed before) held under the same path and id
+    is taken from its listing and not read again. Eligibility is a scan's
+    (``scan.is_eligible``) and names are reported as a scan reports them
+    (``scan.decode_path``). Gitlinks (submodules) are passed by: a checkout
+    holds no file of theirs. A missing or malformed commit or tree raises
+    GitError.
     """
-    raw = _git(store.repo, "ls-tree", "-r", "-z", "--full-tree", sha)
+    known = previous.trees if previous is not None else {}
+    root, root_entries = store.read_tree(f"{sha}^{{tree}}")
+    trees: dict[tuple[str, str], TreeListing] = {}
     blobs: dict[str, str] = {}
     links: list[str] = []
-    for entry in raw.split(b"\0"):
-        if not entry:
-            continue
-        meta, _, name = entry.partition(b"\t")
-        mode, kind, blob = meta.split()
-        path = os.fsdecode(name)
-        if kind != b"blob" or not is_eligible(path, config):
-            continue
-        if mode == b"120000":
-            links.append(path)
-        else:
-            blobs[path] = blob.decode()
-    return CommitTree(blobs, tuple(links), store)
+    pending = [("", root)]
+    while pending:
+        prefix, tree = key = pending.pop()
+        listing = known.get(key)
+        if listing is None:
+            listing = _list_tree(prefix, store.read_tree(tree)[1] if prefix else root_entries, config)
+        trees[key] = listing
+        blobs.update(listing.blobs)
+        links.extend(listing.links)
+        pending.extend(listing.subtrees)
+    return CommitTree(blobs, tuple(links), store, trees)
 
 
 @dataclass(frozen=True)
@@ -345,8 +418,9 @@ def measure_history(
 ) -> HistoryResult:
     """Sample a repository's commits and measure each snapshot.
 
-    Files are read from git's object store, and a file whose path and blob
-    the previous checkpoint also held is not analysed again. A commit that
+    Trees and files are read from git's object store: a directory whose
+    path and tree the previous checkpoint also held is not read again, and
+    a file whose path and blob it held is not analysed again. A commit that
     cannot be listed or read is reported in ``skipped_commits``, not
     measured.
     """
@@ -360,14 +434,16 @@ def measure_history(
     phases = bin_phases(len(commits))
     checkpoints: list[CheckpointMetrics] = []
     skipped: list[tuple[str, str]] = []
-    # Only the last measured checkpoint's files are kept for reuse: a file
-    # unchanged since an earlier sampled commit is nearly always unchanged
-    # since the last one too, and memory stays bounded by two snapshots.
+    # Only the last measured checkpoint's files and trees are kept for
+    # reuse: a file or directory unchanged since an earlier sampled commit
+    # is nearly always unchanged since the last one too, and memory stays
+    # bounded by two snapshots.
     reuse: dict[tuple[str, str], FileAnalysis] = {}
+    previous: CommitTree | None = None
     with ObjectStore(repo) as store:
         for i, commit in enumerate(commits):
             try:
-                tree = materialize_commit(store, commit.sha, config)
+                tree = materialize_commit(store, commit.sha, config, previous)
                 analysis = measure_checkpoint(
                     tree,
                     config,
@@ -382,6 +458,7 @@ def measure_history(
                 skipped.append((commit.sha, str(err)))
                 continue  # unreadable commit: reported, not imputed
             reuse = {(path, blob): analysis.files[path] for path, blob in tree.blobs.items()}
+            previous = tree
             checkpoints.append(replace(analysis.metrics, phase=phases[i]))
 
     if not checkpoints:

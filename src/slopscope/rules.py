@@ -119,6 +119,10 @@ def load_rules(path: str | Path) -> RuleSet:
         if unknown:
             errors.append(f"entry {i} ({entry.get('id', '?')}): unknown keys {sorted(unknown)}")
             continue
+        flags = entry.get("regex_flags", [])
+        if not (isinstance(flags, list) and all(isinstance(flag, str) for flag in flags)):
+            errors.append(f"entry {i} ({entry.get('id', '?')}): regex_flags must be a list of strings: {flags!r}")
+            continue
         rules.append(
             QualityRule(
                 id=str(entry.get("id", "")),
@@ -126,7 +130,7 @@ def load_rules(path: str | Path) -> RuleSet:
                 pattern=str(entry.get("pattern", "")),
                 category=str(entry.get("category", "")),
                 message=str(entry.get("message", "")),
-                regex_flags=tuple(entry.get("regex_flags", [])),
+                regex_flags=tuple(flags),
             )
         )
     if errors:

@@ -12,7 +12,7 @@ from pathlib import Path
 from .model import ScanError, read_yaml
 
 # Directories that are never source, regardless of config.
-_ALWAYS_SKIP_DIRS = {".git", ".hg", ".svn", "__pycache__"}
+ALWAYS_SKIP_DIRS = {".git", ".hg", ".svn", "__pycache__"}
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,17 @@ def _excluded(relpath: str, patterns: tuple[str, ...]) -> bool:
     )
 
 
+def decode_path(raw: bytes) -> str:
+    """A file name or path as reports show it: its bytes read as UTF-8, each
+    backslash doubled, and each byte that is not part of a UTF-8 character
+    written as ``\\xNN``. The name ``caf`` + byte 0xE9 + ``.py`` is
+    reported as ``caf\\xe9.py`` and the name ``caf\\xe9.py`` (with a
+    backslash) as ``caf\\\\xe9.py``, so no two names share a path. A
+    report stays valid UTF-8 whatever names the file system or git holds,
+    and a scan of a checkout reports the paths ``history`` reports."""
+    return raw.replace(b"\\", b"\\\\").decode("utf-8", "backslashreplace")
+
+
 def is_python(name: str) -> bool:
     """Whether a file name or path is a Python source file's: it ends in
     ``.py`` after a stem (a file named ``.py`` is not one)."""
@@ -77,7 +88,7 @@ def is_eligible(relpath: str, config: ScanConfig) -> bool:
     relative to the root): no directory on its way is one that is never
     source, no ``exclude`` glob matches it, and it is a Python file."""
     *dirs, name = relpath.split("/")
-    return _ALWAYS_SKIP_DIRS.isdisjoint(dirs) and not _excluded(relpath, config.exclude) and is_python(name)
+    return ALWAYS_SKIP_DIRS.isdisjoint(dirs) and not _excluded(relpath, config.exclude) and is_python(name)
 
 
 def read_file(root: Path, relpath: str) -> bytes | str:
@@ -99,14 +110,16 @@ def read_file(root: Path, relpath: str) -> bytes | str:
         return "unreadable"
 
 
-def _eligible_paths(root: Path, config: ScanConfig) -> list[str]:
-    paths: list[str] = []
+def _eligible_paths(root: Path, config: ScanConfig) -> list[tuple[str, str]]:
+    """Each eligible file under ``root``: its reported path and its path on disk."""
+    paths: list[tuple[str, str]] = []
     for dirpath, dirnames, filenames in os.walk(root):
-        dirnames[:] = sorted(d for d in dirnames if d not in _ALWAYS_SKIP_DIRS)
+        dirnames[:] = sorted(d for d in dirnames if d not in ALWAYS_SKIP_DIRS)
         for name in sorted(filenames):
-            rel = os.path.relpath(os.path.join(dirpath, name), root).replace(os.sep, "/")
+            real = os.path.relpath(os.path.join(dirpath, name), root)
+            rel = decode_path(os.fsencode(real.replace(os.sep, "/")))
             if is_eligible(rel, config):
-                paths.append(rel)
+                paths.append((rel, real))
     return sorted(paths)
 
 
@@ -117,4 +130,4 @@ def read_tree(root: str | Path, config: ScanConfig) -> Iterator[tuple[str, bytes
     root = Path(root)
     if not root.is_dir():
         raise ScanError(f"root does not exist or is not a directory: {root}")
-    return ((relpath, read_file(root, relpath)) for relpath in _eligible_paths(root, config))
+    return ((rel, read_file(root, real)) for rel, real in _eligible_paths(root, config))

@@ -104,9 +104,10 @@ def build_history_repo(dest: Path, commits=None) -> Path:
     _git(dest, "config", "user.email", "fixtures@example.com")
     _git(dest, "config", "user.name", "Fixture Builder")
     for i, (files, when) in enumerate(commits or HISTORY_COMMITS):
-        for existing in dest.glob("*.py"):
+        for existing in dest.rglob("*.py"):
             existing.unlink()
         for name, text in files.items():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
             (dest / name).write_text(text, encoding="utf-8")
         _git(dest, "add", "-A")
         env = dict(os.environ, GIT_AUTHOR_DATE=when, GIT_COMMITTER_DATE=when)
@@ -115,8 +116,8 @@ def build_history_repo(dest: Path, commits=None) -> Path:
 
 
 def drop_blob(repo: Path, revision: str) -> str:
-    """Delete the loose object of a blob (``<commit>:<path>``) from a
-    repository; return the blob's id."""
+    """Delete the loose object of a blob or tree (``<commit>:<path>``) from
+    a repository; return its id."""
     blob = subprocess.run(["git", "-C", str(repo), "rev-parse", revision],
                           capture_output=True, text=True, check=True).stdout.strip()
     (repo / ".git" / "objects" / blob[:2] / blob[2:]).unlink()

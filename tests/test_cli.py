@@ -98,6 +98,9 @@ BAD_INPUTS = {
     "non-text-encoding": (["scan", "{tree}", "--config", "{rot13_encoding}"], EXIT_USAGE),
     "languages-config": (["scan", "{tree}", "--config", "{languages_config}"], EXIT_USAGE),
     "languages-rules": (["scan", "{tree}", "--rules", "{languages_rules}"], EXIT_BAD_RULES),
+    "scalar-regex-flags": (["rules", "list", "--rules", "{scalar_regex_flags}"], EXIT_BAD_RULES),
+    "empty-regex-flags": (["scan", "{tree}", "--rules", "{empty_regex_flags}"], EXIT_BAD_RULES),
+    "string-regex-flags": (["rules", "list", "--rules", "{string_regex_flags}"], EXIT_BAD_RULES),
     "zero-min-window": (["scan", "{tree}", "--min-window", "0"], EXIT_USAGE),
     "negative-max-commits": (["history", "{repo}", "--max-commits", "-1"], EXIT_USAGE),
     "bogus-cutoff-date": (["history", "{repo}", "--cutoff-date", "bogus"], EXIT_USAGE),
@@ -130,6 +133,9 @@ BAD_FILES = {
     "rot13_encoding.yaml": b"encoding: rot13\n",
     "languages_config.yaml": b"languages: [python]\n",
     "languages_rules.yaml": b"- {id: r, kind: pattern, pattern: '$X == $X', languages: [python]}\n",
+    "scalar_regex_flags.yaml": b"- {id: r, kind: regex, pattern: x, regex_flags: 5}\n",
+    "empty_regex_flags.yaml": b"- id: r\n  kind: regex\n  pattern: x\n  regex_flags:\n",
+    "string_regex_flags.yaml": b"- {id: r, kind: regex, pattern: x, regex_flags: im}\n",
     "scalar.yaml": b"42\n",
     "undecodable.py": b"x = 1\n\xff\n",
     "unparsable.py": b"def (:\n",
@@ -193,6 +199,22 @@ class TestScanReport:
         assert code == EXIT_OK
         lines = out_file.read_text().splitlines()
         assert lines and all(json.loads(line)["file"] == "app.py" for line in lines)
+
+    def test_a_name_that_is_not_utf8_is_reported_escaped(self, capsys, tmp_path):
+        write_tree(tmp_path / "tree", SIMPLE_TREE)
+        (tmp_path / "tree" / os.fsdecode(b"caf\xe9.py")).write_text("ok = x == True\n")
+        (tmp_path / "tree" / "caf\\xe9.py").write_text("y = 1\n")  # a backslash: a name of its own
+        out_file = tmp_path / "r.json"
+        code, _, err = run_cli(capsys, "scan", str(tmp_path / "tree"), "--out", str(out_file))
+        assert code == EXIT_OK, err
+        payload = json.loads(out_file.read_bytes().decode("utf-8"))["payload"]
+        assert [f["path"] for f in payload["inventory"]["files"]] == ["app.py", "caf\\\\xe9.py", "caf\\xe9.py"]
+        assert "caf\\xe9.py" in {m["file"] for m in payload["matches"]}
+        assert "caf\\\\xe9.py" not in {m["file"] for m in payload["matches"]}
+        code, out, _ = run_cli(capsys, "scan", str(tmp_path / "tree"))
+        assert code == EXIT_OK and json.loads(out.encode("utf-8"))["payload"] == payload
+        code, out, _ = run_cli(capsys, "scan", str(tmp_path / "tree"), "--format", "csv")
+        assert code == EXIT_OK and "caf\\xe9.py" in out.encode("utf-8").decode("utf-8")
 
     def test_csv_golden(self, capsys):
         code, out, _ = run_cli(
@@ -416,6 +438,13 @@ class TestRulesCommand:
         assert code == EXIT_OK
         match = json.loads(out.splitlines()[0])
         assert match["rule_id"] == "identity-comprehension"
+
+    def test_test_subcommand_reports_a_name_that_is_not_utf8_as_scan_does(self, capsys, tmp_path):
+        target = tmp_path / os.fsdecode(b"caf\xe9.py")
+        target.write_text("ys = [x for x in xs]\n")
+        code, out, _ = run_cli(capsys, "rules", "test", "identity-comprehension", str(target))
+        assert code == EXIT_OK
+        assert json.loads(out.splitlines()[0])["file"] == "caf\\xe9.py"
 
     def test_test_subcommand_empty_file(self, capsys, tmp_path):
         target = tmp_path / "empty.py"

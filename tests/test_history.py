@@ -24,9 +24,19 @@ from slopscope.history import (
     sample_commits,
 )
 from slopscope.rules import load_starter_rules
-from slopscope.scan import ScanConfig
+from slopscope.scan import ALWAYS_SKIP_DIRS, ScanConfig, decode_path
 
-from conftest import DEEP_SUM, FIXTURES, MAIN_V1, SLOP, build_history_repo, drop_blob, handler_source, write_tree
+from conftest import (
+    DEEP_SUM,
+    FIXTURES,
+    HISTORY_COMMITS,
+    MAIN_V1,
+    SLOP,
+    build_history_repo,
+    drop_blob,
+    handler_source,
+    write_tree,
+)
 
 
 def _manifest() -> dict:
@@ -153,19 +163,58 @@ class TestMeasureHistory:
         assert result.checkpoints == [] and result.summary is None
 
 
-def test_a_commit_with_a_missing_blob_is_reported_and_the_rest_measured(tmp_path):
-    repo = build_history_repo(tmp_path / "repo")
+def test_a_commit_with_a_missing_blob_is_reported_and_the_rest_measured(tmp_path, monkeypatch):
+    commits = [({**files, "pkg/mod.py": "VALUE = 2\n" if k == 3 else "VALUE = 1\n"}, when)
+               for k, (files, when) in enumerate(HISTORY_COMMITS)]
+    repo = build_history_repo(tmp_path / "repo", commits=commits)
     shas = [c.sha for c in list_source_commits(repo)]
     blob = drop_blob(repo, f"{shas[2]}:util.py")  # UTIL_V1, in the third commit only
+    # The fourth commit's pkg tree is its own. git log reads every tree a
+    # commit changes, so the tree goes after the listing, as a concurrent
+    # prune could remove it.
+    trees = []
+    sample = history.sample_commits
+
+    def sample_then_prune(*args, **kwargs):
+        sampled = sample(*args, **kwargs)
+        trees.append(drop_blob(repo, f"{shas[3]}:pkg"))
+        return sampled
+
+    monkeypatch.setattr(history, "sample_commits", sample_then_prune)
 
     out = tmp_path / "report.json"
     code = main(["history", str(repo), "--deterministic", "--out", str(out)])
     assert code == 0
     payload = json.loads(out.read_text())["payload"]
-    assert payload["skipped_commits"] == [{"sha": shas[2], "reason": f"blob {blob} missing"}]
-    assert [cp["label"] for cp in payload["checkpoints"]] == shas[:2] + shas[3:]
-    assert [cp["index"] for cp in payload["checkpoints"]] == [0, 1, 3, 4]
-    assert payload["summary"]["missing_checkpoints"] == [2]
+    assert payload["skipped_commits"] == [{"sha": shas[2], "reason": f"blob {blob} missing"},
+                                          {"sha": shas[3], "reason": f"tree {trees[0]} missing"}]
+    assert [cp["label"] for cp in payload["checkpoints"]] == shas[:2] + shas[4:]
+    assert [cp["index"] for cp in payload["checkpoints"]] == [0, 1, 4]
+    assert payload["summary"]["missing_checkpoints"] == [2, 3]
+
+
+def _tree_object(repo: Path, data: bytes) -> str:
+    """Write ``data`` as a tree object, well-formed or not; return its id."""
+    return subprocess.run(["git", "-C", str(repo), "hash-object", "-t", "tree", "--literally", "-w", "--stdin"],
+                          input=data, capture_output=True, check=True).stdout.decode().strip()
+
+
+@pytest.mark.parametrize("cut", [lambda d: d[:-3], lambda d: d[: d.rindex(b"\0")], lambda d: b"1x" + d[6:]],
+                         ids=["id", "name", "mode"])
+def test_a_malformed_tree_is_a_git_error(tmp_path, cut):
+    repo = build_history_repo(tmp_path / "repo", commits=HISTORY_COMMITS[:1])
+    root = subprocess.run(["git", "-C", str(repo), "cat-file", "tree", "HEAD^{tree}"],
+                          capture_output=True, check=True).stdout
+    bad = _tree_object(repo, cut(root))
+    commit = subprocess.run(["git", "-C", str(repo), "commit-tree", bad, "-m", "bad"],
+                            capture_output=True, text=True, check=True).stdout.strip()
+    with history.ObjectStore(repo) as store:
+        assert history.materialize_commit(store, "HEAD", ScanConfig()).blobs.keys() == {"main.py"}
+        with pytest.raises(GitError, match=f"^tree {bad} malformed$"):
+            history.materialize_commit(store, commit, ScanConfig())
+        with pytest.raises(GitError, match="missing$"):
+            history.materialize_commit(store, "0" * 40, ScanConfig())
+        assert history.materialize_commit(store, "HEAD", ScanConfig()).blobs.keys() == {"main.py"}
 
 
 def test_each_path_and_blob_is_analysed_once(history_repo, monkeypatch):
@@ -214,24 +263,27 @@ _SPECIAL = {
     3: {"vendor/lib.py": SLOP.encode(), "pkg/.hg/hooks.py": b"z = 2\n"},
     5: {"legacy.py": b"s = '\xe9t\xe9'\n", "broken.py": b"def broken(:\n    pass\n"},
     6: {"packed.py": b"x = [" + b"1, " * 300 + b"]\n"},
-    7: {"pkg/caf\u00e9.py": _TEMPLATES[0].format(f="f", F="F").encode()},
+    7: {"pkg/caf\u00e9.py": _TEMPLATES[0].format(f="f", F="F").encode(),
+        os.fsdecode(b"pkg/caf\xe9.py"): _TEMPLATES[1].format(f="g", F="G").encode(),  # not UTF-8
+        "pkg/caf\\xe9.py": _TEMPLATES[2].format(f="h", F="H").encode()},  # a backslash, reported doubled
     8: {"pkg/deep.py": DEEP_SUM.encode()},
     30: {"legacy.py": b"s = '\xe0'\nt = 1\n", "broken.py": b"def fixed():\n    pass\n"},
 }
 
 
-def _build_generated_repo(dest: Path, n_commits: int = 56, seed: int = 3) -> Path:
+def _build_generated_repo(dest: Path, n_commits: int = 56, seed: int = 3, object_format: str = "sha1") -> Path:
     """A history of nested packages with every case the listing must get
     right: skipped directories, an excluded directory, a link, gitlinks,
-    undecodable, unparsable and minified files, renames of an unchanged
-    blob, one blob at two paths, and a file deleted and later restored."""
+    undecodable, unparsable and minified files, a name that is not UTF-8,
+    renames of an unchanged blob, one blob at two paths, and a file deleted
+    and later restored."""
     def git(*args: str, env: dict | None = None) -> None:
         subprocess.run(["git", "-C", str(dest), *args], check=True, capture_output=True, env=env)
 
     rng = random.Random(seed)
     dest.mkdir(parents=True)
-    submodule_commit = "0123456789abcdef0123456789abcdef01234567"
-    git("init", "-q", "-b", "main")
+    submodule_commit = ("0123456789abcdef" * 4)[: 64 if object_format == "sha256" else 40]
+    git("init", "-q", "-b", "main", f"--object-format={object_format}")
     git("config", "user.email", "fixtures@example.com")
     git("config", "user.name", "Fixture Builder")
     modules = {"pkg/__init__.py": b"", "pkg/core.py": _module(rng), "pkg/sub/__init__.py": b"",
@@ -281,6 +333,12 @@ def generated_repo(tmp_path_factory) -> Path:
     return _build_generated_repo(tmp_path_factory.mktemp("generated") / "repo")
 
 
+@pytest.fixture(scope="module")
+def generated_sha256_repo(tmp_path_factory) -> Path:
+    return _build_generated_repo(tmp_path_factory.mktemp("generated256") / "repo", n_commits=20,
+                                 object_format="sha256")
+
+
 def _checkout(repo: Path, sha: str, dest: Path) -> Path:
     """The commit as ``git archive`` exports it: the old materialisation."""
     data = subprocess.run(["git", "-C", str(repo), "archive", "--format=tar", sha],
@@ -290,11 +348,13 @@ def _checkout(repo: Path, sha: str, dest: Path) -> Path:
     return dest
 
 
-def _blob_ids(root: Path, paths) -> set[tuple[str, str]]:
+def _blob_ids(root: Path, paths, algorithm: str) -> set[tuple[str, str]]:
+    on_disk = {decode_path(os.fsencode(os.path.relpath(os.path.join(d, n), root))): os.path.join(d, n)
+               for d, _, names in os.walk(root) for n in names}  # reported path -> file
     out = set()
     for path in paths:
-        data = (root / path).read_bytes()
-        out.add((path, hashlib.sha1(b"blob %d\0" % len(data) + data).hexdigest()))
+        data = Path(on_disk[path]).read_bytes()
+        out.add((path, hashlib.new(algorithm, b"blob %d\0" % len(data) + data).hexdigest()))
     return out
 
 
@@ -336,7 +396,7 @@ def _assert_history_matches_checkouts(repo: Path, tmp_path: Path, monkeypatch, c
         assert got.files == want.files
 
         regular = [p for p in got.files if (p, "symlink") not in want.inventory.skipped]
-        pairs = _blob_ids(root, regular)
+        pairs = _blob_ids(root, regular, "sha256" if len(commit.sha) == 64 else "sha1")
         assert sorted(fresh) == sorted(p for p, _ in pairs - previous), commit.sha
         previous = pairs
         checked.append((got, pairs))
@@ -364,8 +424,63 @@ def test_generated_repo_matches_checkouts(generated_repo, tmp_path, monkeypatch,
         reasons = {reason for a in analyses for _, reason in a.inventory.skipped}
         assert reasons == {"symlink", "decode", "parse", "minified"}
         paths = {p for a in analyses for p in a.files}
-        assert "pkg/caf\u00e9.py" in paths and "pkg/sub/deep/leaf.py" in paths
+        assert {"pkg/caf\u00e9.py", "pkg/caf\\xe9.py", "pkg/caf\\\\xe9.py", "pkg/sub/deep/leaf.py"} <= paths
         assert any(f.path == "pkg/deep.py" for a in analyses for f in a.inventory.files)  # measured, not skipped
         assert not any(p.startswith(("vendor/", "sub", "pkg/ext")) or "__pycache__" in p or ".hg" in p
                        for p in paths)
         assert any(a.clones for a in analyses) and any(m.captures for a in analyses for m in a.matches)
+
+
+def test_sha256_repo_matches_checkouts(generated_sha256_repo, tmp_path, monkeypatch):
+    checked = _assert_history_matches_checkouts(generated_sha256_repo, tmp_path, monkeypatch, EXCLUDE_VENDOR,
+                                                100, 0)
+    assert len(checked) == 20
+    assert all(len(blob) == 64 for _, pairs in checked for _, blob in pairs)
+
+
+@pytest.mark.parametrize("max_commits", [3, 100])
+def test_a_run_starts_two_git_processes(generated_repo, monkeypatch, max_commits):
+    started = []
+    popen = subprocess.Popen  # subprocess.run starts its process through Popen too
+    monkeypatch.setattr(subprocess, "Popen", lambda argv, *a, **k: started.append(argv) or popen(argv, *a, **k))
+    result = measure_history(generated_repo, max_commits=max_commits, config=EXCLUDE_VENDOR)
+    monkeypatch.undo()
+    assert len(result.checkpoints) == min(max_commits, 56)
+    assert [argv[3] for argv in started] == ["log", "cat-file"]
+
+
+def test_each_unchanged_subtree_is_read_once(generated_repo, monkeypatch):
+    """Every commit is sampled, so each commit's tree reads must be exactly
+    the subtrees that ``git ls-tree`` shows it does not share with its
+    parent at the same path, less those in ``__pycache__`` or ``.hg``,
+    which are never read."""
+    reads: list[list[str]] = []
+    read_tree = history.ObjectStore.read_tree
+
+    def record(store, name):
+        if name.endswith("^{tree}"):
+            reads.append([])  # a commit's root: its listing begins
+        else:
+            reads[-1].append(name)
+        return read_tree(store, name)
+
+    monkeypatch.setattr(history.ObjectStore, "read_tree", record)
+    result = measure_history(generated_repo, max_commits=100, config=EXCLUDE_VENDOR)
+    monkeypatch.undo()
+
+    shas = [c.sha for c in sample_commits(generated_repo, 100)]
+    assert [cp.label for cp in result.checkpoints] == shas
+    before: set[tuple[str, str]] = set()
+    visits = passed_by = 0
+    for sha, read in zip(shas, reads):
+        raw = subprocess.run(["git", "-C", str(generated_repo), "ls-tree", "-r", "-t", "-z", sha],
+                             capture_output=True, check=True).stdout
+        subtrees = {(name.decode(), meta.split()[2].decode()) for meta, _, name in
+                    (entry.partition(b"\t") for entry in raw.split(b"\0") if entry) if meta.split()[1] == b"tree"}
+        entered = {(name, tree) for name, tree in subtrees if ALWAYS_SKIP_DIRS.isdisjoint(name.split("/"))}
+        assert sorted(read) == sorted(tree for _, tree in entered - before), sha
+        visits += len(entered)
+        passed_by += len(subtrees - entered)
+        before = entered
+    assert 0 < sum(map(len, reads)) < visits / 2  # most subtrees were taken from the last listing
+    assert passed_by > 0  # the history holds __pycache__ and .hg directories

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import re
 
 import pytest
 
@@ -72,6 +73,20 @@ class TestRuleLoading:
         )
         with pytest.raises(RuleError, match="dup"):
             load_rules(path)
+
+    @pytest.mark.parametrize("flags", ["5", "", "im", "[i, 1]", "{i: true}"])
+    def test_regex_flags_must_be_a_list_of_strings(self, tmp_path, flags):
+        path = tmp_path / "rules.yaml"
+        path.write_text(f"- id: r\n  kind: regex\n  pattern: x\n  regex_flags: {flags}\n")
+        with pytest.raises(RuleError, match="regex_flags must be a list of strings"):
+            load_rules(path)
+
+    def test_regex_flags_list_is_applied(self, tmp_path):
+        path = tmp_path / "rules.yaml"
+        path.write_text("- {id: r, kind: regex, pattern: '^x', regex_flags: [i, m]}\n")
+        rules = load_rules(path)
+        assert rules.get("r").regex_flags == ("i", "m")
+        assert rules.compiled(rules.get("r")).flags & (re.IGNORECASE | re.MULTILINE) == re.IGNORECASE | re.MULTILINE
 
     def test_every_invalid_rule_reported(self):
         rules = [
