@@ -150,8 +150,6 @@ class TreeIndex:
 
 
 class PythonAdapter:
-    language = "python"
-
     def parse(self, text: str) -> ast.Module:
         """Parse source text; raises SyntaxError on failure."""
         return ast.parse(text)
@@ -167,4 +165,4 @@ class PythonAdapter:
         return records
 
 
-ADAPTERS: dict[str, PythonAdapter] = {PythonAdapter.language: PythonAdapter()}
+ADAPTERS: dict[str, PythonAdapter] = {"python": PythonAdapter()}

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -59,6 +60,16 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _iso_date(text: str) -> date:
     try:
         return date.fromisoformat(text)
@@ -104,9 +115,7 @@ def _write(path: str, text: str) -> int:
 
 def cmd_scan(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> int:
     try:
-        analysis = measure_checkpoint(
-            args.root, config, rules, min_window=args.min_window, label=str(args.root)
-        )
+        analysis = measure_checkpoint(args.root, config, rules, min_window=args.min_window)
     except ScanError as exc:
         return _fail(exc, EXIT_UNREADABLE)
 
@@ -114,8 +123,8 @@ def cmd_scan(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> in
         "root": "." if args.deterministic else str(args.root),
         "inventory": inventory_to_dict(analysis.inventory),
         "callables": callables_to_list(analysis.inventory),
-        "erosion": erosion_to_dict(analysis.metrics.erosion),
-        "verbosity": verbosity_to_dict(analysis.metrics.verbosity),
+        "erosion": erosion_to_dict(analysis.erosion),
+        "verbosity": verbosity_to_dict(analysis.verbosity),
         "matches": [match_to_dict(m) for m in analysis.matches],
         "clones": [clone_to_dict(r) for r in analysis.clones],
     }
@@ -131,7 +140,7 @@ def cmd_scan(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> in
         if _write(args.emit_matches, lines) != EXIT_OK:
             return EXIT_USAGE  # before the report, so a bad path writes nothing
     return _emit(args, rules, config, "ScanReport", payload, {},
-                 lambda p: scan_report_csv(p, analysis.files))
+                 lambda _payload: scan_report_csv(analysis))
 
 
 def cmd_history(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> int:
@@ -263,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_panel = sub.add_parser("panel", help="aggregate a panel of repositories")
     p_panel.add_argument("panel_config")
     _add_common(p_panel, csv=False)
-    p_panel.add_argument("--reference-mean-verbosity", type=float)
-    p_panel.add_argument("--reference-mean-erosion", type=float)
+    p_panel.add_argument("--reference-mean-verbosity", type=_finite_float)
+    p_panel.add_argument("--reference-mean-erosion", type=_finite_float)
     p_panel.set_defaults(func=cmd_panel)
 
     p_rules = sub.add_parser("rules", help="inspect or test quality rules")

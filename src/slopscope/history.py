@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import fnmatch
+import io
 import random
 import re
 import stat
 import subprocess
+import tokenize
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
@@ -16,8 +18,8 @@ from typing import NamedTuple
 from . import clones, verbosity
 from .adapters import ADAPTERS, SourceText, TreeIndex
 from .clones import DEFAULT_MIN_WINDOW, CloneRegion, NormalizedFile, detect_clones
-from .erosion import erosion_score
-from .model import FileRecord, SourceInventory, merge_inventories
+from .erosion import ErosionReport, erosion_score
+from .model import FileRecord, SourceInventory
 from .rules import RuleMatch, RuleSet, match_rules
 from .scan import ALWAYS_SKIP_DIRS, ScanConfig, decode_path, is_eligible, is_python, read_tree
 from .trajectory import (
@@ -29,6 +31,7 @@ from .trajectory import (
     era_split,
     trajectory_summary,
 )
+from .verbosity import VerbosityBreakdown
 
 TEST_PATH_GLOBS = ("test_*.py", "*_test.py", "tests/*", "*/tests/*", "test/*", "*/test/*")
 
@@ -281,15 +284,20 @@ def _skipped(path: str, reason: str) -> FileAnalysis:
 def analyse_file(relpath: str, data: bytes, config: ScanConfig, rules: RuleSet | None) -> FileAnalysis:
     """Measure the bytes of one Python file.
 
-    The text is decoded, split into lines, checked for minification and
-    parsed; one walk of the tree gives its callables and the index every
-    pattern rule reads. A file that cannot be measured comes back as a
-    skip with its reason. The tree and its index die on return.
+    The text is decoded as Python decodes a source file: by its UTF-8 BOM,
+    else by the PEP 263 coding comment on its first or second line, else as
+    UTF-8 (``tokenize.detect_encoding``). A cookie that names no text
+    encoding, a BOM with a cookie other than UTF-8, or bytes the encoding
+    cannot decode make it a ``decode`` skip. The text is then split into
+    lines, checked for minification and parsed; one walk of the tree gives
+    its callables and the index every pattern rule reads. A file that
+    cannot be measured comes back as a skip with its reason. The tree and
+    its index die on return.
     """
     adapter = ADAPTERS["python"]
     try:
-        text = data.decode(config.encoding)
-    except (UnicodeDecodeError, LookupError):
+        text = data.decode(tokenize.detect_encoding(io.BytesIO(data).readline)[0])
+    except (SyntaxError, UnicodeError, LookupError):
         return _skipped(relpath, "decode")
     source = SourceText.from_text(text)
     if source.line_count and len(text) / source.line_count > config.minified_line_threshold:
@@ -299,7 +307,7 @@ def analyse_file(relpath: str, data: bytes, config: ScanConfig, rules: RuleSet |
     except (SyntaxError, ValueError, RecursionError):
         return _skipped(relpath, "parse")
 
-    record = FileRecord(relpath, adapter.language, loc=len(source.source_lines), line_count=source.line_count)
+    record = FileRecord(relpath, loc=len(source.source_lines), line_count=source.line_count)
     callables = adapter.enumerate_callables(relpath, source, index)
     matches = match_rules(relpath, source, index, rules) if rules is not None else []
     return FileAnalysis(
@@ -318,7 +326,8 @@ def scan_tree_with_sources(
     ``files`` gives each eligible path with the bytes to analyse, the
     reason it was skipped unread, or an analysis kept from an earlier
     snapshot. Returns the snapshot's inventory and every path's analysis,
-    sorted by path.
+    sorted by path. Each file's records are sorted already, so the
+    snapshot's inventory is theirs joined in path order.
     """
     analyses: dict[str, FileAnalysis] = {}
     for path, item in files:
@@ -329,7 +338,13 @@ def scan_tree_with_sources(
         else:
             analyses[path] = item
     analyses = dict(sorted(analyses.items()))
-    return merge_inventories([f.inventory for f in analyses.values()]), analyses
+    parts = [f.inventory for f in analyses.values()]
+    inventory = SourceInventory(
+        files=tuple(record for part in parts for record in part.files),
+        callables=tuple(record for part in parts for record in part.callables),
+        skipped=tuple(skip for part in parts for skip in part.skipped),
+    )
+    return inventory, analyses
 
 
 def _read_commit(tree: CommitTree, reuse: Mapping[tuple[str, str], FileAnalysis]):
@@ -345,7 +360,8 @@ def _read_commit(tree: CommitTree, reuse: Mapping[tuple[str, str], FileAnalysis]
 class CheckpointAnalysis:
     """Full measurement of one workspace snapshot."""
 
-    metrics: CheckpointMetrics
+    erosion: ErosionReport
+    verbosity: VerbosityBreakdown
     inventory: SourceInventory
     matches: list[RuleMatch]
     clones: list[CloneRegion]
@@ -357,9 +373,6 @@ def measure_checkpoint(
     config: ScanConfig | None = None,
     rules: RuleSet | None = None,
     min_window: int = DEFAULT_MIN_WINDOW,
-    label: str = "",
-    index: int = 0,
-    timestamp: datetime | None = None,
     reuse: Mapping[tuple[str, str], FileAnalysis] | None = None,
 ) -> CheckpointAnalysis:
     """Measure a snapshot: a directory, or a commit ``materialize_commit``
@@ -367,7 +380,9 @@ def measure_checkpoint(
 
     A commit's file whose (path, blob id) is a key of ``reuse`` takes that
     analysis; only the other files are read and analysed. Clones, erosion
-    and verbosity are always computed over every file.
+    and verbosity are always computed over every file. A snapshot's place
+    in a history (index, commit, time and phase) is not its own:
+    ``measure_history`` adds it when it builds the ``CheckpointMetrics``.
     """
     config = config or ScanConfig()
     if isinstance(workspace, CommitTree):
@@ -385,17 +400,9 @@ def measure_checkpoint(
         file_line_count={f.path: f.line_count for f in inventory.files},
         source_lines={path: f.source_lines for path, f in files.items()},
     )
-    metrics = CheckpointMetrics(
-        index=index,
-        label=label or str(workspace),
-        erosion=erosion,
-        verbosity=breakdown,
-        loc=inventory.total_loc,
-        high_cc_count=erosion.high_cc_count,
-        max_cc=erosion.max_cc,
-        timestamp=timestamp,
+    return CheckpointAnalysis(
+        erosion=erosion, verbosity=breakdown, inventory=inventory, matches=matches, clones=regions, files=files
     )
-    return CheckpointAnalysis(metrics=metrics, inventory=inventory, matches=matches, clones=regions, files=files)
 
 
 @dataclass(frozen=True)
@@ -444,22 +451,16 @@ def measure_history(
         for i, commit in enumerate(commits):
             try:
                 tree = materialize_commit(store, commit.sha, config, previous)
-                analysis = measure_checkpoint(
-                    tree,
-                    config,
-                    rules,
-                    min_window,
-                    label=commit.sha,
-                    index=i,
-                    timestamp=commit.committed_at,
-                    reuse=reuse,
-                )
+                analysis = measure_checkpoint(tree, config, rules, min_window, reuse)
             except GitError as err:
                 skipped.append((commit.sha, str(err)))
                 continue  # unreadable commit: reported, not imputed
             reuse = {(path, blob): analysis.files[path] for path, blob in tree.blobs.items()}
             previous = tree
-            checkpoints.append(replace(analysis.metrics, phase=phases[i]))
+            checkpoints.append(
+                CheckpointMetrics(index=i, label=commit.sha, erosion=analysis.erosion, verbosity=analysis.verbosity,
+                                  phase=phases[i], timestamp=commit.committed_at)
+            )
 
     if not checkpoints:
         return HistoryResult(checkpoints=[], summary=None, era=None, skipped_commits=tuple(skipped))

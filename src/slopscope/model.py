@@ -39,7 +39,6 @@ class FileRecord:
     """
 
     path: str
-    language: str
     loc: int
     line_count: int
 
@@ -94,21 +93,3 @@ class SourceInventory:
     def file_loc(self) -> dict[str, int]:
         return {f.path: f.loc for f in self.files}
 
-
-def merge_inventories(parts: list[SourceInventory]) -> SourceInventory:
-    """Commutative, associative merge of per-file inventories.
-
-    The canonical sort afterwards makes the result independent of the
-    order in which parts were produced.
-    """
-    files: list[FileRecord] = []
-    callables: list[CallableRecord] = []
-    skipped: list[tuple[str, str]] = []
-    for part in parts:
-        files.extend(part.files)
-        callables.extend(part.callables)
-        skipped.extend(part.skipped)
-    files.sort(key=lambda f: f.path)
-    callables.sort(key=lambda c: (c.file, c.span[0], c.qualified_name))
-    skipped.sort()
-    return SourceInventory(tuple(files), tuple(callables), tuple(skipped))

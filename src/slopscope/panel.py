@@ -74,7 +74,8 @@ class PanelReport:
 def load_panel_config(path: str | Path) -> list[RepoSpec]:
     """Panel config: a YAML/JSON list of {repo_path, repo_id, stars, ...}.
 
-    Raises ValueError if the file is not such a list, if an entry's
+    Raises ValueError if the file is not such a list, names no repository
+    (an empty file, ``[]``, ``{}`` or ``repos: []``), if an entry's
     ``stars`` is not an integer of at least 0, its ``max_commits`` not one
     of at least 1 or its ``seed`` not an integer (bools, floats and strings
     are refused, not coerced), or if two entries share a ``repo_id`` (which
@@ -85,6 +86,8 @@ def load_panel_config(path: str | Path) -> list[RepoSpec]:
         raw = raw.get("repos", [])
     if not isinstance(raw, list) or not all(isinstance(entry, dict) for entry in raw):
         raise ValueError(f"{path}: expected a list of repository mappings")
+    if not raw:
+        raise ValueError(f"{path}: no repositories")
     for entry in raw:
         for key, default, least in (("stars", 0, 0), ("max_commits", 30, 1), ("seed", 0, None)):
             value = entry.get(key, default)

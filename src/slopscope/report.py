@@ -12,13 +12,14 @@ from datetime import datetime, timezone
 from . import __version__
 from .clones import CloneRegion
 from .erosion import ErosionReport
-from .history import FileAnalysis, HistoryResult
+from .history import CheckpointAnalysis, HistoryResult
 from .model import SourceInventory
 from .rules import RuleMatch
 from .trajectory import CheckpointMetrics, EraShift, TrajectorySummary
 from .verbosity import VerbosityBreakdown
 
 HOTSPOT_LIMIT = 20  # hotspots serialized per report; full list stays in memory
+LANGUAGE = "python"  # the only language measured; reports keep the field
 
 SCAN_CSV_HEADER = [
     "file",
@@ -103,7 +104,7 @@ def inventory_to_dict(inventory: SourceInventory) -> dict:
         "files": [
             {
                 "path": f.path,
-                "language": f.language,
+                "language": LANGUAGE,
                 "loc": f.loc,
                 "line_count": f.line_count,
             }
@@ -133,9 +134,9 @@ def checkpoint_to_dict(cm: CheckpointMetrics) -> dict:
         "label": cm.label,
         "timestamp": cm.timestamp.isoformat() if cm.timestamp else None,
         "phase": cm.phase,
-        "loc": cm.loc,
-        "high_cc_count": cm.high_cc_count,
-        "max_cc": cm.max_cc,
+        "loc": cm.verbosity.loc,
+        "high_cc_count": cm.erosion.high_cc_count,
+        "max_cc": cm.erosion.max_cc,
         "erosion": erosion_to_dict(cm.erosion),
         "verbosity": verbosity_to_dict(cm.verbosity),
     }
@@ -173,55 +174,45 @@ def envelope(payload_type: str, payload: dict, config: dict, deterministic: bool
     return out
 
 
-def scan_report_csv(payload: dict, files: dict[str, FileAnalysis]) -> str:
+def scan_report_csv(analysis: CheckpointAnalysis) -> str:
     """One row per file plus a TOTAL row; header fixed (see docs/schema).
 
     Like the verbosity score, a file's flagged and clone lines count only
-    its source lines (``files[path].source_lines``), so the file rows add up
-    to the TOTAL row.
+    its source lines, so the file rows add up to the TOTAL row.
     """
-    per_file_flagged: dict[str, set[int]] = {}
-    for match in payload.get("matches", []):
-        per_file_flagged.setdefault(match["file"], set()).update(match["lines"])
-    per_file_cloned: dict[str, set[int]] = {}
-    for region in payload.get("clones", []):
-        per_file_cloned.setdefault(region["file"], set()).update(region["lines"])
-    per_file_callables: dict[str, list[dict]] = {}
-    for entry in payload.get("callables", []):
-        per_file_callables.setdefault(entry["file"], []).append(entry)
+    cloned: dict[str, set[int]] = {}
+    for region in analysis.clones:
+        cloned.setdefault(region.file, set()).update(region.lines)
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SCAN_CSV_HEADER)
-    inv = payload["inventory"]
-    n_callables = {}
-    max_ccs = {}
-    for f in inv["files"]:
-        spots = per_file_callables.get(f["path"], [])
-        n_callables[f["path"]] = len(spots)
-        max_ccs[f["path"]] = max((s["cc"] for s in spots), default=0)
-        writer.writerow(
-            [
-                f["path"],
-                f["language"],
-                f["loc"],
-                f["line_count"],
-                len(spots),
-                max_ccs[f["path"]],
-                len(per_file_flagged.get(f["path"], set()) & files[f["path"]].source_lines),
-                len(per_file_cloned.get(f["path"], set()) & files[f["path"]].source_lines),
-            ]
-        )
+    for path, f in analysis.files.items():
+        flagged = {line for match in f.matches for line in match.lines}
+        for record in f.inventory.files:  # none for a skipped file
+            writer.writerow(
+                [
+                    record.path,
+                    LANGUAGE,
+                    record.loc,
+                    record.line_count,
+                    len(f.inventory.callables),
+                    max((c.cc for c in f.inventory.callables), default=0),
+                    len(flagged & f.source_lines),
+                    len(cloned.get(path, set()) & f.source_lines),
+                ]
+            )
+    inventory = analysis.inventory
     writer.writerow(
         [
             "TOTAL",
             "",
-            inv["total_loc"],
-            sum(f["line_count"] for f in inv["files"]),
-            inv["n_callables"],
-            payload["erosion"]["max_cc"],
-            payload["verbosity"]["flagged_lines"],
-            payload["verbosity"]["clone_lines"],
+            inventory.total_loc,
+            sum(record.line_count for record in inventory.files),
+            len(inventory.callables),
+            analysis.erosion.max_cc,
+            analysis.verbosity.flagged_lines,
+            analysis.verbosity.clone_lines,
         ]
     )
     return buf.getvalue()

@@ -17,13 +17,12 @@ ALWAYS_SKIP_DIRS = {".git", ".hg", ".svn", "__pycache__"}
 
 @dataclass(frozen=True)
 class ScanConfig:
-    encoding: str = "utf-8"
     exclude: tuple[str, ...] = ()
     minified_line_threshold: int = 500
 
 
 # The type each config key's value must have; lists hold strings.
-_CONFIG_TYPES = {"encoding": str, "exclude": list, "minified_line_threshold": int}
+_CONFIG_TYPES = {"exclude": list, "minified_line_threshold": int}
 
 
 def _has_type(value, kind: type) -> bool:
@@ -36,10 +35,8 @@ def load_scan_config(path: str | Path) -> ScanConfig:
     """Read a ScanConfig from a JSON or YAML file (JSON is a YAML subset).
 
     Raises ScanError if the file cannot be read or parsed, holds an unknown
-    key, or holds a value of the wrong type or out of range: a name that is
-    not a text encoding Python knows (``rot13`` and ``base64`` are codecs
-    but not text encodings), or a minified-line threshold below 1 (either
-    would skip every file of a tree).
+    key, or holds a value of the wrong type or out of range: a minified-line
+    threshold below 1 would skip every file of a tree.
     """
     raw = read_yaml(path) or {}
     if not isinstance(raw, dict):
@@ -52,10 +49,6 @@ def load_scan_config(path: str | Path) -> ScanConfig:
             raise ScanError(f"{path}: {key} has the wrong type: {value!r}")
     if raw.get("minified_line_threshold", 1) < 1:
         raise ScanError(f"{path}: minified_line_threshold must be at least 1: {raw['minified_line_threshold']!r}")
-    try:
-        "".encode(raw.get("encoding", "utf-8"))
-    except (LookupError, ValueError):
-        raise ScanError(f"{path}: not a text encoding: {raw['encoding']!r}") from None
     return ScanConfig(**{key: tuple(v) if isinstance(v, list) else v for key, v in raw.items()})
 
 

@@ -19,9 +19,6 @@ class CheckpointMetrics:
     label: str
     erosion: ErosionReport
     verbosity: VerbosityBreakdown
-    loc: int
-    high_cc_count: int
-    max_cc: int
     phase: str = ""
     timestamp: datetime | None = None
 

@@ -200,7 +200,7 @@ FUNCTION_SHAPES = [
 
 def _measure_tree(root):
     analysis = measure_checkpoint(root, rules=load_starter_rules())
-    return analysis.metrics.erosion.score, analysis.metrics.verbosity.score
+    return analysis.erosion.score, analysis.verbosity.score
 
 
 @criterion("criterion-06 duplication-independence")
@@ -265,7 +265,7 @@ def test_criterion_09_fixture_repo(history_repo):
     result = measure_history(history_repo, max_commits=30, seed=0)
     assert len(result.checkpoints) == len(manifest["checkpoints"])
     for got, want in zip(result.checkpoints, manifest["checkpoints"]):
-        assert got.loc == want["loc"]
+        assert got.verbosity.loc == want["loc"]
         assert got.phase == want["phase"]
         assert abs(got.erosion.score - want["erosion"]) < 1e-9
         assert abs(got.verbosity.score - want["verbosity"]) < 1e-9
@@ -328,7 +328,7 @@ def test_criterion_12_full_pipeline_within_budget(tmp_path):
     started = time.monotonic()
     analysis = measure_checkpoint(tmp_path, rules=load_starter_rules())
     elapsed = time.monotonic() - started
-    assert analysis.metrics.loc >= 100_000
+    assert analysis.inventory.total_loc >= 100_000
     assert elapsed < 30.0, f"measure_checkpoint took {elapsed:.1f}s"
     peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     assert peak_kib < 1024 * 1024, f"peak RSS {peak_kib / 1024:.0f} MiB"

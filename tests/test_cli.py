@@ -94,8 +94,7 @@ BAD_INPUTS = {
     "malformed-config": (["scan", "{tree}", "--config", "{malformed}"], EXIT_USAGE),
     "string-exclude": (["scan", "{tree}", "--config", "{string_exclude}"], EXIT_USAGE),
     "zero-minified-threshold": (["scan", "{tree}", "--config", "{zero_threshold}"], EXIT_USAGE),
-    "unknown-encoding": (["history", "{repo}", "--config", "{unknown_encoding}"], EXIT_USAGE),
-    "non-text-encoding": (["scan", "{tree}", "--config", "{rot13_encoding}"], EXIT_USAGE),
+    "encoding-config": (["history", "{repo}", "--config", "{encoding_config}"], EXIT_USAGE),
     "languages-config": (["scan", "{tree}", "--config", "{languages_config}"], EXIT_USAGE),
     "languages-rules": (["scan", "{tree}", "--rules", "{languages_rules}"], EXIT_BAD_RULES),
     "scalar-regex-flags": (["rules", "list", "--rules", "{scalar_regex_flags}"], EXIT_BAD_RULES),
@@ -106,6 +105,14 @@ BAD_INPUTS = {
     "bogus-cutoff-date": (["history", "{repo}", "--cutoff-date", "bogus"], EXIT_USAGE),
     "malformed-panel": (["panel", "{malformed}"], EXIT_USAGE),
     "scalar-panel": (["panel", "{scalar}"], EXIT_USAGE),
+    "empty-list-panel": (["panel", "{empty_list}"], EXIT_USAGE),
+    "empty-mapping-panel": (["panel", "{empty_mapping}"], EXIT_USAGE),
+    "empty-file-panel": (["panel", "{empty_file}"], EXIT_USAGE),
+    "empty-repos-panel": (["panel", "{empty_repos}"], EXIT_USAGE),
+    "nan-reference-verbosity": (["panel", "{panel}", "--reference-mean-verbosity", "nan"], EXIT_USAGE),
+    "inf-reference-erosion": (["panel", "{panel}", "--reference-mean-erosion", "inf"], EXIT_USAGE),
+    "minus-inf-reference-verbosity": (["panel", "{panel}", "--reference-mean-verbosity=-inf"], EXIT_USAGE),
+    "overflowing-reference-erosion": (["panel", "{panel}", "--reference-mean-erosion", "1e999"], EXIT_USAGE),
     "undecodable-rules-test": (["rules", "test", "identity-comprehension", "{undecodable}"], EXIT_UNREADABLE),
     "unparsable-rules-test": (["rules", "test", "broad-except", "{unparsable}"], EXIT_UNREADABLE),
     "unclaimed-rules-test": (["rules", "test", "identity-comprehension", "{unclaimed}"], EXIT_USAGE),
@@ -129,14 +136,18 @@ BAD_FILES = {
     "malformed.yaml": b"exclude: [a\n",
     "string_exclude.yaml": b'exclude: "x"\n',
     "zero_threshold.yaml": b"minified_line_threshold: 0\n",
-    "unknown_encoding.yaml": b"encoding: nope\n",
-    "rot13_encoding.yaml": b"encoding: rot13\n",
+    "encoding_config.yaml": b"encoding: latin-1\n",
     "languages_config.yaml": b"languages: [python]\n",
     "languages_rules.yaml": b"- {id: r, kind: pattern, pattern: '$X == $X', languages: [python]}\n",
     "scalar_regex_flags.yaml": b"- {id: r, kind: regex, pattern: x, regex_flags: 5}\n",
     "empty_regex_flags.yaml": b"- id: r\n  kind: regex\n  pattern: x\n  regex_flags:\n",
     "string_regex_flags.yaml": b"- {id: r, kind: regex, pattern: x, regex_flags: im}\n",
     "scalar.yaml": b"42\n",
+    "empty_list.yaml": b"[]\n",
+    "empty_mapping.yaml": b"{}\n",
+    "empty_file.yaml": b"",
+    "empty_repos.yaml": b"repos: []\n",
+    "panel.yaml": b"- {repo_path: repo, repo_id: r, stars: 5}\n",
     "undecodable.py": b"x = 1\n\xff\n",
     "unparsable.py": b"def (:\n",
     "unclaimed.txt": b"ys = [x for x in xs]\n",
@@ -445,6 +456,17 @@ class TestRulesCommand:
         code, out, _ = run_cli(capsys, "rules", "test", "identity-comprehension", str(target))
         assert code == EXIT_OK
         assert json.loads(out.splitlines()[0])["file"] == "caf\\xe9.py"
+
+    @pytest.mark.parametrize("data", [b"\xef\xbb\xbfys = [x for x in xs]\n",
+                                      b"# -*- coding: latin-1 -*-\ns = '\xe9'\nys = [x for x in xs]\n"],
+                             ids=["bom", "latin1-cookie"])
+    def test_bom_and_cookie_files_are_measured(self, capsys, tmp_path, data):
+        (tmp_path / "m.py").write_bytes(data)
+        code, out, _ = run_cli(capsys, "rules", "test", "identity-comprehension", str(tmp_path / "m.py"))
+        assert code == EXIT_OK and len(out.splitlines()) == 1
+        code, out, _ = run_cli(capsys, "scan", str(tmp_path))
+        inventory = json.loads(out)["payload"]["inventory"]
+        assert ([f["path"] for f in inventory["files"]], inventory["skipped"]) == (["m.py"], [])
 
     def test_test_subcommand_empty_file(self, capsys, tmp_path):
         target = tmp_path / "empty.py"

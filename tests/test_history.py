@@ -117,10 +117,10 @@ class TestSampling:
 class TestMeasureCheckpoint:
     def test_single_snapshot(self, tmp_path):
         write_tree(tmp_path, {"main.py": MAIN_V1})
-        analysis = measure_checkpoint(tmp_path, label="head")
-        assert analysis.metrics.loc == 2
-        assert analysis.metrics.erosion.score == 0.0
-        assert analysis.metrics.max_cc == 1
+        analysis = measure_checkpoint(tmp_path)
+        assert analysis.verbosity.loc == 2
+        assert analysis.erosion.score == 0.0
+        assert analysis.erosion.max_cc == 1
 
 
 class TestMeasureHistory:
@@ -130,10 +130,10 @@ class TestMeasureHistory:
         assert len(result.checkpoints) == len(manifest["checkpoints"])
         for got, want in zip(result.checkpoints, manifest["checkpoints"]):
             assert got.index == want["index"]
-            assert got.loc == want["loc"]
+            assert got.verbosity.loc == want["loc"]
             assert got.phase == want["phase"]
-            assert got.high_cc_count == want["high_cc_count"]
-            assert got.max_cc == want["max_cc"]
+            assert got.erosion.high_cc_count == want["high_cc_count"]
+            assert got.erosion.max_cc == want["max_cc"]
             assert got.erosion.score == pytest.approx(want["erosion"], abs=1e-9)
             assert got.verbosity.score == pytest.approx(want["verbosity"], abs=1e-9)
         assert result.summary.rising_erosion is manifest["rising_erosion"]
@@ -261,7 +261,9 @@ def _module(rng: random.Random) -> bytes:
 _SPECIAL = {
     2: {"__pycache__/x.py": b"x = [a for a in b]\n", "pkg/__pycache__/y.py": b"y = 1\n"},
     3: {"vendor/lib.py": SLOP.encode(), "pkg/.hg/hooks.py": b"z = 2\n"},
-    5: {"legacy.py": b"s = '\xe9t\xe9'\n", "broken.py": b"def broken(:\n    pass\n"},
+    5: {"legacy.py": b"s = '\xe9t\xe9'\n", "broken.py": b"def broken(:\n    pass\n",
+        "bom.py": b"\xef\xbb\xbf" + _TEMPLATES[0].format(f="b", F="B").encode(),  # decoded as Python does
+        "latin.py": b"# -*- coding: latin-1 -*-\ns = '\xe9t\xe9'\n" + _TEMPLATES[3].format(f="c", F="C").encode()},
     6: {"packed.py": b"x = [" + b"1, " * 300 + b"]\n"},
     7: {"pkg/caf\u00e9.py": _TEMPLATES[0].format(f="f", F="F").encode(),
         os.fsdecode(b"pkg/caf\xe9.py"): _TEMPLATES[1].format(f="g", F="G").encode(),  # not UTF-8
@@ -381,18 +383,17 @@ def _assert_history_matches_checkouts(repo: Path, tmp_path: Path, monkeypatch, c
 
     commits = sample_commits(repo, max_commits, seed)
     assert result.skipped_commits == ()
-    assert [a.metrics.label for a in analyses] == [c.sha for c in commits]
+    assert [cp.label for cp in result.checkpoints] == [c.sha for c in commits] and len(analyses) == len(commits)
     previous: set[tuple[str, str]] = set()
     checked = []
     for got, fresh, commit in zip(analyses, analysed, commits):
         root = _checkout(repo, commit.sha, tmp_path / commit.sha)
-        want = measure_checkpoint(root, config, rules, label=commit.sha, index=got.metrics.index,
-                                  timestamp=commit.committed_at)
+        want = measure_checkpoint(root, config, rules)
         assert got.inventory == want.inventory  # records, callables and skip reasons
         assert got.matches == want.matches
         assert [m.captures for m in got.matches] == [m.captures for m in want.matches]
         assert got.clones == want.clones
-        assert got.metrics == want.metrics
+        assert (got.erosion, got.verbosity) == (want.erosion, want.verbosity)
         assert got.files == want.files
 
         regular = [p for p in got.files if (p, "symlink") not in want.inventory.skipped]
@@ -425,7 +426,8 @@ def test_generated_repo_matches_checkouts(generated_repo, tmp_path, monkeypatch,
         assert reasons == {"symlink", "decode", "parse", "minified"}
         paths = {p for a in analyses for p in a.files}
         assert {"pkg/caf\u00e9.py", "pkg/caf\\xe9.py", "pkg/caf\\\\xe9.py", "pkg/sub/deep/leaf.py"} <= paths
-        assert any(f.path == "pkg/deep.py" for a in analyses for f in a.inventory.files)  # measured, not skipped
+        measured = {f.path for a in analyses for f in a.inventory.files}
+        assert {"pkg/deep.py", "bom.py", "latin.py"} <= measured  # measured, not skipped
         assert not any(p.startswith(("vendor/", "sub", "pkg/ext")) or "__pycache__" in p or ".hg" in p
                        for p in paths)
         assert any(a.clones for a in analyses) and any(m.captures for a in analyses for m in a.matches)

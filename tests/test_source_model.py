@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import ast
+import sysconfig
+import warnings
+from pathlib import Path
 
 import pytest
 
 from slopscope.adapters import PythonAdapter, SourceText, TreeIndex
-from slopscope.history import measure_checkpoint
-from slopscope.model import CallableRecord, FileRecord, ScanError, merge_inventories
+from slopscope.history import analyse_file, measure_checkpoint
+from slopscope.model import CallableRecord, FileRecord, ScanError
+from slopscope.rules import load_starter_rules
 from slopscope.scan import ScanConfig, load_scan_config
 
 from conftest import write_tree
@@ -102,7 +106,9 @@ class TestScanTree:
             measure_checkpoint(tmp_path, ScanConfig(exclude=("pkg/*",))).inventory,
             measure_checkpoint(tmp_path, ScanConfig(exclude=("sub/*",))).inventory,
         ]
-        assert merge_inventories(parts) == whole
+        files = sorted((f for part in parts for f in part.files), key=lambda f: f.path)
+        callables = sorted((c for part in parts for c in part.callables), key=lambda c: (c.file, c.span))
+        assert (files, callables) == (list(whole.files), list(whole.callables))
 
     def test_exclude_globs(self, tmp_path):
         write_tree(tmp_path, TREE_FILES)
@@ -181,9 +187,9 @@ class TestSourceLines:
 class TestRecords:
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
-            FileRecord(path="a.py", language="python", loc=5, line_count=3)
+            FileRecord(path="a.py", loc=5, line_count=3)
         with pytest.raises(ValueError):
-            FileRecord(path="../a.py", language="python", loc=1, line_count=1)
+            FileRecord(path="../a.py", loc=1, line_count=1)
         with pytest.raises(ValueError):
             CallableRecord("f", "a.py", (3, 2), cc=1, sloc=1)
         with pytest.raises(ValueError):
@@ -196,18 +202,91 @@ def test_load_scan_config(tmp_path):
     config = load_scan_config(cfg)
     assert config.exclude == ("vendored/*",)
     assert config.minified_line_threshold == 900
-    assert config.encoding == "utf-8"
 
     bad = tmp_path / "bad.yaml"
     for text in ("mystery_key: 1\n", 'exclude: "vendor/*"\n', "minified_line_threshold: '900'\n",
                  "exclude: [a, 3]\n", "exclude: [a\n", "minified_line_threshold: 0\n",
                  "minified_line_threshold: -5\n", "encoding: nope\n", "encoding: rot13\n",
-                 "encoding: base64\n", "encoding: hex\n", "encoding: zlib\n", 'encoding: "utf\\0"\n'):
+                 "encoding: base64\n", "encoding: hex\n", "encoding: zlib\n", 'encoding: "utf\\0"\n',
+                 "encoding: utf-8\n", "encoding: latin-1\n"):
         bad.write_text(text)
         with pytest.raises(ScanError):
             load_scan_config(bad)
     with pytest.raises(ScanError):
         load_scan_config(tmp_path / "missing.yaml")
-    for name in ("latin-1", "utf-16", "cp1252"):
-        cfg.write_text(f"encoding: {name}\n")
-        assert load_scan_config(cfg).encoding == name
+
+
+# CPython is the oracle for decoding: a file is skipped as ``decode`` or
+# ``parse`` exactly when ``compile`` refuses its bytes. No file is skipped
+# as minified here, so no skip can hide the answer.
+NEVER_MINIFIED = ScanConfig(minified_line_threshold=10**9)
+ENCODED_SOURCE = """\
+ys = [x for x in xs]
+def greet(name):
+    if name == True:
+        return "caf\u00e9 " + name
+    return "th\u00e9"
+"""
+BOM = b"\xef\xbb\xbf"
+# Each case's bytes and the reason it is skipped (None: measured).
+DECODING_CASES = {
+    "bom": (BOM + ENCODED_SOURCE.encode(), None),
+    "bom-utf8-cookie": (BOM + b"# coding: utf-8\n" + ENCODED_SOURCE.encode(), None),
+    "latin1-cookie": (b"# -*- coding: latin-1 -*-\n" + ENCODED_SOURCE.encode("latin-1"), None),
+    "cookie-after-shebang": (b"#!/usr/bin/env python\n# coding: latin-1\ns = '\xe9'\n", None),
+    "vim-cp1252": (b"# vim: set fileencoding=cp1252 :\ns = '\x80'\n", None),
+    "koi8-r": (b"# coding: koi8-r\ns = '\xc1\xc2'\n", None),
+    "unknown-cookie": (b"# coding: nope\nx = 1\n", "decode"),
+    "rot13-cookie": (b"# coding: rot13\nx = 1\n", "decode"),
+    "undefined-cookie": (b"# coding: undefined\nx = 1\n", "decode"),
+    "bom-latin1-cookie": (BOM + b"# coding: latin-1\nx = 1\n", "decode"),
+    "invalid-under-cookie": (b"# coding: ascii\ns = '\xe9'\n", "decode"),
+    "invalid-utf8": (b"x = 1\n\xff\n", "decode"),
+    "cookie-on-line-three": (b"#!/usr/bin/env python\n\n# coding: latin-1\ns = '\xe9'\n", "decode"),
+    "unparsable-latin1": (b"# coding: latin-1\ndef f(:\n    '\xe9'\n", "parse"),
+}
+
+
+def _compiles(data: bytes) -> bool:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # invalid escapes and the like
+        try:
+            compile(data, "<case>", "exec", dont_inherit=True)
+        except (SyntaxError, ValueError):
+            return False
+    return True
+
+
+def _skip_reason(data: bytes) -> str | None:
+    skipped = analyse_file("m.py", data, NEVER_MINIFIED, None).inventory.skipped
+    return skipped[0][1] if skipped else None
+
+
+@pytest.mark.parametrize("name", sorted(DECODING_CASES))
+def test_decoding_follows_python(name):
+    data, reason = DECODING_CASES[name]
+    assert _skip_reason(data) == reason
+    assert (reason is None) == _compiles(data)
+
+
+def test_stdlib_files_with_a_bom_or_cookie_follow_python():
+    stdlib = Path(sysconfig.get_paths()["stdlib"])
+    encoded = [data for path in sorted(stdlib.rglob("*.py")) if "site-packages" not in path.parts
+               and ((data := path.read_bytes())[:200].startswith(BOM) or b"coding" in data[:200])]
+    assert len(encoded) >= 10
+    disagree = [data[:80] for data in encoded if (_skip_reason(data) in ("decode", "parse")) == _compiles(data)]
+    assert disagree == []
+
+
+def test_bom_and_cookie_files_measure_as_plain_utf8():
+    rules = load_starter_rules()
+    plain = analyse_file("m.py", ENCODED_SOURCE.encode(), NEVER_MINIFIED, rules)
+    bom = analyse_file("m.py", BOM + ENCODED_SOURCE.encode(), NEVER_MINIFIED, rules)
+    assert any(m.start == (1, 6) for m in plain.matches)  # the comprehension on line 1
+    assert (bom.inventory, bom.matches) == (plain.inventory, plain.matches)
+
+    plain = analyse_file("m.py", b"# -*- coding: utf-8 -*-\n" + ENCODED_SOURCE.encode(), NEVER_MINIFIED, rules)
+    cookie = analyse_file("m.py", b"# -*- coding: latin-1 -*-\n" + ENCODED_SOURCE.encode("latin-1"),
+                          NEVER_MINIFIED, rules)
+    assert [c.qualified_name for c in cookie.inventory.callables] == ["greet"]
+    assert (cookie.inventory, cookie.matches) == (plain.inventory, plain.matches)

@@ -51,9 +51,6 @@ def checkpoint(
         label=f"cp{index}",
         erosion=fake_erosion(erosion),
         verbosity=fake_verbosity(verbosity),
-        loc=100,
-        high_cc_count=0,
-        max_cc=1,
         timestamp=when,
     )
 
