@@ -94,7 +94,8 @@ BAD_INPUTS = {
     "malformed-config": (["scan", "{tree}", "--config", "{malformed}"], EXIT_USAGE),
     "string-exclude": (["scan", "{tree}", "--config", "{string_exclude}"], EXIT_USAGE),
     "zero-minified-threshold": (["scan", "{tree}", "--config", "{zero_threshold}"], EXIT_USAGE),
-    "encoding-config": (["history", "{repo}", "--config", "{encoding_config}"], EXIT_USAGE),
+    "unknown-encoding": (["history", "{repo}", "--config", "{unknown_encoding}"], EXIT_USAGE),
+    "non-text-encoding": (["scan", "{tree}", "--config", "{rot13_encoding}"], EXIT_USAGE),
     "languages-config": (["scan", "{tree}", "--config", "{languages_config}"], EXIT_USAGE),
     "languages-rules": (["scan", "{tree}", "--rules", "{languages_rules}"], EXIT_BAD_RULES),
     "scalar-regex-flags": (["rules", "list", "--rules", "{scalar_regex_flags}"], EXIT_BAD_RULES),
@@ -136,7 +137,8 @@ BAD_FILES = {
     "malformed.yaml": b"exclude: [a\n",
     "string_exclude.yaml": b'exclude: "x"\n',
     "zero_threshold.yaml": b"minified_line_threshold: 0\n",
-    "encoding_config.yaml": b"encoding: latin-1\n",
+    "unknown_encoding.yaml": b"encoding: nope\n",
+    "rot13_encoding.yaml": b"encoding: rot13\n",
     "languages_config.yaml": b"languages: [python]\n",
     "languages_rules.yaml": b"- {id: r, kind: pattern, pattern: '$X == $X', languages: [python]}\n",
     "scalar_regex_flags.yaml": b"- {id: r, kind: regex, pattern: x, regex_flags: 5}\n",
