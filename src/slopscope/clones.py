@@ -1,20 +1,28 @@
 """Type-2 clone detection over normalized token lines.
 
-Identifiers, numbers, and strings are normalized to placeholder classes so
-that renamed duplicates still collide. Comment and blank lines are dropped.
-Fixed-size windows of normalized lines are fingerprinted; any window that
-occurs at two or more distinct positions marks its lines as clone lines,
-and overlapping matched windows are merged into maximal regions. Regions
-linked through a shared window fingerprint form one clone class.
+Each file is cut into tokens by one compiled scanner, the same on every
+Python version: a name is ``ID`` unless it is a hard keyword
+(``keyword.kwlist``), which stays as written (soft keywords such as
+``match`` are names); a number is ``NUM``; a string, with any prefix and
+an f-string whole, is ``STR``; an operator stays as written. Whitespace,
+backslash continuations, comments and characters of no token are dropped,
+so comment and blank lines have no normalized line. A token counts on the
+physical line where it starts, and lines break at CR LF, CR and LF, as the
+parser's do. Fixed-size windows of normalized lines are fingerprinted; any
+window that occurs at two or more distinct positions marks its lines as
+clone lines, and overlapping matched windows are merged into maximal
+regions. Regions linked through a shared window fingerprint form one clone
+class.
+
+This module imports only the standard library.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import io
 import keyword
-import token
-import tokenize
+import re
 from dataclasses import dataclass
 
 DEFAULT_MIN_WINDOW = 6
@@ -39,37 +47,84 @@ class NormalizedFile:
     physical: tuple[int, ...]
 
 
-def _normalize_token(tok: tokenize.TokenInfo) -> str | None:
-    if tok.type == token.NAME:
-        return tok.string if keyword.iskeyword(tok.string) else "ID"
-    if tok.type == token.NUMBER:
-        return "NUM"
-    if tok.type == token.STRING:
-        return "STR"
-    if tok.type == token.OP:
-        return tok.string
-    return None
+_KEYWORDS = frozenset(keyword.kwlist)
+_OPERATORS = (
+    "!= % %= & &= ( ) * ** **= *= + += , - -= -> . ... / // //= /= : := ; "
+    "< << <<= <= = == > >= >> >>= @ @= [ ] ^ ^= { | |= } ~"
+).split()
+_STRING_PREFIX = r"(?:[bB][rR]?|[rR][bBfF]?|[uU]|[fF][rR]?)?"
+_DIGITS = r"[0-9](?:_?[0-9])*"
+_EXPONENT = rf"[eE][-+]?{_DIGITS}"
+_FLOAT = rf"(?:(?:{_DIGITS}\.(?:{_DIGITS})?|\.{_DIGITS})(?:{_EXPONENT})?|{_DIGITS}{_EXPONENT})"
+_INTEGER = r"(?:0[xX](?:_?[0-9a-fA-F])+|0[bB](?:_?[01])+|0[oO](?:_?[0-7])+|0(?:_?0)*|[1-9](?:_?[0-9])*)"
+# The alternatives follow tokenize's order where two can start alike: a
+# string before a name (its prefix), a number before an operator (``.5``).
+# A string's closing quote is optional, so once its opening matches the
+# alternative cannot fail: text that does not tokenize is one linear pass.
+_TOKEN = (
+    r"[ \f\t]*(?:"
+    r"(?P<newline>\\?\n)"  # a line break, or a backslash continuation
+    r"|#[^\n]*"
+    rf"|(?P<string>{_STRING_PREFIX}(?:"
+    r"'''[^'\\]*(?:(?:\\[\s\S]|'(?!''))[^'\\]*)*(?:'''|\\?\Z)"
+    r'|"""[^"\\]*(?:(?:\\[\s\S]|"(?!""))[^"\\]*)*(?:"""|\\?\Z)'
+    r"|'[^\n'\\]*(?:\\[\s\S][^\n'\\]*)*'?"
+    r'|"[^\n"\\]*(?:\\[\s\S][^\n"\\]*)*"?'
+    "))"
+    rf"|(?P<number>{_DIGITS}[jJ]|{_FLOAT}[jJ]?|{_INTEGER})"
+    # Reverse order tries each operator before its prefixes: ``**=``, ``**``, ``*``.
+    rf"|(?P<operator>{'|'.join(map(re.escape, sorted(_OPERATORS, reverse=True)))})"
+    r"|(?P<name>\w+)"
+    r"|[\s\S]"  # a character of no token
+    ")"
+)
+
+
+@functools.cache
+def _token_scanner() -> re.Pattern[str]:
+    # Compiled on first use (a few ms), so commands that normalize nothing
+    # do not pay for it at start-up.
+    return re.compile(_TOKEN)
 
 
 def normalize_file(path: str, text: str) -> NormalizedFile:
     """Token-normalize a file into per-line fingerprint strings.
 
-    Multi-line tokens (e.g. triple-quoted strings) are attributed to their
-    start line. Lines break only at CR LF, CR and LF, as the parser's do.
-    Falls back to an empty stream if the file cannot be tokenized at all.
+    Any text is accepted: a string left open runs to the end of its line (a
+    triple-quoted one to the end of the text), and a character that starts
+    no token is dropped.
     """
-    per_line: dict[int, list[str]] = {}
-    try:
-        for tok in tokenize.generate_tokens(io.StringIO(text, newline=None).readline):
-            normalized = _normalize_token(tok)
-            if normalized is not None:
-                per_line.setdefault(tok.start[0], []).append(normalized)
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        pass
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     lines: list[str] = []
     physical: list[int] = []
-    for lineno in sorted(per_line):
-        lines.append(" ".join(per_line[lineno]))
+    tokens: list[str] = []
+    lineno = 1
+    for match in _token_scanner().finditer(text):
+        kind = match.lastgroup
+        if kind == "name":
+            word = match["name"]
+            tokens.append(word if word in _KEYWORDS else "ID")
+        elif kind == "operator":
+            tokens.append(match["operator"])
+        elif kind == "number":
+            tokens.append("NUM")
+        elif kind == "string":
+            tokens.append("STR")
+            breaks = match["string"].count("\n")
+            if breaks:
+                lines.append(" ".join(tokens))
+                physical.append(lineno)
+                tokens = []
+                lineno += breaks
+        elif kind == "newline":
+            if tokens:
+                lines.append(" ".join(tokens))
+                physical.append(lineno)
+                tokens = []
+            lineno += 1
+    if tokens:
+        lines.append(" ".join(tokens))
         physical.append(lineno)
     return NormalizedFile(path, tuple(lines), tuple(physical))
 

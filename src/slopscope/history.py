@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
+import codecs
 import fnmatch
-import io
 import random
 import re
 import stat
 import subprocess
-import tokenize
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
@@ -38,6 +37,9 @@ TEST_PATH_GLOBS = ("test_*.py", "*_test.py", "tests/*", "*/tests/*", "test/*", "
 # One entry of a tree object, up to its raw object id: octal mode, name.
 _TREE_ENTRY = re.compile(rb"([0-7]+) ([^\0]+)\0")
 _S_IFGITLINK = 0o160000  # the mode git gives a submodule's commit
+# A PEP 263 coding comment, and a line that may come before one.
+_CODING_COOKIE = re.compile(rb"[ \t\f]*#.*?coding[:=][ \t]*([-\w.]+)", re.ASCII)
+_BLANK_LINE = re.compile(rb"[ \t\f]*(?:[#\r]|$)")
 
 
 class GitError(Exception):
@@ -281,23 +283,56 @@ def _skipped(path: str, reason: str) -> FileAnalysis:
     return FileAnalysis(SourceInventory(skipped=((path, reason),)))
 
 
+def _normal_encoding_name(name: str) -> str:
+    folded = name[:12].lower().replace("_", "-")
+    if folded == "utf-8" or folded.startswith("utf-8-"):
+        return "utf-8"
+    if folded in ("latin-1", "iso-8859-1", "iso-latin-1") or folded.startswith(
+        ("latin-1-", "iso-8859-1-", "iso-latin-1-")
+    ):
+        return "iso-8859-1"
+    return name
+
+
+def _source_encoding(data: bytes) -> str:
+    """The codec Python decodes a source file's bytes with.
+
+    A UTF-8 BOM gives ``utf-8-sig``; else a PEP 263 coding comment on line
+    1, or on line 2 after a blank or comment line, names the codec; else
+    it is UTF-8. This is ``tokenize.detect_encoding``'s rule, read from the
+    raw bytes of those lines, as CPython's compiler reads them, without
+    first decoding them as UTF-8. A BOM with a cookie other than UTF-8
+    raises ``LookupError``; an unknown cookie is returned as written, and
+    decoding with it raises ``LookupError``.
+    """
+    bom = data.startswith(codecs.BOM_UTF8)
+    for line in data[len(codecs.BOM_UTF8) if bom else 0 :].split(b"\n", 2)[:2]:
+        cookie = _CODING_COOKIE.match(line)
+        if cookie:
+            name = _normal_encoding_name(cookie[1].decode("ascii"))
+            if bom and name != "utf-8":
+                raise LookupError(f"encoding {name} after a UTF-8 BOM")
+            return "utf-8-sig" if bom else name
+        if not _BLANK_LINE.match(line):
+            break
+    return "utf-8-sig" if bom else "utf-8"
+
+
 def analyse_file(relpath: str, data: bytes, config: ScanConfig, rules: RuleSet | None) -> FileAnalysis:
     """Measure the bytes of one Python file.
 
-    The text is decoded as Python decodes a source file: by its UTF-8 BOM,
-    else by the PEP 263 coding comment on its first or second line, else as
-    UTF-8 (``tokenize.detect_encoding``). A cookie that names no text
-    encoding, a BOM with a cookie other than UTF-8, or bytes the encoding
-    cannot decode make it a ``decode`` skip. The text is then split into
-    lines, checked for minification and parsed; one walk of the tree gives
-    its callables and the index every pattern rule reads. A file that
-    cannot be measured comes back as a skip with its reason. The tree and
-    its index die on return.
+    The text is decoded as Python decodes a source file
+    (``_source_encoding``). A cookie that names no text encoding, a BOM with
+    a cookie other than UTF-8, or bytes the encoding cannot decode make it a
+    ``decode`` skip. The text is then split into lines, checked for
+    minification and parsed; one walk of the tree gives its callables and
+    the index every pattern rule reads. A file that cannot be measured comes
+    back as a skip with its reason. The tree and its index die on return.
     """
     adapter = ADAPTERS["python"]
     try:
-        text = data.decode(tokenize.detect_encoding(io.BytesIO(data).readline)[0])
-    except (SyntaxError, UnicodeError, LookupError):
+        text = data.decode(_source_encoding(data))
+    except (UnicodeError, LookupError):
         return _skipped(relpath, "decode")
     source = SourceText.from_text(text)
     if source.line_count and len(text) / source.line_count > config.minified_line_threshold:

@@ -19,12 +19,14 @@ class ConsistencyError(Exception):
 def read_yaml(path: str | Path, error: type[Exception] = ScanError):
     """Parse a YAML (or JSON) file.
 
-    Any failure to read, decode or parse it is raised as ``error`` with a
-    one-line message.
+    Any failure to read, decode or parse it, nesting too deep for the
+    parser included, is raised as ``error`` with a one-line message.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             return yaml.safe_load(fh)
+    except RecursionError as exc:
+        raise error(f"{path}: nested too deeply to parse") from exc
     except (OSError, ValueError, yaml.YAMLError) as exc:
         raise error(f"{path}: {' '.join(str(exc).split())}") from exc
 

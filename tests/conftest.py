@@ -134,6 +134,18 @@ def cc_corpus() -> Path:
     return FIXTURES / "cc_corpus"
 
 
+def large_tree_files() -> dict[str, str]:
+    """The criterion-11 and -12 tree: ~105k source lines, 250 files of 105
+    four-line functions each."""
+    chunk = "".join(
+        f"def fn_{{fi}}_{i}(a, b):\n"
+        f"    if a > {i}:\n"
+        f"        return a + b\n"
+        f"    return a - b\n\n" for i in range(105)
+    )
+    return {f"mod_{fi:03d}.py": chunk.format(fi=fi) for fi in range(250)}
+
+
 def write_tree(root: Path, files: dict[str, str]) -> Path:
     for rel, text in files.items():
         path = root / rel

@@ -26,7 +26,7 @@ from slopscope.rules import RuleMatch, load_starter_rules
 from slopscope.trajectory import bin_phases, era_split, trajectory_summary
 from slopscope.verbosity import verbosity_score
 
-from conftest import FIXTURES, write_tree
+from conftest import FIXTURES, large_tree_files, write_tree
 from test_clones import RENAMED_BLOCK, VERBATIM_BLOCK, brute_force_clone_lines
 from test_trajectory import checkpoint
 
@@ -295,15 +295,7 @@ def test_criterion_10_byte_identical_reports(capsys, tmp_path, history_repo):
 
 
 def write_large_tree(root):
-    # ~105k source lines: 250 files, 105 four-line functions each.
-    chunk = "".join(
-        f"def fn_{{fi}}_{i}(a, b):\n"
-        f"    if a > {i}:\n"
-        f"        return a + b\n"
-        f"    return a - b\n\n" for i in range(105)
-    )
-    files = {f"mod_{fi:03d}.py": chunk.format(fi=fi) for fi in range(250)}
-    write_tree(root, files)
+    write_tree(root, large_tree_files())
 
 
 @criterion("criterion-11 scale-budget")

@@ -92,6 +92,9 @@ BAD_INPUTS = {
     "scan-missing-config": (["scan", "{tree}", "--config", "/nonexistent.yaml"], EXIT_USAGE),
     "history-missing-config": (["history", "{repo}", "--config", "/nonexistent.yaml"], EXIT_USAGE),
     "malformed-config": (["scan", "{tree}", "--config", "{malformed}"], EXIT_USAGE),
+    "deeply-nested-config": (["scan", "{tree}", "--config", "{deep}"], EXIT_USAGE),
+    "deeply-nested-rules": (["scan", "{tree}", "--rules", "{deep}"], EXIT_BAD_RULES),
+    "deeply-nested-panel": (["panel", "{deep}"], EXIT_USAGE),
     "string-exclude": (["scan", "{tree}", "--config", "{string_exclude}"], EXIT_USAGE),
     "zero-minified-threshold": (["scan", "{tree}", "--config", "{zero_threshold}"], EXIT_USAGE),
     "unknown-encoding": (["history", "{repo}", "--config", "{unknown_encoding}"], EXIT_USAGE),
@@ -135,6 +138,7 @@ BAD_INPUTS = {
 }
 BAD_FILES = {
     "malformed.yaml": b"exclude: [a\n",
+    "deep.yaml": b"[" * 2000 + b"]" * 2000 + b"\n",  # deeper than the parser's recursion limit
     "string_exclude.yaml": b'exclude: "x"\n',
     "zero_threshold.yaml": b"minified_line_threshold: 0\n",
     "unknown_encoding.yaml": b"encoding: nope\n",

@@ -244,6 +244,9 @@ DECODING_CASES = {
     "invalid-utf8": (b"x = 1\n\xff\n", "decode"),
     "cookie-on-line-three": (b"#!/usr/bin/env python\n\n# coding: latin-1\ns = '\xe9'\n", "decode"),
     "unparsable-latin1": (b"# coding: latin-1\ndef f(:\n    '\xe9'\n", "parse"),
+    # The cookie is read from raw bytes, not from lines first decoded as UTF-8.
+    "latin1-comment-before-cookie": (b"# \xe9\n# coding: latin-1\nx = 1\n", None),
+    "latin1-byte-on-cookie-line": (b"# coding: latin-1 \xe9\nx = 1\n", None),
 }
 
 
