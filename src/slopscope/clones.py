@@ -96,10 +96,9 @@ def normalize_file(path: str, text: str) -> NormalizedFile:
     """
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines: list[str] = []
-    physical: list[int] = []
-    tokens: list[str] = []
     lineno = 1
+    tokens: list[str] = []
+    per_line = {lineno: tokens}
     for match in _token_scanner().finditer(text):
         kind = match.lastgroup
         if kind == "name":
@@ -113,20 +112,13 @@ def normalize_file(path: str, text: str) -> NormalizedFile:
             tokens.append("STR")
             breaks = match["string"].count("\n")
             if breaks:
-                lines.append(" ".join(tokens))
-                physical.append(lineno)
-                tokens = []
                 lineno += breaks
+                tokens = per_line[lineno] = []
         elif kind == "newline":
-            if tokens:
-                lines.append(" ".join(tokens))
-                physical.append(lineno)
-                tokens = []
             lineno += 1
-    if tokens:
-        lines.append(" ".join(tokens))
-        physical.append(lineno)
-    return NormalizedFile(path, tuple(lines), tuple(physical))
+            tokens = per_line[lineno] = []
+    kept = [(n, line) for n, line in per_line.items() if line]
+    return NormalizedFile(path, tuple(" ".join(line) for _, line in kept), tuple(n for n, _ in kept))
 
 
 class _UnionFind:

@@ -294,13 +294,9 @@ def test_criterion_10_byte_identical_reports(capsys, tmp_path, history_repo):
     assert len(histories) == 1
 
 
-def write_large_tree(root):
-    write_tree(root, large_tree_files())
-
-
 @criterion("criterion-11 scale-budget")
 def test_criterion_11_large_tree_within_budget(tmp_path):
-    write_large_tree(tmp_path)
+    write_tree(tmp_path, large_tree_files())
 
     started = time.monotonic()
     inv = measure_checkpoint(tmp_path).inventory
@@ -315,7 +311,7 @@ def test_criterion_11_large_tree_within_budget(tmp_path):
 def test_criterion_12_full_pipeline_within_budget(tmp_path):
     # The criterion-11 tree through every layer a checkpoint runs: scan,
     # every starter rule, clone detection, erosion and verbosity.
-    write_large_tree(tmp_path)
+    write_tree(tmp_path, large_tree_files())
 
     started = time.monotonic()
     analysis = measure_checkpoint(tmp_path, rules=load_starter_rules())
