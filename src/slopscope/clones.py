@@ -23,6 +23,7 @@ import functools
 import hashlib
 import keyword
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 DEFAULT_MIN_WINDOW = 6
@@ -207,21 +208,7 @@ def detect_clones_normalized(
     return out
 
 
-def detect_clones(
-    texts: dict[str, str | NormalizedFile], min_window: int = DEFAULT_MIN_WINDOW
-) -> list[CloneRegion]:
-    """Detect type-2 clones across a set of files: path -> source text, or
-    the file already normalized by ``normalize_file``."""
-    files = [
-        text if isinstance(text, NormalizedFile) else normalize_file(path, text)
-        for path, text in sorted(texts.items())
-    ]
-    return detect_clones_normalized(files, min_window)
-
-
-def clone_lines(regions: list[CloneRegion]) -> set[tuple[str, int]]:
-    """Every (file, physical line) covered by any clone region."""
-    out: set[tuple[str, int]] = set()
-    for region in regions:
-        out.update((region.file, line) for line in region.lines)
-    return out
+def detect_clones(files: Iterable[NormalizedFile], min_window: int = DEFAULT_MIN_WINDOW) -> list[CloneRegion]:
+    """Detect type-2 clones across a set of files, each as ``normalize_file``
+    gives it, taken in path order."""
+    return detect_clones_normalized(sorted(files, key=lambda nf: nf.path), min_window)

@@ -279,6 +279,12 @@ class FileAnalysis:
     normalized: NormalizedFile | None = None
 
 
+def measured_lines(files: Mapping[str, FileAnalysis]) -> dict[str, tuple[int, frozenset[int]]]:
+    """Each measured file's line count and source lines, the input of
+    ``verbosity.counted_lines`` and ``verbosity.verbosity_score``."""
+    return {record.path: (record.line_count, f.source_lines) for f in files.values() for record in f.inventory.files}
+
+
 def _skipped(path: str, reason: str) -> FileAnalysis:
     return FileAnalysis(SourceInventory(skipped=((path, reason),)))
 
@@ -318,7 +324,7 @@ def _source_encoding(data: bytes) -> str:
     return "utf-8-sig" if bom else "utf-8"
 
 
-def analyse_file(relpath: str, data: bytes, config: ScanConfig, rules: RuleSet | None) -> FileAnalysis:
+def analyse_file(relpath: str, data: bytes, config: ScanConfig, rules: RuleSet) -> FileAnalysis:
     """Measure the bytes of one Python file.
 
     The text is decoded as Python decodes a source file
@@ -344,17 +350,16 @@ def analyse_file(relpath: str, data: bytes, config: ScanConfig, rules: RuleSet |
 
     record = FileRecord(relpath, loc=len(source.source_lines), line_count=source.line_count)
     callables = adapter.enumerate_callables(relpath, source, index)
-    matches = match_rules(relpath, source, index, rules) if rules is not None else []
     return FileAnalysis(
         inventory=SourceInventory(files=(record,), callables=tuple(callables)),
-        matches=tuple(matches),
+        matches=tuple(match_rules(relpath, source, index, rules)),
         source_lines=source.source_lines,
         normalized=clones.normalize_file(relpath, text),
     )
 
 
 def scan_tree_with_sources(
-    files: Iterable[tuple[str, bytes | str | FileAnalysis]], config: ScanConfig, rules: RuleSet | None = None
+    files: Iterable[tuple[str, bytes | str | FileAnalysis]], config: ScanConfig, rules: RuleSet
 ) -> tuple[SourceInventory, dict[str, FileAnalysis]]:
     """Analyse one snapshot, one file at a time.
 
@@ -405,21 +410,22 @@ class CheckpointAnalysis:
 
 def measure_checkpoint(
     workspace: str | Path | CommitTree,
-    config: ScanConfig | None = None,
-    rules: RuleSet | None = None,
+    config: ScanConfig = ScanConfig(),
+    rules: RuleSet = RuleSet(()),
     min_window: int = DEFAULT_MIN_WINDOW,
     reuse: Mapping[tuple[str, str], FileAnalysis] | None = None,
 ) -> CheckpointAnalysis:
     """Measure a snapshot: a directory, or a commit ``materialize_commit``
     listed. Both stream through one loop, one file at a time.
 
-    A commit's file whose (path, blob id) is a key of ``reuse`` takes that
-    analysis; only the other files are read and analysed. Clones, erosion
-    and verbosity are always computed over every file. A snapshot's place
+    ``rules`` defaults to an empty rule set, which flags no line. A commit's
+    file whose (path, blob id) is a key of ``reuse`` takes that analysis;
+    only the other files are read and analysed. Clones, erosion and
+    verbosity are always computed over every file, verbosity from each
+    measured file's line count and source lines. A snapshot's place
     in a history (index, commit, time and phase) is not its own:
     ``measure_history`` adds it when it builds the ``CheckpointMetrics``.
     """
-    config = config or ScanConfig()
     if isinstance(workspace, CommitTree):
         snapshot = _read_commit(workspace, reuse or {})
     else:
@@ -427,14 +433,8 @@ def measure_checkpoint(
     inventory, files = scan_tree_with_sources(snapshot, config, rules)
     erosion = erosion_score(inventory)
     matches = [m for f in files.values() for m in f.matches]
-    regions = detect_clones({p: f.normalized for p, f in files.items() if f.normalized is not None}, min_window)
-    breakdown = verbosity.verbosity_score(
-        inventory.file_loc(),
-        matches,
-        regions,
-        file_line_count={f.path: f.line_count for f in inventory.files},
-        source_lines={path: f.source_lines for path, f in files.items()},
-    )
+    regions = detect_clones([f.normalized for f in files.values() if f.normalized is not None], min_window)
+    breakdown = verbosity.verbosity_score(measured_lines(files), matches, regions)
     return CheckpointAnalysis(
         erosion=erosion, verbosity=breakdown, inventory=inventory, matches=matches, clones=regions, files=files
     )
@@ -453,8 +453,8 @@ def measure_history(
     max_commits: int = 30,
     seed: int = 0,
     cutoff: date = DEFAULT_ERA_CUTOFF,
-    config: ScanConfig | None = None,
-    rules: RuleSet | None = None,
+    config: ScanConfig = ScanConfig(),
+    rules: RuleSet = RuleSet(()),
     min_window: int = DEFAULT_MIN_WINDOW,
     exclude_tests: bool = False,
 ) -> HistoryResult:
@@ -468,7 +468,6 @@ def measure_history(
     """
     if not (Path(repo) / ".git").exists() and not (Path(repo) / "HEAD").exists():
         raise GitError(f"not a git repository: {repo}")
-    config = config or ScanConfig()
     commits = sample_commits(repo, max_commits, seed, exclude_tests=exclude_tests)
     if not commits:
         return HistoryResult(checkpoints=[], summary=None, era=None)

@@ -91,7 +91,3 @@ class SourceInventory:
     @property
     def total_loc(self) -> int:
         return sum(f.loc for f in self.files)
-
-    def file_loc(self) -> dict[str, int]:
-        return {f.path: f.loc for f in self.files}
-

@@ -115,8 +115,8 @@ def load_panel_config(path: str | Path) -> list[RepoSpec]:
 
 def build_panel_entry(
     spec: RepoSpec,
-    config: ScanConfig | None = None,
-    rules: RuleSet | None = None,
+    config: ScanConfig = ScanConfig(),
+    rules: RuleSet = RuleSet(()),
     min_window: int = DEFAULT_MIN_WINDOW,
 ) -> RepoPanelEntry:
     result: HistoryResult = measure_history(

@@ -21,7 +21,7 @@ from __future__ import annotations
 import ast
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .adapters import SourceText, TreeIndex
 
@@ -34,14 +34,6 @@ _IGNORED_FIELDS = {"ctx", "type_comment", "type_ignores"}
 
 class PatternError(ValueError):
     """Raised when a pattern cannot be compiled."""
-
-
-@dataclass(frozen=True)
-class PatternMatch:
-    start: tuple[int, int]  # (line, col), 1-based
-    end: tuple[int, int]  # position immediately after the match
-    text: str
-    captures: dict[str, str] = field(default_factory=dict, compare=False)
 
 
 def _segment_pattern(pattern: str) -> list[tuple[str, object]]:
@@ -202,9 +194,14 @@ def _position(node: ast.AST) -> tuple[tuple[int, int], tuple[int, int]]:
     )
 
 
-def find_matches(compiled: CompiledPattern, index: TreeIndex, source: SourceText) -> list[PatternMatch]:
-    """All matches of a compiled pattern in one indexed file."""
-    matches: dict[tuple[tuple[int, int], tuple[int, int]], PatternMatch] = {}
+def find_matches(
+    compiled: CompiledPattern, index: TreeIndex, source: SourceText
+) -> list[tuple[tuple[int, int], tuple[int, int], dict[str, str]]]:
+    """All matches of a compiled pattern in one indexed file, in span order,
+    as (start, end, captures): the first (line, col), 1-based, the position
+    after the match, and the metavariable bindings. The first match found
+    of each span is kept."""
+    matches: dict[tuple[tuple[int, int], tuple[int, int]], dict[str, str]] = {}
     for variant in compiled.variants:
         root = variant.nodes[0]
         if variant.kind == "expr":
@@ -215,11 +212,7 @@ def find_matches(compiled: CompiledPattern, index: TreeIndex, source: SourceText
             for node in candidates:
                 m = _Matcher(source)
                 if m.match_node(root, node):
-                    start, end = _position(node)
-                    matches.setdefault(
-                        (start, end),
-                        PatternMatch(start, end, m.node_text(node) or "", dict(m.bindings)),
-                    )
+                    matches.setdefault(_position(node), m.bindings)
         else:
             if _stmt_placeholder_name(root) is None:
                 windows = index.windows_by_type.get(type(root), [])
@@ -235,8 +228,5 @@ def find_matches(compiled: CompiledPattern, index: TreeIndex, source: SourceText
                     m.match_node(p, s, stmt_position=True)
                     for p, s in zip(variant.nodes, window)
                 ):
-                    start, _ = _position(window[0])
-                    _, end = _position(window[-1])
-                    text = "\n".join(filter(None, (m.node_text(s) for s in window)))
-                    matches.setdefault((start, end), PatternMatch(start, end, text, dict(m.bindings)))
-    return sorted(matches.values(), key=lambda pm: (pm.start, pm.end))
+                    matches.setdefault((_position(window[0])[0], _position(window[-1])[1]), m.bindings)
+    return [(start, end, captures) for (start, end), captures in sorted(matches.items())]

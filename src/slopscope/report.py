@@ -12,18 +12,16 @@ from datetime import datetime, timezone
 from . import __version__
 from .clones import CloneRegion
 from .erosion import ErosionReport
-from .history import CheckpointAnalysis, HistoryResult
+from .history import CheckpointAnalysis, HistoryResult, measured_lines
 from .model import SourceInventory
 from .rules import RuleMatch
 from .trajectory import CheckpointMetrics, EraShift, TrajectorySummary
-from .verbosity import VerbosityBreakdown
+from .verbosity import VerbosityBreakdown, counted_lines
 
 HOTSPOT_LIMIT = 20  # hotspots serialized per report; full list stays in memory
-LANGUAGE = "python"  # the only language measured; reports keep the field
 
 SCAN_CSV_HEADER = [
     "file",
-    "language",
     "loc",
     "line_count",
     "callables",
@@ -104,7 +102,6 @@ def inventory_to_dict(inventory: SourceInventory) -> dict:
         "files": [
             {
                 "path": f.path,
-                "language": LANGUAGE,
                 "loc": f.loc,
                 "line_count": f.line_count,
             }
@@ -177,36 +174,32 @@ def envelope(payload_type: str, payload: dict, config: dict, deterministic: bool
 def scan_report_csv(analysis: CheckpointAnalysis) -> str:
     """One row per file plus a TOTAL row; header fixed (see docs/schema).
 
-    Like the verbosity score, a file's flagged and clone lines count only
-    its source lines, so the file rows add up to the TOTAL row.
+    A file's flagged and clone lines are the ones the verbosity score
+    counts (``verbosity.counted_lines``), so the file rows add up to the
+    TOTAL row.
     """
-    cloned: dict[str, set[int]] = {}
-    for region in analysis.clones:
-        cloned.setdefault(region.file, set()).update(region.lines)
-
+    counted = counted_lines(measured_lines(analysis.files), analysis.matches, analysis.clones)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SCAN_CSV_HEADER)
-    for path, f in analysis.files.items():
-        flagged = {line for match in f.matches for line in match.lines}
+    for f in analysis.files.values():
         for record in f.inventory.files:  # none for a skipped file
+            flagged, cloned = counted[record.path]
             writer.writerow(
                 [
                     record.path,
-                    LANGUAGE,
                     record.loc,
                     record.line_count,
                     len(f.inventory.callables),
                     max((c.cc for c in f.inventory.callables), default=0),
-                    len(flagged & f.source_lines),
-                    len(cloned.get(path, set()) & f.source_lines),
+                    len(flagged),
+                    len(cloned),
                 ]
             )
     inventory = analysis.inventory
     writer.writerow(
         [
             "TOTAL",
-            "",
             inventory.total_loc,
             sum(record.line_count for record in inventory.files),
             len(inventory.callables),

@@ -145,23 +145,12 @@ def load_starter_rules() -> RuleSet:
         return load_rules(path)
 
 
-def _regex_matches(rule: QualityRule, regex: re.Pattern, path: str, source: SourceText) -> list[RuleMatch]:
-    out: list[RuleMatch] = []
+def _regex_matches(regex: re.Pattern, source: SourceText):
+    """Each non-empty match of ``regex`` in the text: its start, the position
+    after it, the line of its last character, and no captures."""
     for m in regex.finditer(source.text):
-        if m.start() == m.end():
-            continue
-        start, end = source.position(m.start()), source.position(m.end())
-        last_line = source.position(m.end() - 1)[0]
-        out.append(
-            RuleMatch(
-                rule_id=rule.id,
-                file=path,
-                start=start,
-                end=end,
-                lines=tuple(range(start[0], last_line + 1)),
-            )
-        )
-    return out
+        if m.start() != m.end():
+            yield source.position(m.start()), source.position(m.end()), source.position(m.end() - 1)[0], {}
 
 
 def match_rules(path: str, source: SourceText, index: TreeIndex, rules: RuleSet) -> list[RuleMatch]:
@@ -170,18 +159,10 @@ def match_rules(path: str, source: SourceText, index: TreeIndex, rules: RuleSet)
     for rule in rules:
         compiled = rules.compiled(rule)
         if rule.kind == "regex":
-            out.extend(_regex_matches(rule, compiled, path, source))
-            continue
-        for pm in find_matches(compiled, index, source):
-            out.append(
-                RuleMatch(
-                    rule_id=rule.id,
-                    file=path,
-                    start=pm.start,
-                    end=pm.end,
-                    lines=tuple(range(pm.start[0], pm.end[0] + 1)),
-                    captures=pm.captures,
-                )
-            )
+            found = _regex_matches(compiled, source)
+        else:
+            found = ((start, end, end[0], captures) for start, end, captures in find_matches(compiled, index, source))
+        for start, end, last_line, captures in found:
+            out.append(RuleMatch(rule.id, path, start, end, tuple(range(start[0], last_line + 1)), captures))
     out.sort(key=lambda m: (m.file, m.start, m.end, m.rule_id))
     return out

@@ -60,17 +60,12 @@ def bin_phases(n: int) -> list[str]:
     """
     if n < 1:
         raise ValueError("need at least one checkpoint")
+    start, early, mid, late, final = PHASES
     if n == 1:
-        return ["Start"]
-    phases = ["Start"]
+        return [start]
     m = n - 2
-    for j in range(m):
-        if m == 1:
-            phases.append("Mid")
-        else:
-            phases.append(("Early", "Mid", "Late")[min(2, 3 * j // m)])
-    phases.append("Final")
-    return phases
+    interior = [mid] if m == 1 else [(early, mid, late)[min(2, 3 * j // m)] for j in range(m)]
+    return [start, *interior, final]
 
 
 def _ols_slope(points: list[tuple[int, float]]) -> float:

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
-from .clones import CloneRegion, clone_lines
+from .clones import CloneRegion
 from .model import ConsistencyError
 from .rules import RuleMatch
 
@@ -20,47 +21,51 @@ class VerbosityBreakdown:
     clone_ratio: float
 
 
-def verbosity_score(
-    file_loc: dict[str, int],
-    matches: list[RuleMatch],
-    clones: list[CloneRegion],
-    file_line_count: dict[str, int] | None = None,
-    source_lines: dict[str, set[int]] | None = None,
-) -> VerbosityBreakdown:
-    """Union score: |flagged lines ∪ clone lines| / total LOC.
+def counted_lines(
+    files: Mapping[str, tuple[int, frozenset[int]]],
+    matches: Iterable[RuleMatch],
+    clones: Iterable[CloneRegion],
+) -> dict[str, tuple[set[int], set[int]]]:
+    """Each measured file's flagged lines and clone lines that count.
 
-    A line hit by several rules and a clone still counts once. When
-    ``source_lines`` is given (the per-file sets of non-blank, non-comment
-    lines), flagged and clone lines are restricted to it so blank lines
-    inside multi-line matches cannot push the score past 1.
+    ``files`` maps each measured file to its line count and its source
+    lines (neither blank nor comment). Only source lines count, so blank
+    lines inside a multi-line match cannot push a score past 1. A match or
+    clone region in a file not in ``files``, or covering a line outside its
+    file, raises ConsistencyError.
     """
-    flagged: set[tuple[str, int]] = set()
-    for m in matches:
-        if m.file not in file_loc:
-            raise ConsistencyError(f"match in unknown file {m.file}")
-        flagged.update((m.file, line) for line in m.lines)
-    cloned = clone_lines(clones)
-    for region in clones:
-        if region.file not in file_loc:
-            raise ConsistencyError(f"clone region in unknown file {region.file}")
+    counted: dict[str, tuple[set[int], set[int]]] = {path: (set(), set()) for path in files}
+    for slot, items, what in ((0, matches, "match"), (1, clones, "clone region")):
+        for item in items:
+            if item.file not in files:
+                raise ConsistencyError(f"{what} in unknown file {item.file}")
+            line_count, source_lines = files[item.file]
+            outside = [line for line in item.lines if not 1 <= line <= line_count]
+            if outside:
+                raise ConsistencyError(f"{item.file}:{outside[0]} outside file bounds")
+            counted[item.file][slot].update(source_lines.intersection(item.lines))
+    return counted
 
-    if file_line_count is not None:
-        for path, line in flagged | cloned:
-            if line < 1 or line > file_line_count.get(path, 0):
-                raise ConsistencyError(f"{path}:{line} outside file bounds")
 
-    if source_lines is not None:
-        flagged = {(p, ln) for p, ln in flagged if ln in source_lines.get(p, ())}
-        cloned = {(p, ln) for p, ln in cloned if ln in source_lines.get(p, ())}
-
-    union = flagged | cloned
-    loc = sum(file_loc.values())
+def verbosity_score(
+    files: Mapping[str, tuple[int, frozenset[int]]],
+    matches: Iterable[RuleMatch],
+    clones: Iterable[CloneRegion],
+) -> VerbosityBreakdown:
+    """Union score: |flagged lines ∪ clone lines| / total LOC, over the
+    lines ``counted_lines`` keeps; a file's LOC is its number of source
+    lines. A line hit by several rules and a clone still counts once."""
+    counted = counted_lines(files, matches, clones).values()
+    flagged = sum(len(f) for f, _ in counted)
+    cloned = sum(len(c) for _, c in counted)
+    union = sum(len(f | c) for f, c in counted)
+    loc = sum(len(source_lines) for _, source_lines in files.values())
     return VerbosityBreakdown(
-        score=len(union) / loc if loc > 0 else 0.0,
-        flagged_lines=len(flagged),
-        clone_lines=len(cloned),
-        union_lines=len(union),
+        score=union / loc if loc > 0 else 0.0,
+        flagged_lines=flagged,
+        clone_lines=cloned,
+        union_lines=union,
         loc=loc,
-        violation_density=len(flagged) / loc if loc > 0 else 0.0,
-        clone_ratio=len(cloned) / loc if loc > 0 else 0.0,
+        violation_density=flagged / loc if loc > 0 else 0.0,
+        clone_ratio=cloned / loc if loc > 0 else 0.0,
     )

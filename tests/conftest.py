@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import slopscope
+from slopscope.clones import CloneRegion, NormalizedFile, normalize_file
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -152,3 +153,20 @@ def write_tree(root: Path, files: dict[str, str]) -> Path:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(text), encoding="utf-8")
     return root
+
+
+def normalized(texts: dict[str, str]) -> list[NormalizedFile]:
+    """Each path's text as ``detect_clones`` takes it: normalized, as a scan
+    normalizes every file it measures."""
+    return [normalize_file(path, text) for path, text in texts.items()]
+
+
+def covered_lines(regions: list[CloneRegion]) -> set[tuple[str, int]]:
+    """Every (file, physical line) that any clone region covers."""
+    return {(region.file, line) for region in regions for line in region.lines}
+
+
+def all_source(line_count: int) -> tuple[int, frozenset[int]]:
+    """A file of ``line_count`` lines that are all source lines, as
+    ``verbosity_score`` takes each measured file."""
+    return line_count, frozenset(range(1, line_count + 1))

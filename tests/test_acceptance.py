@@ -18,7 +18,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from slopscope.cli import main
-from slopscope.clones import DEFAULT_MIN_WINDOW, clone_lines, detect_clones
+from slopscope.clones import DEFAULT_MIN_WINDOW, detect_clones
 from slopscope.erosion import erosion_score, erosion_sensitivity
 from slopscope.history import measure_checkpoint, measure_history
 from slopscope.model import CallableRecord, SourceInventory
@@ -26,7 +26,7 @@ from slopscope.rules import RuleMatch, load_starter_rules
 from slopscope.trajectory import bin_phases, era_split, trajectory_summary
 from slopscope.verbosity import verbosity_score
 
-from conftest import FIXTURES, large_tree_files, write_tree
+from conftest import FIXTURES, all_source, covered_lines, large_tree_files, normalized, write_tree
 from test_clones import RENAMED_BLOCK, VERBATIM_BLOCK, brute_force_clone_lines
 from test_trajectory import checkpoint
 
@@ -109,16 +109,16 @@ def test_criterion_04_verbosity_random_cases():
         loc = rng.randint(1, 300)
         flagged = {rng.randint(1, loc) for _ in range(rng.randint(0, 30))}
         matches = [flag(n) for n in sorted(flagged)]
-        result = verbosity_score({"m.py": loc}, matches, [])
+        result = verbosity_score({"m.py": all_source(loc)}, matches, [])
         assert 0.0 <= result.score <= 1.0
         assert result.score == pytest.approx(len(flagged) / loc, abs=1e-12)
         # Duplicating every match must not change the score.
-        doubled = verbosity_score({"m.py": loc}, matches + matches, [])
+        doubled = verbosity_score({"m.py": all_source(loc)}, matches + matches, [])
         assert doubled.score == result.score
     from slopscope.clones import CloneRegion
 
     worked = verbosity_score(
-        {"m.py": 10},
+        {"m.py": all_source(10)},
         [flag(1), flag(2), flag(3)],
         [CloneRegion(0, "m.py", (3, 4), "f", (3, 4))],
     )
@@ -129,9 +129,9 @@ def test_criterion_04_verbosity_random_cases():
 def test_criterion_05_clone_oracle_and_examples():
     # A verbatim 12-line duplicate and its identifier-renamed twin.
     assert len(VERBATIM_BLOCK.splitlines()) >= 8
-    verbatim = detect_clones({"a.py": VERBATIM_BLOCK, "b.py": VERBATIM_BLOCK})
+    verbatim = detect_clones(normalized({"a.py": VERBATIM_BLOCK, "b.py": VERBATIM_BLOCK}))
     assert {r.file for r in verbatim} == {"a.py", "b.py"}
-    renamed = detect_clones({"a.py": VERBATIM_BLOCK, "b.py": RENAMED_BLOCK})
+    renamed = detect_clones(normalized({"a.py": VERBATIM_BLOCK, "b.py": RENAMED_BLOCK}))
     assert {r.file for r in renamed} == {"a.py", "b.py"}
 
     rng = random.Random(505)
@@ -156,7 +156,7 @@ def test_criterion_05_clone_oracle_and_examples():
                     cut = rng.randrange(len(donor) - DEFAULT_MIN_WINDOW + 1)
                     body += "\n".join(donor[cut : cut + DEFAULT_MIN_WINDOW + 2]) + "\n"
             texts[f"f{fi}.py"] = body
-        assert clone_lines(detect_clones(texts)) == brute_force_clone_lines(texts)
+        assert covered_lines(detect_clones(normalized(texts))) == brute_force_clone_lines(texts)
 
 
 # Each shape spans at least the clone window, so a verbatim file copy is

@@ -487,6 +487,31 @@ class TestRulesCommand:
         assert code == EXIT_USAGE
         assert "unknown rule id" in err
 
+    @pytest.mark.parametrize("rule_id", ["len-eq-zero", "broad-except"])  # a pattern rule, a regex rule
+    def test_test_subcommand_prints_what_scan_emits(self, capsys, tmp_path, rule_id):
+        body = """\
+            def check(items, rows):
+                try:
+                    if len(items) == 0 or len(rows[1:]) == 0:
+                        return None
+                except Exception:
+                    pass
+                except BaseException as err:
+                    raise err
+            """
+        write_tree(tmp_path / "tree", {"a.py": body, "b.py": body.replace("items", "things")})
+        emitted = tmp_path / "matches.jsonl"
+        code, _, _ = run_cli(capsys, "scan", str(tmp_path / "tree"), "--emit-matches", str(emitted))
+        assert code == EXIT_OK
+        want = [line for line in emitted.read_text().splitlines()
+                if json.loads(line)["rule_id"] == rule_id and json.loads(line)["file"] == "a.py"]
+        assert len(want) == 2
+        if rule_id == "len-eq-zero":
+            assert [json.loads(line)["captures"] for line in want] == [{"X": "items"}, {"X": "rows[1:]"}]
+        code, out, _ = run_cli(capsys, "rules", "test", rule_id, str(tmp_path / "tree" / "a.py"))
+        assert code == EXIT_OK
+        assert out.splitlines() == want
+
 
 class TestDeepNesting:
     def test_scan_measures_a_deeply_nested_file(self, capsys, tmp_path):

@@ -32,7 +32,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 import slopscope.clones
 from slopscope.clones import NormalizedFile, detect_clones, normalize_file
 
-from conftest import CORPORA, large_tree_files
+from conftest import CORPORA, large_tree_files, normalized
 
 needs_311_tokenize = pytest.mark.skipif(
     sys.version_info >= (3, 12), reason="tokenize splits f-strings from Python 3.12 on (PEP 701)"
@@ -299,9 +299,9 @@ def test_same_lines_on_every_local_python():
 )
 def test_text_that_does_not_tokenize_is_scanned_in_one_pass(text):
     started = time.monotonic()
-    regions = detect_clones({"a.py": text, "b.py": text})
-    normalized = normalize_file("a.py", text)
+    files = normalized({"a.py": text, "b.py": text})
+    regions = detect_clones(files)
     assert time.monotonic() - started < 5.0
-    assert all(isinstance(line, str) for line in normalized.lines)
-    assert list(normalized.physical) == sorted(set(normalized.physical))
+    assert all(isinstance(line, str) for line in files[0].lines)
+    assert list(files[0].physical) == sorted(set(files[0].physical))
     assert all(region.file in ("a.py", "b.py") for region in regions)

@@ -2,14 +2,9 @@ from __future__ import annotations
 
 import random
 
-from slopscope.clones import (
-    DEFAULT_MIN_WINDOW,
-    clone_lines,
-    detect_clones,
-    normalize_file,
-)
+from slopscope.clones import DEFAULT_MIN_WINDOW, detect_clones, normalize_file
 
-from conftest import SLOP, handler_source
+from conftest import SLOP, covered_lines, handler_source, normalized
 
 VERBATIM_BLOCK = """\
 def transform(rows):
@@ -72,12 +67,12 @@ def random_source(rng: random.Random, n_lines: int) -> str:
 
 class TestDetection:
     def test_verbatim_duplicate_across_files(self):
-        regions = detect_clones({"a.py": VERBATIM_BLOCK, "b.py": VERBATIM_BLOCK})
+        regions = detect_clones(normalized({"a.py": VERBATIM_BLOCK, "b.py": VERBATIM_BLOCK}))
         assert {r.file for r in regions} == {"a.py", "b.py"}
         assert len({r.clone_class_id for r in regions}) == 1
 
     def test_renamed_duplicate_is_type2_clone(self):
-        regions = detect_clones({"a.py": VERBATIM_BLOCK, "b.py": RENAMED_BLOCK})
+        regions = detect_clones(normalized({"a.py": VERBATIM_BLOCK, "b.py": RENAMED_BLOCK}))
         assert {r.file for r in regions} == {"a.py", "b.py"}
         spans = {r.file: r.span for r in regions}
         assert spans["a.py"] == (1, 8)
@@ -85,15 +80,15 @@ class TestDetection:
 
     def test_below_window_not_flagged(self):
         short = "a = 1\nb = 2\nc = 3\n"
-        assert detect_clones({"a.py": short, "b.py": short}) == []
+        assert detect_clones(normalized({"a.py": short, "b.py": short})) == []
 
     def test_distinct_files_not_flagged(self):
         other = "def solo():\n    return {'k': 1, 'j': 2}\n"
-        assert detect_clones({"a.py": VERBATIM_BLOCK, "b.py": other}) == []
+        assert detect_clones(normalized({"a.py": VERBATIM_BLOCK, "b.py": other})) == []
 
     def test_intra_file_duplicate_handlers(self):
-        regions = detect_clones({"slop.py": SLOP})
-        covered = clone_lines(regions)
+        regions = detect_clones(normalized({"slop.py": SLOP}))
+        covered = covered_lines(regions)
         # Both handler bodies are renamed copies of each other; every
         # normalized line of the file belongs to the clone.
         nf = normalize_file("slop.py", SLOP)
@@ -101,11 +96,11 @@ class TestDetection:
 
     def test_window_threshold_is_respected(self):
         texts = {"a.py": VERBATIM_BLOCK, "b.py": RENAMED_BLOCK}
-        assert detect_clones(texts, min_window=8) and not detect_clones(texts, min_window=9)
+        assert detect_clones(normalized(texts), min_window=8) and not detect_clones(normalized(texts), min_window=9)
 
     def test_comments_and_blanks_ignored(self):
         spaced = VERBATIM_BLOCK.replace("    out = []\n", "    # gather\n\n    out = []\n")
-        regions = detect_clones({"a.py": VERBATIM_BLOCK, "b.py": spaced})
+        regions = detect_clones(normalized({"a.py": VERBATIM_BLOCK, "b.py": spaced}))
         assert {r.file for r in regions} == {"a.py", "b.py"}
 
 
@@ -115,8 +110,8 @@ class TestOracle:
             "one.py": handler_source("process_rows", "acc"),
             "two.py": handler_source("reduce_batch", "val"),
         }
-        regions = detect_clones(texts)
-        assert clone_lines(regions) == brute_force_clone_lines(texts)
+        regions = detect_clones(normalized(texts))
+        assert covered_lines(regions) == brute_force_clone_lines(texts)
 
     def test_random_files_match_brute_force(self):
         rng = random.Random(20)
@@ -132,7 +127,7 @@ class TestOracle:
                         chunk = donor_lines[cut : cut + DEFAULT_MIN_WINDOW + 3]
                         body = body + "\n".join(chunk) + "\n"
                 texts[f"f{fi}.py"] = body
-            got = clone_lines(detect_clones(texts))
+            got = covered_lines(detect_clones(normalized(texts)))
             want = brute_force_clone_lines(texts)
             assert got == want, f"trial {trial}: {got ^ want}"
 
@@ -156,8 +151,8 @@ class TestNormalization:
 
 class TestInvariants:
     def test_symmetry_under_file_renaming(self):
-        base = detect_clones({"a.py": VERBATIM_BLOCK, "b.py": RENAMED_BLOCK})
-        flipped = detect_clones({"b.py": VERBATIM_BLOCK, "a.py": RENAMED_BLOCK})
+        base = detect_clones(normalized({"a.py": VERBATIM_BLOCK, "b.py": RENAMED_BLOCK}))
+        flipped = detect_clones(normalized({"b.py": VERBATIM_BLOCK, "a.py": RENAMED_BLOCK}))
         assert {r.span for r in base} == {r.span for r in flipped}
 
     def test_clone_lines_subset_of_normalized_lines(self):
@@ -166,10 +161,10 @@ class TestInvariants:
         for path, text in texts.items():
             nf = normalize_file(path, text)
             all_normalized.update((path, n) for n in nf.physical)
-        assert clone_lines(detect_clones(texts)) <= all_normalized
+        assert covered_lines(detect_clones(normalized(texts))) <= all_normalized
 
     def test_region_lines_match_span(self):
-        for region in detect_clones({"a.py": VERBATIM_BLOCK, "b.py": VERBATIM_BLOCK}):
+        for region in detect_clones(normalized({"a.py": VERBATIM_BLOCK, "b.py": VERBATIM_BLOCK})):
             assert region.lines[0] == region.span[0]
             assert region.lines[-1] == region.span[1]
             assert list(region.lines) == sorted(region.lines)

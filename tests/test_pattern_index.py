@@ -3,7 +3,7 @@
 ``find_matches_by_walk`` below is ``patterns.find_matches`` as it was before
 files were indexed: every variant walks the whole tree again and tries every
 expression node or every statement window. The indexed path must return the
-same matches, text and captures included, in the same order, on the bundled
+same matches, captures included, in the same order, on the bundled
 fixtures, on this package and its tests, on a fixed sample of the local
 standard library, and for patterns whose root is a metavariable or whose
 optional metavariables give variants of different root types.
@@ -21,7 +21,6 @@ import slopscope.rules
 from slopscope.adapters import SourceText
 from slopscope.patterns import (
     CompiledPattern,
-    PatternMatch,
     TreeIndex,
     _Matcher,
     _position,
@@ -41,9 +40,10 @@ def _statement_lists(tree: ast.AST):
                 yield value
 
 
-def find_matches_by_walk(compiled: CompiledPattern, tree: ast.AST, source: SourceText) -> list[PatternMatch]:
-    """All matches of a compiled pattern in one parsed file."""
-    matches: dict[tuple[tuple[int, int], tuple[int, int]], PatternMatch] = {}
+def find_matches_by_walk(compiled: CompiledPattern, tree: ast.AST, source: SourceText) -> list[tuple]:
+    """All matches of a compiled pattern in one parsed file, as
+    (start, end, captures)."""
+    matches: dict[tuple[tuple[int, int], tuple[int, int]], dict[str, str]] = {}
     for variant in compiled.variants:
         if variant.kind == "expr":
             pat = variant.nodes[0]
@@ -52,11 +52,7 @@ def find_matches_by_walk(compiled: CompiledPattern, tree: ast.AST, source: Sourc
                     continue
                 m = _Matcher(source)
                 if m.match_node(pat, node):
-                    start, end = _position(node)
-                    matches.setdefault(
-                        (start, end),
-                        PatternMatch(start, end, m.node_text(node) or "", dict(m.bindings)),
-                    )
+                    matches.setdefault(_position(node), dict(m.bindings))
         else:
             width = len(variant.nodes)
             for stmts in _statement_lists(tree):
@@ -69,9 +65,8 @@ def find_matches_by_walk(compiled: CompiledPattern, tree: ast.AST, source: Sourc
                     ):
                         start, _ = _position(window[0])
                         _, end = _position(window[-1])
-                        text = "\n".join(filter(None, (m.node_text(s) for s in window)))
-                        matches.setdefault((start, end), PatternMatch(start, end, text, dict(m.bindings)))
-    return sorted(matches.values(), key=lambda pm: (pm.start, pm.end))
+                        matches.setdefault((start, end), dict(m.bindings))
+    return [(start, end, captures) for (start, end), captures in sorted(matches.items())]
 
 
 def match_rules_by_walk(monkeypatch, path, source, tree, rules):
@@ -111,7 +106,16 @@ def _parsed(path: Path) -> tuple[SourceText, ast.AST]:
 
 
 def _with_captures(found):
+    """Rule matches with their captures, which ``RuleMatch`` equality skips."""
     return [(m, m.captures) for m in found]
+
+
+def _texts(source: SourceText, found) -> set[str]:
+    """The text each match spans; for an ASCII file, columns count characters."""
+    def offset(line, col):
+        return source.starts[line - 1] + col - 1
+
+    return {source.text[offset(*start) : offset(*end)] for start, end, _ in found}
 
 
 def test_stdlib_sample_is_large_enough():
@@ -140,7 +144,7 @@ def test_hand_written_patterns_match_as_by_walk(corpus):
         index = TreeIndex.from_tree(tree)
         for pattern in compiled:
             found = find_matches(pattern, index, source)
-            assert _with_captures(found) == _with_captures(find_matches_by_walk(pattern, tree, source)), pattern.source
+            assert found == find_matches_by_walk(pattern, tree, source), pattern.source
             hits += bool(found)
     assert hits > 0
 
@@ -150,11 +154,11 @@ def test_variants_of_different_root_types():
     assert roots == {"($A?, $B)": {ast.Tuple, ast.Name}, "$A?\nreturn $B": {ast.Expr, ast.Return}}
     source = SourceText.from_text("def f(a, b):\n    a = (a, b)\n    return a\n")
     tree = ast.parse(source.text)
-    for pattern, texts in (("($A?, $B)", {"(a, b)", "a"}), ("$A?\nreturn $B", {"a = (a, b)\nreturn a", "return a"})):
+    for pattern, texts in (("($A?, $B)", {"(a, b)", "a"}), ("$A?\nreturn $B", {"a = (a, b)\n    return a", "return a"})):
         compiled = compile_pattern(pattern)
         found = find_matches(compiled, TreeIndex.from_tree(tree), source)
-        assert texts <= {m.text for m in found}  # both variants matched
-        assert _with_captures(found) == _with_captures(find_matches_by_walk(compiled, tree, source))
+        assert texts <= _texts(source, found)  # both variants matched
+        assert found == find_matches_by_walk(compiled, tree, source)
 
 
 def test_nested_same_span_nodes_keep_the_first_match():
@@ -165,7 +169,7 @@ def test_nested_same_span_nodes_keep_the_first_match():
     index = TreeIndex.from_tree(tree)
     for pattern in map(compile_pattern, PATTERNS):
         found = find_matches(pattern, index, source)
-        assert _with_captures(found) == _with_captures(find_matches_by_walk(pattern, tree, source)), pattern.source
+        assert found == find_matches_by_walk(pattern, tree, source), pattern.source
 
 
 @pytest.mark.skipif(sys.version_info >= (3, 12), reason="f-string pieces carry their own spans from 3.12")

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 import sysconfig
 import warnings
 from pathlib import Path
@@ -10,7 +12,7 @@ import pytest
 from slopscope.adapters import PythonAdapter, SourceText, TreeIndex
 from slopscope.history import analyse_file, measure_checkpoint
 from slopscope.model import CallableRecord, FileRecord, ScanError
-from slopscope.rules import load_starter_rules
+from slopscope.rules import RuleSet, load_starter_rules
 from slopscope.scan import ScanConfig, load_scan_config
 
 from conftest import write_tree
@@ -218,7 +220,8 @@ def test_load_scan_config(tmp_path):
 
 # CPython is the oracle for decoding: a file is skipped as ``decode`` or
 # ``parse`` exactly when ``compile`` refuses its bytes. No file is skipped
-# as minified here, so no skip can hide the answer.
+# as minified here, so no skip can hide the answer. Where Python disagrees
+# with itself, ``python file.py`` is the oracle (``SCRIPT_ORACLE``).
 NEVER_MINIFIED = ScanConfig(minified_line_threshold=10**9)
 ENCODED_SOURCE = """\
 ys = [x for x in xs]
@@ -247,7 +250,11 @@ DECODING_CASES = {
     # The cookie is read from raw bytes, not from lines first decoded as UTF-8.
     "latin1-comment-before-cookie": (b"# \xe9\n# coding: latin-1\nx = 1\n", None),
     "latin1-byte-on-cookie-line": (b"# coding: latin-1 \xe9\nx = 1\n", None),
+    # With no cookie every byte must be UTF-8, comments included: ``python
+    # file.py`` refuses this file, while ``compile()`` and import accept it.
+    "latin1-comment-without-cookie": (b"# \xe9\nx=1\n", "decode"),
 }
+SCRIPT_ORACLE = {"latin1-comment-without-cookie"}
 
 
 def _compiles(data: bytes) -> bool:
@@ -260,16 +267,27 @@ def _compiles(data: bytes) -> bool:
     return True
 
 
+def _runs_as_script(data: bytes, tmp_path: Path) -> bool:
+    script = tmp_path / "case.py"
+    script.write_bytes(data)
+    run = subprocess.run([sys.executable, "-I", str(script)], capture_output=True, check=False, timeout=60)
+    return run.returncode == 0
+
+
 def _skip_reason(data: bytes) -> str | None:
-    skipped = analyse_file("m.py", data, NEVER_MINIFIED, None).inventory.skipped
+    skipped = analyse_file("m.py", data, NEVER_MINIFIED, RuleSet(())).inventory.skipped
     return skipped[0][1] if skipped else None
 
 
 @pytest.mark.parametrize("name", sorted(DECODING_CASES))
-def test_decoding_follows_python(name):
+def test_decoding_follows_python(name, tmp_path):
     data, reason = DECODING_CASES[name]
     assert _skip_reason(data) == reason
-    assert (reason is None) == _compiles(data)
+    if name in SCRIPT_ORACLE:
+        assert _compiles(data)  # the disagreement this case records
+        assert (reason is None) == _runs_as_script(data, tmp_path)
+    else:
+        assert (reason is None) == _compiles(data)
 
 
 def test_stdlib_files_with_a_bom_or_cookie_follow_python():

@@ -8,12 +8,12 @@ from hypothesis import given, strategies as st
 from slopscope.clones import CloneRegion, detect_clones
 from slopscope.erosion import erosion_score
 from slopscope.model import ConsistencyError
-from slopscope.history import scan_tree_with_sources
+from slopscope.history import measured_lines, scan_tree_with_sources
 from slopscope.rules import RuleMatch, load_starter_rules
 from slopscope.scan import ScanConfig, read_tree
 from slopscope.verbosity import verbosity_score
 
-from conftest import write_tree
+from conftest import all_source, write_tree
 
 
 def flag(file: str, *lines: int, rule_id: str = "r") -> RuleMatch:
@@ -40,7 +40,7 @@ class TestWorkedExample:
     def test_union_over_loc(self):
         # 10 LOC, flagged {1, 2, 3}, cloned {3, 4}: union of 4 lines.
         result = verbosity_score(
-            {"m.py": 10}, [flag("m.py", 1, 2, 3)], [clone("m.py", 3, 4)]
+            {"m.py": all_source(10)}, [flag("m.py", 1, 2, 3)], [clone("m.py", 3, 4)]
         )
         assert result.score == pytest.approx(0.4)
         assert result.union_lines == 4
@@ -49,26 +49,26 @@ class TestWorkedExample:
 
     def test_empty_inputs_score_zero(self):
         assert verbosity_score({}, [], []).score == 0.0
-        assert verbosity_score({"m.py": 10}, [], []).score == 0.0
+        assert verbosity_score({"m.py": all_source(10)}, [], []).score == 0.0
 
 
 class TestDeduplication:
     def test_overlapping_rules_count_once(self):
-        single = verbosity_score({"m.py": 10}, [flag("m.py", 2, 3)], [])
+        single = verbosity_score({"m.py": all_source(10)}, [flag("m.py", 2, 3)], [])
         doubled = verbosity_score(
-            {"m.py": 10},
+            {"m.py": all_source(10)},
             [flag("m.py", 2, 3, rule_id="a"), flag("m.py", 2, 3, rule_id="b")],
             [],
         )
         assert single.score == doubled.score
 
     def test_rule_and_clone_overlap_counts_once(self):
-        result = verbosity_score({"m.py": 10}, [flag("m.py", 5)], [clone("m.py", 5)])
+        result = verbosity_score({"m.py": all_source(10)}, [flag("m.py", 5)], [clone("m.py", 5)])
         assert result.union_lines == 1
 
     def test_same_line_in_different_files_distinct(self):
         result = verbosity_score(
-            {"a.py": 5, "b.py": 5}, [flag("a.py", 1), flag("b.py", 1)], []
+            {"a.py": all_source(5), "b.py": all_source(5)}, [flag("a.py", 1), flag("b.py", 1)], []
         )
         assert result.union_lines == 2
 
@@ -76,22 +76,23 @@ class TestDeduplication:
 class TestConsistency:
     def test_unknown_file_rejected(self):
         with pytest.raises(ConsistencyError):
-            verbosity_score({"m.py": 10}, [flag("ghost.py", 1)], [])
+            verbosity_score({"m.py": all_source(10)}, [flag("ghost.py", 1)], [])
+
+    def test_clone_in_unknown_file_rejected(self):
+        with pytest.raises(ConsistencyError):
+            verbosity_score({"m.py": all_source(10)}, [], [clone("ghost.py", 1)])
 
     def test_out_of_bounds_line_rejected(self):
-        with pytest.raises(ConsistencyError):
-            verbosity_score(
-                {"m.py": 10}, [flag("m.py", 11)], [], file_line_count={"m.py": 10}
-            )
+        for line in (0, 11):
+            with pytest.raises(ConsistencyError):
+                verbosity_score({"m.py": all_source(10)}, [flag("m.py", line)], [])
+            with pytest.raises(ConsistencyError):
+                verbosity_score({"m.py": all_source(10)}, [], [clone("m.py", 5, line)])
 
     def test_blank_lines_restricted_out(self):
-        result = verbosity_score(
-            {"m.py": 3},
-            [flag("m.py", 1, 2, 3, 4)],
-            [],
-            source_lines={"m.py": {1, 3, 4}},
-        )
+        result = verbosity_score({"m.py": (4, frozenset({1, 3, 4}))}, [flag("m.py", 1, 2, 3, 4)], [])
         assert result.union_lines == 3
+        assert result.loc == 3
         assert result.score == 1.0
 
 
@@ -106,17 +107,17 @@ class TestProperties:
         cloned = {n for n in cloned if n <= loc}
         matches = [flag("m.py", n) for n in sorted(flagged)]
         clones = [clone("m.py", n) for n in sorted(cloned)] if cloned else []
-        result = verbosity_score({"m.py": loc}, matches, clones)
+        result = verbosity_score({"m.py": all_source(loc)}, matches, clones)
         assert result.score == pytest.approx(len(flagged | cloned) / loc)
         assert 0.0 <= result.score <= 1.0
 
     @given(st.sets(st.integers(1, 50), min_size=1, max_size=20))
     def test_monotone_in_flagged_lines(self, flagged):
-        base = verbosity_score({"m.py": 50}, [flag("m.py", n) for n in sorted(flagged)], [])
+        base = verbosity_score({"m.py": all_source(50)}, [flag("m.py", n) for n in sorted(flagged)], [])
         extra = (set(range(1, 51)) - flagged).pop() if flagged != set(range(1, 51)) else None
         if extra is not None:
             more = verbosity_score(
-                {"m.py": 50}, [flag("m.py", n) for n in sorted(flagged | {extra})], []
+                {"m.py": all_source(50)}, [flag("m.py", n) for n in sorted(flagged | {extra})], []
             )
             assert more.score > base.score
 
@@ -138,10 +139,8 @@ class TestWholeFileDuplication:
     def _measure(self, root):
         inv, files = _analyse_tree(root)
         matches = [m for f in files.values() for m in f.matches]
-        clones = detect_clones({path: f.normalized for path, f in files.items()})
-        verbosity = verbosity_score(
-            {f.path: f.loc for f in inv.files}, matches, clones
-        )
+        clones = detect_clones([f.normalized for f in files.values()])
+        verbosity = verbosity_score(measured_lines(files), matches, clones)
         return erosion_score(inv).score, verbosity.score
 
     def test_erosion_fixed_verbosity_raised(self, tmp_path):
@@ -170,11 +169,11 @@ def _analyse_tree(root):
 
 def test_fixture_module_end_to_end(tmp_path):
     write_tree(tmp_path, {"m.py": SLOPPY_MODULE})
-    inv, files = _analyse_tree(tmp_path)
+    _, files = _analyse_tree(tmp_path)
     matches = list(files["m.py"].matches)
     # identity-comprehension on line 2, len-eq-zero guard on line 3,
     # single-use-return on lines 5-6.
     hit_lines = {line for m in matches for line in m.lines}
     assert {2, 3, 5, 6} <= hit_lines
-    result = verbosity_score({f.path: f.loc for f in inv.files}, matches, [])
+    result = verbosity_score(measured_lines(files), matches, [])
     assert result.score > 0.5
