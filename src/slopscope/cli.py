@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .clones import DEFAULT_MIN_WINDOW
 from .erosion import erosion_sensitivity
-from .history import GitError, measure_checkpoint, measure_history, scan_tree_with_sources
+from .history import DEFAULT_MAX_COMMITS, GitError, measure_checkpoint, measure_history, scan_tree_with_sources
 from .model import ScanError
 from .panel import build_panel_entry, load_panel_config, panel_aggregate
 from .report import (
@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hist = sub.add_parser("history", help="measure sampled commits of a git repository")
     p_hist.add_argument("repo")
     _add_common(p_hist)
-    p_hist.add_argument("--max-commits", type=_positive_int, default=30)
+    p_hist.add_argument("--max-commits", type=_positive_int, default=DEFAULT_MAX_COMMITS)
     p_hist.add_argument("--seed", type=int, default=0)
     p_hist.add_argument("--cutoff-date", type=_iso_date, default=DEFAULT_ERA_CUTOFF)
     p_hist.add_argument("--exclude-tests", action="store_true", help="ignore test files when selecting commits")

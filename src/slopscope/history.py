@@ -32,6 +32,7 @@ from .trajectory import (
 )
 from .verbosity import VerbosityBreakdown
 
+DEFAULT_MAX_COMMITS = 30
 TEST_PATH_GLOBS = ("test_*.py", "*_test.py", "tests/*", "*/tests/*", "test/*", "*/test/*")
 
 # One entry of a tree object, up to its raw object id: octal mode, name.
@@ -104,7 +105,7 @@ def list_source_commits(repo: str | Path, exclude_tests: bool = False) -> list[C
 
 def sample_commits(
     repo: str | Path,
-    max_commits: int = 30,
+    max_commits: int = DEFAULT_MAX_COMMITS,
     seed: int = 0,
     exclude_tests: bool = False,
 ) -> list[CommitRef]:
@@ -450,7 +451,7 @@ class HistoryResult:
 
 def measure_history(
     repo: str | Path,
-    max_commits: int = 30,
+    max_commits: int = DEFAULT_MAX_COMMITS,
     seed: int = 0,
     cutoff: date = DEFAULT_ERA_CUTOFF,
     config: ScanConfig = ScanConfig(),

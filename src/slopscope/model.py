@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import yaml
@@ -29,6 +29,39 @@ def read_yaml(path: str | Path, error: type[Exception] = ScanError):
         raise error(f"{path}: nested too deeply to parse") from exc
     except (OSError, ValueError, yaml.YAMLError) as exc:
         raise error(f"{path}: {' '.join(str(exc).split())}") from exc
+
+
+_KIND_NAMES = {str: "a string", int: "an integer", list: "a list of strings"}
+
+
+def read_record(cls, entry, kinds: dict, where: str, error: type[Exception] = ScanError):
+    """One mapping read from an input file, as the frozen dataclass ``cls``;
+    an absent key takes the class's default. ``kinds`` maps each key the
+    mapping may hold to what its value must be: ``str``, ``int`` (a bool is
+    not one), an integer ``n`` for an integer of at least ``n``, or ``list``
+    for a list of strings (stored as a tuple). Anything else is raised as
+    ``error`` with a one-line message that starts with ``where``.
+    """
+    if not isinstance(entry, dict):
+        raise error(f"{where}: expected a mapping")
+    unknown = set(entry) - set(kinds)
+    if unknown:
+        raise error(f"{where}: unknown keys {sorted(unknown, key=str)}")
+    missing = [f.name for f in fields(cls) if f.name not in entry and f.default is MISSING]
+    if missing:
+        raise error(f"{where}: missing keys {missing}")
+    for key, value in entry.items():
+        kind = kinds[key]
+        if kind is list:
+            ok = isinstance(value, list) and all(isinstance(item, str) for item in value)
+        elif isinstance(kind, type):  # str or int; a bool is not an int
+            ok = type(value) is kind
+        else:  # the least integer allowed
+            ok = type(value) is int and value >= kind
+        if not ok:
+            name = _KIND_NAMES.get(kind, f"an integer of at least {kind}")
+            raise error(f"{where}: {key} must be {name}, got {value!r}")
+    return cls(**{key: tuple(value) if kinds[key] is list else value for key, value in entry.items()})
 
 
 @dataclass(frozen=True)

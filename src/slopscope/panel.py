@@ -8,8 +8,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .clones import DEFAULT_MIN_WINDOW
-from .history import HistoryResult, measure_history
-from .model import ScanError, read_yaml
+from .history import DEFAULT_MAX_COMMITS, HistoryResult, measure_history
+from .model import ScanError, read_record, read_yaml
 from .rules import RuleSet
 from .scan import ScanConfig
 from .trajectory import CheckpointMetrics, EraShift, TrajectorySummary
@@ -30,11 +30,17 @@ def star_tier(stars: int) -> str:
 
 @dataclass(frozen=True)
 class RepoSpec:
+    """One panel repository; an absent ``repo_id`` is the ``repo_path``."""
+
     repo_path: str
-    repo_id: str
-    stars: int
-    max_commits: int = 30
+    repo_id: str | None = None
+    stars: int = 0
+    max_commits: int = DEFAULT_MAX_COMMITS
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.repo_id is None:
+            object.__setattr__(self, "repo_id", self.repo_path)
 
 
 @dataclass(frozen=True)
@@ -72,41 +78,20 @@ class PanelReport:
 
 
 def load_panel_config(path: str | Path) -> list[RepoSpec]:
-    """Panel config: a YAML/JSON list of {repo_path, repo_id, stars, ...}.
+    """Panel config: a YAML/JSON list of ``RepoSpec`` mappings.
 
     Raises ValueError if the file is not such a list, names no repository
-    (an empty file, ``[]``, ``{}`` or ``repos: []``), if an entry's
-    ``stars`` is not an integer of at least 0, its ``max_commits`` not one
-    of at least 1 or its ``seed`` not an integer (bools, floats and strings
-    are refused, not coerced), or if two entries share a ``repo_id`` (which
-    defaults to ``repo_path``): a repository must enter the aggregates once.
+    (an empty file, ``[]`` or ``{}``), holds an entry ``read_record``
+    refuses, or if two entries share a ``repo_id``: a repository must enter
+    the aggregates once.
     """
     raw = read_yaml(path, ValueError) or []
-    if isinstance(raw, dict):
-        raw = raw.get("repos", [])
-    if not isinstance(raw, list) or not all(isinstance(entry, dict) for entry in raw):
+    if not isinstance(raw, list):
         raise ValueError(f"{path}: expected a list of repository mappings")
     if not raw:
         raise ValueError(f"{path}: no repositories")
-    for entry in raw:
-        for key, default, least in (("stars", 0, 0), ("max_commits", 30, 1), ("seed", 0, None)):
-            value = entry.get(key, default)
-            if not isinstance(value, int) or isinstance(value, bool) or (least is not None and value < least):
-                kind = "an integer" + ("" if least is None else f" of at least {least}")
-                raise ValueError(f"{path}: {key} must be {kind}, got {value!r}")
-    try:
-        specs = [
-            RepoSpec(
-                repo_path=str(entry["repo_path"]),
-                repo_id=str(entry.get("repo_id", entry["repo_path"])),
-                stars=entry.get("stars", 0),
-                max_commits=entry.get("max_commits", 30),
-                seed=entry.get("seed", 0),
-            )
-            for entry in raw
-        ]
-    except KeyError as exc:
-        raise ValueError(f"{path}: bad repository entry: {exc!r}") from exc
+    kinds = {"repo_path": str, "repo_id": str, "stars": 0, "max_commits": 1, "seed": int}
+    specs = [read_record(RepoSpec, entry, kinds, f"{path}: entry {i}", ValueError) for i, entry in enumerate(raw)]
     repeated = sorted(repo_id for repo_id, n in Counter(spec.repo_id for spec in specs).items() if n > 1)
     if repeated:
         raise ValueError(f"{path}: repo_id used more than once: {repeated}")

@@ -8,7 +8,7 @@ from importlib import resources
 from pathlib import Path
 
 from .adapters import SourceText, TreeIndex
-from .model import read_yaml
+from .model import read_record, read_yaml
 from .patterns import PatternError, compile_pattern, find_matches
 
 _REGEX_FLAGS = {"i": re.IGNORECASE, "m": re.MULTILINE, "s": re.DOTALL}
@@ -22,8 +22,8 @@ class RuleError(Exception):
 @dataclass(frozen=True)
 class QualityRule:
     id: str
-    kind: str  # "pattern" | "regex"
     pattern: str
+    kind: str = "pattern"  # "pattern" | "regex"
     category: str = ""
     message: str = ""
     regex_flags: tuple[str, ...] = ()
@@ -109,30 +109,14 @@ def load_rules(path: str | Path) -> RuleSet:
     raw = read_yaml(path, RuleError) or []
     if not isinstance(raw, list):
         raise RuleError(f"{path}: rule file must contain a list of rules")
+    kinds = {"id": str, "kind": str, "pattern": str, "category": str, "message": str, "regex_flags": list}
     rules: list[QualityRule] = []
     errors: list[str] = []
     for i, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            errors.append(f"entry {i}: not a mapping")
-            continue
-        unknown = set(entry) - {"id", "kind", "pattern", "category", "message", "regex_flags"}
-        if unknown:
-            errors.append(f"entry {i} ({entry.get('id', '?')}): unknown keys {sorted(unknown)}")
-            continue
-        flags = entry.get("regex_flags", [])
-        if not (isinstance(flags, list) and all(isinstance(flag, str) for flag in flags)):
-            errors.append(f"entry {i} ({entry.get('id', '?')}): regex_flags must be a list of strings: {flags!r}")
-            continue
-        rules.append(
-            QualityRule(
-                id=str(entry.get("id", "")),
-                kind=str(entry.get("kind", "pattern")),
-                pattern=str(entry.get("pattern", "")),
-                category=str(entry.get("category", "")),
-                message=str(entry.get("message", "")),
-                regex_flags=tuple(flags),
-            )
-        )
+        try:
+            rules.append(read_record(QualityRule, entry, kinds, f"entry {i}", RuleError))
+        except RuleError as exc:
+            errors.append(str(exc))
     if errors:
         raise RuleError(f"{path}: invalid rules: " + "; ".join(errors))
     return build_ruleset(rules)

@@ -9,7 +9,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
-from .model import ScanError, read_yaml
+from .model import ScanError, read_record, read_yaml
 
 # Directories that are never source, regardless of config.
 ALWAYS_SKIP_DIRS = {".git", ".hg", ".svn", "__pycache__"}
@@ -21,35 +21,15 @@ class ScanConfig:
     minified_line_threshold: int = 500
 
 
-# The type each config key's value must have; lists hold strings.
-_CONFIG_TYPES = {"exclude": list, "minified_line_threshold": int}
-
-
-def _has_type(value, kind: type) -> bool:
-    if kind is list:
-        return isinstance(value, list) and all(isinstance(item, str) for item in value)
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
 def load_scan_config(path: str | Path) -> ScanConfig:
     """Read a ScanConfig from a JSON or YAML file (JSON is a YAML subset).
 
-    Raises ScanError if the file cannot be read or parsed, holds an unknown
-    key, or holds a value of the wrong type or out of range: a minified-line
-    threshold below 1 would skip every file of a tree.
+    Raises ScanError if the file cannot be read or parsed, or if
+    ``read_record`` refuses it: a minified-line threshold below 1 would
+    skip every file of a tree.
     """
-    raw = read_yaml(path) or {}
-    if not isinstance(raw, dict):
-        raise ScanError(f"{path}: expected a mapping")
-    unknown = set(raw) - set(_CONFIG_TYPES)
-    if unknown:
-        raise ScanError(f"{path}: unknown keys {sorted(unknown)}")
-    for key, value in raw.items():
-        if not _has_type(value, _CONFIG_TYPES[key]):
-            raise ScanError(f"{path}: {key} has the wrong type: {value!r}")
-    if raw.get("minified_line_threshold", 1) < 1:
-        raise ScanError(f"{path}: minified_line_threshold must be at least 1: {raw['minified_line_threshold']!r}")
-    return ScanConfig(**{key: tuple(v) if isinstance(v, list) else v for key, v in raw.items()})
+    kinds = {"exclude": list, "minified_line_threshold": 1}
+    return read_record(ScanConfig, read_yaml(path) or {}, kinds, str(path))
 
 
 def _excluded(relpath: str, patterns: tuple[str, ...]) -> bool:

@@ -133,6 +133,13 @@ BAD_INPUTS = {
     "string-panel-seed": (["panel", "{string_seed}"], EXIT_USAGE),
     "repeated-panel-repo-id": (["panel", "{repeated_repo_id}"], EXIT_USAGE),
     "repeated-panel-repo-path": (["panel", "{repeated_repo_path}"], EXIT_USAGE),
+    "misspelled-panel-stars": (["panel", "{misspelled_stars}"], EXIT_USAGE),
+    "null-panel-repo-path": (["panel", "{null_repo_path}"], EXIT_USAGE),
+    "repos-mapping-panel": (["panel", "{repos_mapping}"], EXIT_USAGE),
+    "empty-rule-category": (["rules", "list", "--rules", "{empty_category}"], EXIT_BAD_RULES),
+    "null-rule-id": (["rules", "list", "--rules", "{null_rule_id}"], EXIT_BAD_RULES),
+    "list-rule-pattern": (["rules", "list", "--rules", "{list_pattern}"], EXIT_BAD_RULES),
+    "mixed-key-types-config": (["scan", "{tree}", "--config", "{mixed_keys}"], EXIT_USAGE),
     "unwritable-out": (["scan", "{tree}", "--out", "{tree}/no/such/dir/r.json"], EXIT_USAGE),
     "unwritable-emit-matches": (["scan", "{tree}", "--emit-matches", "{tree}/no/such/dir/m.jsonl"], EXIT_USAGE),
 }
@@ -171,6 +178,13 @@ BAD_FILES = {
     "repeated_repo_id.yaml": b"- {repo_path: repo, repo_id: r, stars: 20000}\n"
                              b"- {repo_path: other, repo_id: r, stars: 50}\n",
     "repeated_repo_path.yaml": b"- {repo_path: repo}\n- {repo_path: repo, stars: 50}\n",
+    "misspelled_stars.yaml": b"- {repo_path: repo, repo_id: r, star: 20000}\n",
+    "null_repo_path.yaml": b"- {repo_path: ~}\n",
+    "repos_mapping.yaml": b"repos: [{repo_path: repo}]\nextra: 1\n",
+    "empty_category.yaml": b"- id: r\n  kind: pattern\n  pattern: '$X == $X'\n  category:\n",
+    "null_rule_id.yaml": b"- {id: ~, kind: pattern, pattern: '$X == $X'}\n",
+    "list_pattern.yaml": b"- {id: r, kind: regex, pattern: [a, b]}\n",
+    "mixed_keys.yaml": b"1: a\nb: c\n",
 }
 
 
