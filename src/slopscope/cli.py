@@ -222,15 +222,15 @@ def cmd_rules(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> i
             print(f"{rule.id}\t{rule.kind}\t{rule.category}")
         return EXIT_OK
 
-    rule = rules.get(args.rule_id)
-    if rule is None:
+    selected = rules.subset({args.rule_id})
+    if not selected:
         return _fail(f"unknown rule id: {args.rule_id}", EXIT_USAGE)
     path = Path(args.file)
     if not is_python(path.name):
         return _fail(f"{path}: not a Python (.py) file", EXIT_USAGE)
     name = decode_path(os.fsencode(path.name))
     file = [(name, read_file(path.parent, path.name))]
-    analysis = scan_tree_with_sources(file, config, rules.subset({rule.id}))[1][name]
+    analysis = scan_tree_with_sources(file, config, selected)[1][name]
     if analysis.inventory.skipped:
         return _fail(f"{path}: skipped ({analysis.inventory.skipped[0][1]})", EXIT_UNREADABLE)
     for m in analysis.matches:

@@ -177,20 +177,18 @@ def detect_clones_normalized(
                 window_region[(fi, s)] = region_id
 
     # Regions that share any window fingerprint belong to one clone class.
+    # Each position of a shared window is a matched start, so lies in a region.
     uf = _UnionFind()
     for _, positions in shared:
-        ids = [window_region[pos] for pos in positions if pos in window_region]
+        ids = [window_region[pos] for pos in positions]
         for other in ids[1:]:
             uf.union(ids[0], other)
 
     out: list[CloneRegion] = []
     class_numbers: dict[int, int] = {}
-    order = sorted(
-        range(len(regions)),
-        key=lambda rid: (files[regions[rid][0]].path, regions[rid][1]),
-    )
-    for rid in order:
-        fi, first, last = regions[rid]
+    # Regions were made in file order, then by start, and files come sorted
+    # by path, so class numbers follow the regions' (path, start) order.
+    for rid, (fi, first, last) in enumerate(regions):
         nf = files[fi]
         root = uf.find(rid)
         class_id = class_numbers.setdefault(root, len(class_numbers))

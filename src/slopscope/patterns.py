@@ -26,7 +26,9 @@ from dataclasses import dataclass
 from .adapters import SourceText, TreeIndex
 
 _PLACEHOLDER_PREFIX = "_slopscope_mv_"
-_MV_TOKEN = re.compile(r"\$\$|\$([A-Za-z_][A-Za-z0-9_]*)(\??)")
+# A pattern's tokens: ``$$``, a metavariable (name, "?" if optional), or a
+# run of literal text (a ``$`` that starts neither is literal too).
+_MV_TOKEN = re.compile(r"\$\$|\$([A-Za-z_][A-Za-z0-9_]*)(\??)|[^$]+|\$")
 
 # AST fields that never take part in structural comparison.
 _IGNORED_FIELDS = {"ctx", "type_comment", "type_ignores"}
@@ -36,53 +38,32 @@ class PatternError(ValueError):
     """Raised when a pattern cannot be compiled."""
 
 
-def _segment_pattern(pattern: str) -> list[tuple[str, object]]:
-    """Split a pattern into literal chunks and metavariable tokens."""
-    segments: list[tuple[str, object]] = []
-    pos = 0
-    for m in _MV_TOKEN.finditer(pattern):
-        if m.start() > pos:
-            segments.append(("text", pattern[pos : m.start()]))
-        if m.group(0) == "$$":
-            segments.append(("text", "$"))
-        else:
-            segments.append(("mv", (m.group(1), m.group(2) == "?")))
-        pos = m.end()
-    if pos < len(pattern):
-        segments.append(("text", pattern[pos:]))
-    return segments
-
-
-def _render(segments: list[tuple[str, object]], omit: frozenset[str]) -> str:
+def _render(pattern: str, omit: frozenset[str]) -> str:
     """Render pattern text with placeholders, omitting the given optionals.
 
     When an optional metavariable is omitted, one adjacent comma (before it,
-    else after it) is removed with it so argument lists stay parseable.
+    else the first one after it, past nothing but whitespace and other
+    metavariables) is removed with it so argument lists stay parseable.
     """
-    out: list[str] = []
-    pending_strip_comma = False
-    for kind, value in segments:
-        if kind == "text":
-            text = str(value)
-            if pending_strip_comma:
+    out = ""
+    eat_comma = False  # an omitted metavariable found no comma before it
+    for m in _MV_TOKEN.finditer(pattern):
+        name = m[1]
+        if name is None:  # literal text; "$$" is a literal "$"
+            text = "$" if m[0] == "$$" else m[0]
+            if eat_comma:
                 stripped = text.lstrip()
                 if stripped.startswith(","):
                     text = stripped[1:]
-                pending_strip_comma = False
-            out.append(text)
+                eat_comma = False
+            out += text
+        elif name not in omit:
+            out += _PLACEHOLDER_PREFIX + name
+        elif out.rstrip().endswith(","):
+            out = out.rstrip()[:-1]
         else:
-            name, _optional = value  # type: ignore[misc]
-            if name in omit:
-                # Prefer eating a preceding comma; otherwise eat the next one.
-                prev = "".join(out)
-                trimmed = prev.rstrip()
-                if trimmed.endswith(","):
-                    out = [trimmed[:-1]]
-                else:
-                    pending_strip_comma = True
-            else:
-                out.append(_PLACEHOLDER_PREFIX + str(name))
-    return "".join(out)
+            eat_comma = True
+    return out
 
 
 @dataclass(frozen=True)
@@ -98,19 +79,21 @@ class CompiledPattern:
 
 
 def compile_pattern(pattern: str) -> CompiledPattern:
-    """Compile a metavariable pattern, expanding optional-metavariable variants."""
-    segments = _segment_pattern(pattern)
-    optional = {name for kind, v in segments if kind == "mv" for name, opt in [v] if opt}
-
+    """Compile a metavariable pattern, expanding optional-metavariable
+    variants: the full form first, then each set of optionals left out."""
+    optional = sorted({m[1] for m in _MV_TOKEN.finditer(pattern) if m[2]})
     variants: list[_Variant] = []
     errors: list[str] = []
+    full_error = ""  # the full form must itself be valid code
     for r in range(len(optional) + 1):
-        for omit in itertools.combinations(sorted(optional), r):
-            text = _render(segments, frozenset(omit))
+        for omit in itertools.combinations(optional, r):
+            text = _render(pattern, frozenset(omit))
             try:
                 module = ast.parse(text)
             except SyntaxError as exc:
                 errors.append(f"{text!r}: {exc.msg}")
+                if not omit:
+                    full_error = f"{pattern!r} does not parse: {exc.msg}"
                 continue
             if not module.body:
                 errors.append(f"{text!r}: empty pattern")
@@ -121,13 +104,9 @@ def compile_pattern(pattern: str) -> CompiledPattern:
                 variants.append(_Variant("stmts", tuple(module.body)))
 
     if not variants:
-        raise PatternError("; ".join(errors) or "pattern has no parseable form")
-    # The full (nothing omitted) form must itself be valid code.
-    full = _render(segments, frozenset())
-    try:
-        ast.parse(full)
-    except SyntaxError as exc:
-        raise PatternError(f"{pattern!r} does not parse: {exc.msg}") from exc
+        raise PatternError("; ".join(errors))
+    if full_error:
+        raise PatternError(full_error)
     return CompiledPattern(pattern, tuple(variants))
 
 

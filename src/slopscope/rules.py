@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 
 from .adapters import SourceText, TreeIndex
@@ -50,12 +49,6 @@ class RuleSet:
     def __iter__(self):
         return iter(self.rules)
 
-    def get(self, rule_id: str) -> QualityRule | None:
-        for rule in self.rules:
-            if rule.id == rule_id:
-                return rule
-        return None
-
     def compiled(self, rule: QualityRule):
         return self._compiled[rule.id]
 
@@ -64,69 +57,52 @@ class RuleSet:
         return RuleSet(kept, {r.id: self._compiled[r.id] for r in kept})
 
 
-def _compile_rule(rule: QualityRule):
-    if rule.kind == "pattern":
-        return compile_pattern(rule.pattern)
-    flags = 0
-    for flag in rule.regex_flags:
-        flags |= _REGEX_FLAGS[flag]
-    return re.compile(rule.pattern, flags)
-
-
-def build_ruleset(rules: list[QualityRule]) -> RuleSet:
-    """Validate and compile a list of rules, reporting every failure at once."""
-    errors: list[str] = []
-    seen: set[str] = set()
-    compiled: dict[str, object] = {}
-    for rule in rules:
-        if not rule.id:
-            errors.append("rule with empty id")
-            continue
-        if rule.id in seen:
-            errors.append(f"{rule.id}: duplicate rule id")
-            continue
-        seen.add(rule.id)
-        if rule.kind not in ("pattern", "regex"):
-            errors.append(f"{rule.id}: unknown kind {rule.kind!r}")
-            continue
-        if not rule.pattern:
-            errors.append(f"{rule.id}: empty pattern")
-            continue
-        if any(f not in _REGEX_FLAGS for f in rule.regex_flags):
-            errors.append(f"{rule.id}: regex_flags must be a subset of i, m, s")
-            continue
-        try:
-            compiled[rule.id] = _compile_rule(rule)
-        except (PatternError, re.error) as exc:
-            errors.append(f"{rule.id}: {exc}")
-    if errors:
-        raise RuleError("invalid rules: " + "; ".join(errors))
-    return RuleSet(tuple(rules), compiled)
-
-
 def load_rules(path: str | Path) -> RuleSet:
-    """Load a YAML rule file (a list of rule mappings)."""
+    """Load a YAML rule file (a list of rule mappings), checking and
+    compiling each rule. Every bad rule is reported in one ``RuleError``,
+    in file order: by ``entry i`` if it is not a valid mapping, else by id."""
     raw = read_yaml(path, RuleError) or []
     if not isinstance(raw, list):
         raise RuleError(f"{path}: rule file must contain a list of rules")
     kinds = {"id": str, "kind": str, "pattern": str, "category": str, "message": str, "regex_flags": list}
     rules: list[QualityRule] = []
+    compiled: dict[str, object] = {}
     errors: list[str] = []
+    seen: set[str] = set()  # ids of every rule read, valid or not
     for i, entry in enumerate(raw):
         try:
-            rules.append(read_record(QualityRule, entry, kinds, f"entry {i}", RuleError))
+            rule = read_record(QualityRule, entry, kinds, f"entry {i}", RuleError)
+            if not rule.id:
+                raise RuleError("rule with empty id")
+            if rule.id in seen:
+                raise RuleError(f"{rule.id}: duplicate rule id")
+            seen.add(rule.id)
+            if rule.kind not in ("pattern", "regex"):
+                raise RuleError(f"{rule.id}: unknown kind {rule.kind!r}")
+            if not rule.pattern:
+                raise RuleError(f"{rule.id}: empty pattern")
+            if any(f not in _REGEX_FLAGS for f in rule.regex_flags):
+                raise RuleError(f"{rule.id}: regex_flags must be a subset of i, m, s")
+            if rule.kind == "pattern":
+                compiled[rule.id] = compile_pattern(rule.pattern)
+            else:
+                flags = 0
+                for flag in rule.regex_flags:
+                    flags |= _REGEX_FLAGS[flag]
+                compiled[rule.id] = re.compile(rule.pattern, flags)
+            rules.append(rule)
         except RuleError as exc:
             errors.append(str(exc))
+        except (PatternError, re.error) as exc:
+            errors.append(f"{rule.id}: {exc}")
     if errors:
         raise RuleError(f"{path}: invalid rules: " + "; ".join(errors))
-    return build_ruleset(rules)
+    return RuleSet(tuple(rules), compiled)
 
 
 def load_starter_rules() -> RuleSet:
     """The bundled starter rule set."""
-    ref = resources.files("slopscope").joinpath("data/rules/starter.yaml")
-    with resources.as_file(ref) as path:
-        return load_rules(path)
+    return load_rules(Path(__file__).parent / "data" / "rules" / "starter.yaml")
 
 
 def _regex_matches(regex: re.Pattern, source: SourceText):

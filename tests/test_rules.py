@@ -8,9 +8,7 @@ import pytest
 from slopscope.adapters import SourceText
 from slopscope.patterns import PatternError, TreeIndex, compile_pattern, find_matches
 from slopscope.rules import (
-    QualityRule,
     RuleError,
-    build_ruleset,
     load_rules,
     load_starter_rules,
     match_rules,
@@ -85,17 +83,33 @@ class TestRuleLoading:
         path = tmp_path / "rules.yaml"
         path.write_text("- {id: r, kind: regex, pattern: '^x', regex_flags: [i, m]}\n")
         rules = load_rules(path)
-        assert rules.get("r").regex_flags == ("i", "m")
-        assert rules.compiled(rules.get("r")).flags & (re.IGNORECASE | re.MULTILINE) == re.IGNORECASE | re.MULTILINE
+        (rule,) = rules
+        assert rule.regex_flags == ("i", "m")
+        assert rules.compiled(rule).flags & (re.IGNORECASE | re.MULTILINE) == re.IGNORECASE | re.MULTILINE
 
-    def test_every_invalid_rule_reported(self):
-        rules = [
-            QualityRule(id="badpat", kind="pattern", pattern="def ((("),
-            QualityRule(id="badre", kind="regex", pattern="[unclosed"),
-        ]
+    def test_every_invalid_rule_reported(self, tmp_path):
+        path = tmp_path / "rules.yaml"
+        path.write_text(
+            "- {id: badpat, kind: pattern, pattern: 'def ((('}\n"
+            "- {id: badre, kind: regex, pattern: '[unclosed'}\n"
+        )
         with pytest.raises(RuleError) as err:
-            build_ruleset(rules)
+            load_rules(path)
         assert "badpat" in str(err.value) and "badre" in str(err.value)
+
+    def test_entry_and_compile_errors_reported_together(self, tmp_path):
+        path = tmp_path / "two.yaml"
+        path.write_text("- {id: ok, pattern: '$X == $X', languages: [py]}\n- {id: bad, pattern: 'def ((('}\n")
+        with pytest.raises(RuleError) as err:
+            load_rules(path)
+        assert "entry 0: unknown keys" in str(err.value) and "; bad: " in str(err.value)
+
+    def test_compile_error_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text("- {id: bad, pattern: 'def ((('}\n")
+        with pytest.raises(RuleError) as err:
+            load_rules(path)
+        assert str(err.value).startswith(f"{path}: ")
 
     def test_starter_set_size_and_categories(self):
         rules = load_starter_rules()
