@@ -16,29 +16,30 @@ import os
 import sys
 from dataclasses import asdict
 from datetime import date
+from importlib import import_module
 from pathlib import Path
 
 from .clones import DEFAULT_MIN_WINDOW
-from .erosion import erosion_sensitivity
-from .history import DEFAULT_MAX_COMMITS, GitError, measure_checkpoint, measure_history, scan_tree_with_sources
 from .model import ScanError
-from .panel import build_panel_entry, load_panel_config, panel_aggregate
-from .report import (
-    callables_to_list,
-    canonical_json,
-    clone_to_dict,
-    envelope,
-    erosion_to_dict,
-    history_report_csv,
-    history_to_dict,
-    inventory_to_dict,
-    match_to_dict,
-    scan_report_csv,
-    verbosity_to_dict,
-)
 from .rules import RuleError, RuleSet, load_rules, load_starter_rules
 from .scan import ScanConfig, decode_path, is_python, load_scan_config, read_file
-from .trajectory import DEFAULT_ERA_CUTOFF
+
+# Each command imports the modules it runs (history, report, panel, erosion,
+# trajectory) inside itself, so ``rules list`` loads none of them. Three
+# functions of those modules are still attributes of this module, resolved
+# on first use: ``perfbench/spans.py`` wraps them here by name, and the
+# commands call them through ``_this`` so that its wrappers are the ones
+# that run. This shim goes once the program records its own layer spans
+# (the in-product spans item of ROADMAP.md).
+_LAZY = {"measure_checkpoint": ".history", "measure_history": ".history", "canonical_json": ".report"}
+_this = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(_LAZY[name], __package__), name)
+
 
 RULES_ENV = "SLOPSCOPE_RULES"
 
@@ -91,6 +92,8 @@ def _emit(args, rules: RuleSet, config: ScanConfig, payload_type: str, payload: 
     if to_csv is not None and args.format == "csv":
         text = to_csv(payload)
     else:
+        from .report import envelope
+
         rule_defs = json.dumps([asdict(rule) for rule in rules], sort_keys=True).encode()
         digested = {
             **asdict(config),
@@ -98,7 +101,7 @@ def _emit(args, rules: RuleSet, config: ScanConfig, payload_type: str, payload: 
             "min_window": args.min_window,
             **settings,
         }
-        text = canonical_json(envelope(payload_type, payload, digested, args.deterministic))
+        text = _this.canonical_json(envelope(payload_type, payload, digested, args.deterministic))
     if not args.out:
         sys.stdout.write(text)
         return EXIT_OK
@@ -114,8 +117,18 @@ def _write(path: str, text: str) -> int:
 
 
 def cmd_scan(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> int:
+    from .report import (
+        callables_to_list,
+        clone_to_dict,
+        erosion_to_dict,
+        inventory_to_dict,
+        match_to_dict,
+        scan_report_csv,
+        verbosity_to_dict,
+    )
+
     try:
-        analysis = measure_checkpoint(args.root, config, rules, min_window=args.min_window)
+        analysis = _this.measure_checkpoint(args.root, config, rules, min_window=args.min_window)
     except ScanError as exc:
         return _fail(exc, EXIT_UNREADABLE)
 
@@ -129,6 +142,8 @@ def cmd_scan(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> in
         "clones": [clone_to_dict(r) for r in analysis.clones],
     }
     if args.sweep:
+        from .erosion import erosion_sensitivity
+
         payload["sweep"] = [
             {"cc_cutoff": cutoff, "size_exponent": exponent, "score": score}
             for cutoff, exponent, score in erosion_sensitivity(analysis.inventory)
@@ -144,12 +159,18 @@ def cmd_scan(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> in
 
 
 def cmd_history(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> int:
+    from .history import DEFAULT_MAX_COMMITS, GitError
+    from .report import history_report_csv, history_to_dict
+    from .trajectory import DEFAULT_ERA_CUTOFF
+
+    max_commits = DEFAULT_MAX_COMMITS if args.max_commits is None else args.max_commits
+    cutoff = DEFAULT_ERA_CUTOFF if args.cutoff_date is None else args.cutoff_date
     try:
-        result = measure_history(
+        result = _this.measure_history(
             args.repo,
-            max_commits=args.max_commits,
+            max_commits=max_commits,
             seed=args.seed,
-            cutoff=args.cutoff_date,
+            cutoff=cutoff,
             config=config,
             rules=rules,
             min_window=args.min_window,
@@ -164,15 +185,18 @@ def cmd_history(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) ->
 
     payload = {**history_to_dict(result), "repo": "." if args.deterministic else str(args.repo)}
     settings = {
-        "max_commits": args.max_commits,
+        "max_commits": max_commits,
         "seed": args.seed,
-        "cutoff_date": args.cutoff_date.isoformat(),
+        "cutoff_date": cutoff.isoformat(),
         "exclude_tests": args.exclude_tests,
     }
     return _emit(args, rules, config, "HistoryReport", payload, settings, history_report_csv)
 
 
 def cmd_panel(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> int:
+    from .history import GitError
+    from .panel import build_panel_entry, load_panel_config, panel_aggregate
+
     try:
         specs = load_panel_config(args.panel_config)
     except ValueError as exc:
@@ -222,6 +246,9 @@ def cmd_rules(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> i
             print(f"{rule.id}\t{rule.kind}\t{rule.category}")
         return EXIT_OK
 
+    from .history import scan_tree_with_sources
+    from .report import match_to_dict
+
     selected = rules.subset({args.rule_id})
     if not selected:
         return _fail(f"unknown rule id: {args.rule_id}", EXIT_USAGE)
@@ -263,9 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_hist = sub.add_parser("history", help="measure sampled commits of a git repository")
     p_hist.add_argument("repo")
     _add_common(p_hist)
-    p_hist.add_argument("--max-commits", type=_positive_int, default=DEFAULT_MAX_COMMITS)
+    # None stands for the defaults of history.py and trajectory.py, which
+    # cmd_history fills in, so that building the parser imports neither.
+    p_hist.add_argument("--max-commits", type=_positive_int)
     p_hist.add_argument("--seed", type=int, default=0)
-    p_hist.add_argument("--cutoff-date", type=_iso_date, default=DEFAULT_ERA_CUTOFF)
+    p_hist.add_argument("--cutoff-date", type=_iso_date)
     p_hist.add_argument("--exclude-tests", action="store_true", help="ignore test files when selecting commits")
     p_hist.set_defaults(func=cmd_history)
 

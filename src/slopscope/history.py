@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import codecs
 import fnmatch
-import random
 import re
 import stat
-import subprocess
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
@@ -54,6 +52,8 @@ class CommitRef:
 
 
 def _git(repo: str | Path, *args: str) -> bytes:
+    import subprocess  # here, not with the module: ``scan`` starts no process
+
     try:
         proc = subprocess.run(["git", "-C", str(repo), *args], capture_output=True, check=False)
     except OSError as exc:  # no git on PATH, say
@@ -114,6 +114,8 @@ def sample_commits(
     Deterministic for a fixed seed; output is chronological. If fewer than
     ``max_commits`` commits qualify, all of them are returned.
     """
+    import random
+
     commits = list_source_commits(repo, exclude_tests)
     if len(commits) > max_commits:
         commits = random.Random(seed).sample(commits, max_commits)
@@ -131,6 +133,8 @@ class ObjectStore:
     """
 
     def __init__(self, repo: str | Path) -> None:
+        import subprocess
+
         self._proc = subprocess.Popen(
             ["git", "-C", str(repo), "cat-file", "--batch"],
             stdin=subprocess.PIPE,

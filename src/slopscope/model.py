@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
-import yaml
-
 
 class ScanError(Exception):
     """Raised when a scan cannot proceed at all (e.g. missing root)."""
@@ -21,7 +19,11 @@ def read_yaml(path: str | Path, error: type[Exception] = ScanError):
 
     Any failure to read, decode or parse it, nesting too deep for the
     parser included, is raised as ``error`` with a one-line message.
+    ``yaml`` is imported here, not with the module: only a command given a
+    rule, config or panel file needs a YAML parser.
     """
+    import yaml
+
     try:
         with open(path, encoding="utf-8") as fh:
             return yaml.safe_load(fh)

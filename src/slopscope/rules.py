@@ -1,7 +1,8 @@
-"""Quality rules: YAML rule files, pattern/regex matching, flagged lines."""
+"""Quality rules: rule files, pattern/regex matching, flagged lines."""
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -57,11 +58,31 @@ class RuleSet:
         return RuleSet(kept, {r.id: self._compiled[r.id] for r in kept})
 
 
+STARTER_RULES = Path(__file__).parent / "data" / "rules" / "starter.json"
+
+
 def load_rules(path: str | Path) -> RuleSet:
-    """Load a YAML rule file (a list of rule mappings), checking and
-    compiling each rule. Every bad rule is reported in one ``RuleError``,
-    in file order: by ``entry i`` if it is not a valid mapping, else by id."""
-    raw = read_yaml(path, RuleError) or []
+    """Load a YAML or JSON rule file (a list of rule mappings); see
+    ``_check_rules``."""
+    return _check_rules(read_yaml(path, RuleError) or [], path)
+
+
+def load_starter_rules() -> RuleSet:
+    """The bundled starter rule set. It is JSON, read with ``json``, so no
+    YAML parser is loaded for it; ``_check_rules`` checks it as it checks
+    any rule file."""
+    try:
+        raw = json.loads(STARTER_RULES.read_bytes())
+    except (OSError, ValueError) as exc:
+        raise RuleError(f"{STARTER_RULES}: {' '.join(str(exc).split())}") from exc
+    return _check_rules(raw, STARTER_RULES)
+
+
+def _check_rules(raw, path: str | Path) -> RuleSet:
+    """Check and compile each rule of a rule file's parsed content, which
+    must be a list of rule mappings. Every bad rule is reported in one
+    ``RuleError`` that starts with ``path``, in file order: by ``entry i``
+    if it is not a valid mapping, else by id."""
     if not isinstance(raw, list):
         raise RuleError(f"{path}: rule file must contain a list of rules")
     kinds = {"id": str, "kind": str, "pattern": str, "category": str, "message": str, "regex_flags": list}
@@ -98,11 +119,6 @@ def load_rules(path: str | Path) -> RuleSet:
     if errors:
         raise RuleError(f"{path}: invalid rules: " + "; ".join(errors))
     return RuleSet(tuple(rules), compiled)
-
-
-def load_starter_rules() -> RuleSet:
-    """The bundled starter rule set."""
-    return load_rules(Path(__file__).parent / "data" / "rules" / "starter.yaml")
 
 
 def _regex_matches(regex: re.Pattern, source: SourceText):

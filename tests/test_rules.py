@@ -8,6 +8,7 @@ import pytest
 from slopscope.adapters import SourceText
 from slopscope.patterns import PatternError, TreeIndex, compile_pattern, find_matches
 from slopscope.rules import (
+    STARTER_RULES,
     RuleError,
     load_rules,
     load_starter_rules,
@@ -110,6 +111,19 @@ class TestRuleLoading:
         with pytest.raises(RuleError) as err:
             load_rules(path)
         assert str(err.value).startswith(f"{path}: ")
+
+    def test_starter_file_read_as_yaml_gives_the_same_rules(self):
+        assert load_rules(STARTER_RULES).rules == load_starter_rules().rules
+
+    @pytest.mark.parametrize("data", [None, b"- id: not json\n", b"{}"])
+    def test_a_bad_starter_file_is_a_rule_error(self, tmp_path, monkeypatch, data):
+        path = tmp_path / "starter.json"
+        if data is not None:
+            path.write_bytes(data)
+        monkeypatch.setattr("slopscope.rules.STARTER_RULES", path)
+        with pytest.raises(RuleError) as err:
+            load_starter_rules()
+        assert str(err.value).startswith(f"{path}: ") and "\n" not in str(err.value)
 
     def test_starter_set_size_and_categories(self):
         rules = load_starter_rules()
