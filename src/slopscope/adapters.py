@@ -12,8 +12,8 @@ import ast
 import bisect
 import re
 from collections import deque
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 from .model import CallableRecord
 
@@ -30,8 +30,7 @@ def is_source_line(line: str) -> bool:
 _LINE_BREAK = re.compile(r"\r\n|\r|\n")
 
 
-@dataclass(frozen=True)
-class SourceText:
+class SourceText(NamedTuple):
     """One file's text, split into lines once, the way the parser splits it.
 
     ``starts`` holds the character offset of line 1 and of the position
@@ -77,8 +76,7 @@ _ONE_POINT = frozenset({ast.If, ast.IfExp, ast.For, ast.AsyncFor, ast.While, ast
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-@dataclass(frozen=True)
-class TreeIndex:
+class TreeIndex(NamedTuple):
     """One file's syntax tree, walked once.
 
     ``exprs`` holds every expression node in ``ast.walk`` order, and

@@ -9,17 +9,14 @@ diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
 import sys
-from dataclasses import asdict
 from datetime import date
 from importlib import import_module
 from pathlib import Path
 
-from .clones import DEFAULT_MIN_WINDOW
 from .model import ScanError
 from .rules import RuleError, RuleSet, load_rules, load_starter_rules
 from .scan import ScanConfig, decode_path, is_python, load_scan_config, read_file
@@ -92,11 +89,13 @@ def _emit(args, rules: RuleSet, config: ScanConfig, payload_type: str, payload: 
     if to_csv is not None and args.format == "csv":
         text = to_csv(payload)
     else:
+        import hashlib
+
         from .report import envelope
 
-        rule_defs = json.dumps([asdict(rule) for rule in rules], sort_keys=True).encode()
+        rule_defs = json.dumps([rule._asdict() for rule in rules], sort_keys=True).encode()
         digested = {
-            **asdict(config),
+            **config._asdict(),
             "rules": hashlib.sha256(rule_defs).hexdigest(),
             "min_window": args.min_window,
             **settings,
@@ -220,7 +219,9 @@ def cmd_panel(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> i
         failed=tuple(failed),
     )
     payload = {
-        **asdict(report),
+        **report._asdict(),
+        "overall": report.overall._asdict(),
+        "tiers": {tier: stats._asdict() for tier, stats in report.tiers.items()},
         "failed_count": len(failed),
         "entries": [
             {
@@ -272,8 +273,9 @@ def _add_common(parser: argparse.ArgumentParser, csv: bool = True) -> None:
         parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--out", help="write the report to a file instead of stdout")
     parser.add_argument("--deterministic", action="store_true", help="omit timestamps and absolute paths")
-    parser.add_argument("--min-window", type=_positive_int, default=DEFAULT_MIN_WINDOW,
-                        help="clone window size in normalized lines")
+    # None stands for clones.DEFAULT_MIN_WINDOW, which main fills in, so that
+    # building the parser does not import the clone detector.
+    parser.add_argument("--min-window", type=_positive_int, help="clone window size in normalized lines")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -321,6 +323,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "min_window", 0) is None:  # scan, history or panel, without --min-window
+        from .clones import DEFAULT_MIN_WINDOW
+
+        args.min_window = DEFAULT_MIN_WINDOW
     rules_path = args.rules if args.rules is not None else os.environ.get(RULES_ENV)
     try:
         rules = load_starter_rules() if rules_path is None else load_rules(rules_path)

@@ -24,13 +24,12 @@ import hashlib
 import keyword
 import re
 from collections.abc import Iterable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 DEFAULT_MIN_WINDOW = 6
 
 
-@dataclass(frozen=True)
-class CloneRegion:
+class CloneRegion(NamedTuple):
     clone_class_id: int
     file: str
     span: tuple[int, int]  # physical lines, 1-based inclusive
@@ -38,8 +37,7 @@ class CloneRegion:
     lines: tuple[int, ...]  # the physical source lines the region covers
 
 
-@dataclass(frozen=True)
-class NormalizedFile:
+class NormalizedFile(NamedTuple):
     """A file's clone-relevant content, as ``normalize_file`` gives it."""
 
     path: str

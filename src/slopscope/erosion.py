@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import CallableRecord, SourceInventory
 
@@ -10,20 +10,24 @@ SWEEP_CUTOFFS = (8, 10, 12)
 SWEEP_EXPONENTS = (0.0, 0.5, 1.0)
 
 
-@dataclass(frozen=True)
-class ErosionParams:
+class _ErosionFields(NamedTuple):
     cc_cutoff: int = 10
     size_exponent: float = 0.5
 
-    def __post_init__(self) -> None:
+
+class ErosionParams(_ErosionFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.cc_cutoff < 1:
             raise ValueError("cc_cutoff must be positive")
         if self.size_exponent not in (0.0, 0.5, 1.0):
             raise ValueError("size_exponent must be one of 0, 0.5, 1")
+        return self
 
 
-@dataclass(frozen=True)
-class ErosionReport:
+class ErosionReport(NamedTuple):
     score: float
     total_mass: float
     high_cc_mass: float

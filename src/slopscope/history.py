@@ -7,7 +7,6 @@ import fnmatch
 import re
 import stat
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
@@ -45,8 +44,7 @@ class GitError(Exception):
     """Raised when a path is not a usable git repository."""
 
 
-@dataclass(frozen=True)
-class CommitRef:
+class CommitRef(NamedTuple):
     sha: str
     committed_at: datetime  # committer date, UTC
 
@@ -227,8 +225,7 @@ def _list_tree(prefix: str, entries: list[tuple[int, bytes, str]], config: ScanC
     return TreeListing(tuple(blobs), tuple(links), tuple(subtrees))
 
 
-@dataclass(frozen=True)
-class CommitTree:
+class CommitTree(NamedTuple):
     """The files of one commit that a scan of its checkout would measure,
     as git stores them: each path's blob id, and the paths of symbolic
     links, which are skipped unread. ``trees`` holds the listing of every
@@ -272,8 +269,7 @@ def materialize_commit(
     return CommitTree(blobs, tuple(links), store, trees)
 
 
-@dataclass(frozen=True)
-class FileAnalysis:
+class FileAnalysis(NamedTuple):
     """Everything one file adds to a checkpoint, without its syntax tree:
     its record and callables (or its skip), rule matches, source lines and
     clone-normalized lines."""
@@ -401,8 +397,7 @@ def _read_commit(tree: CommitTree, reuse: Mapping[tuple[str, str], FileAnalysis]
         yield path, reuse[(path, blob)] if (path, blob) in reuse else tree.store.read(blob)
 
 
-@dataclass(frozen=True)
-class CheckpointAnalysis:
+class CheckpointAnalysis(NamedTuple):
     """Full measurement of one workspace snapshot."""
 
     erosion: ErosionReport
@@ -445,8 +440,7 @@ def measure_checkpoint(
     )
 
 
-@dataclass(frozen=True)
-class HistoryResult:
+class HistoryResult(NamedTuple):
     checkpoints: list[CheckpointMetrics]
     summary: TrajectorySummary | None
     era: EraShift | None

@@ -1,9 +1,15 @@
-"""Core data model: files, callables, and the per-snapshot inventory."""
+"""Core data model: files, callables, and the per-snapshot inventory.
+
+Records throughout the package are ``typing.NamedTuple`` classes, which
+cost next to nothing to define at import. A record that checks its values
+does so in the ``__new__`` of a thin subclass, so a bad value is refused
+when the record is built.
+"""
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 
 class ScanError(Exception):
@@ -37,8 +43,8 @@ _KIND_NAMES = {str: "a string", int: "an integer", list: "a list of strings"}
 
 
 def read_record(cls, entry, kinds: dict, where: str, error: type[Exception] = ScanError):
-    """One mapping read from an input file, as the frozen dataclass ``cls``;
-    an absent key takes the class's default. ``kinds`` maps each key the
+    """One mapping read from an input file, as the record class ``cls`` (a
+    ``typing.NamedTuple``); an absent key takes the class's default. ``kinds`` maps each key the
     mapping may hold to what its value must be: ``str``, ``int`` (a bool is
     not one), an integer ``n`` for an integer of at least ``n``, or ``list``
     for a list of strings (stored as a tuple). Anything else is raised as
@@ -49,7 +55,7 @@ def read_record(cls, entry, kinds: dict, where: str, error: type[Exception] = Sc
     unknown = set(entry) - set(kinds)
     if unknown:
         raise error(f"{where}: unknown keys {sorted(unknown, key=str)}")
-    missing = [f.name for f in fields(cls) if f.name not in entry and f.default is MISSING]
+    missing = [name for name in cls._fields if name not in entry and name not in cls._field_defaults]
     if missing:
         raise error(f"{where}: missing keys {missing}")
     for key, value in entry.items():
@@ -66,8 +72,13 @@ def read_record(cls, entry, kinds: dict, where: str, error: type[Exception] = Sc
     return cls(**{key: tuple(value) if kinds[key] is list else value for key, value in entry.items()})
 
 
-@dataclass(frozen=True)
-class FileRecord:
+class _FileFields(NamedTuple):
+    path: str
+    loc: int
+    line_count: int
+
+
+class FileRecord(_FileFields):
     """One analyzed source file.
 
     ``loc`` counts non-blank, non-comment physical lines and is the
@@ -75,19 +86,26 @@ class FileRecord:
     to the scanned root, with '/' separators.
     """
 
-    path: str
-    loc: int
-    line_count: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.loc > self.line_count:
             raise ValueError(f"{self.path}: loc {self.loc} > line_count {self.line_count}")
         if self.path.startswith("/") or ".." in self.path.split("/"):
             raise ValueError(f"path must be workspace-relative: {self.path}")
+        return self
 
 
-@dataclass(frozen=True)
-class CallableRecord:
+class _CallableFields(NamedTuple):
+    qualified_name: str
+    file: str
+    span: tuple[int, int]
+    cc: int
+    sloc: int
+
+
+class CallableRecord(_CallableFields):
     """One function or method, with its cyclomatic complexity and SLOC.
 
     ``span`` is (start_line, end_line), 1-based inclusive. Lambdas are not
@@ -95,13 +113,10 @@ class CallableRecord:
     enclosing named callable.
     """
 
-    qualified_name: str
-    file: str
-    span: tuple[int, int]
-    cc: int
-    sloc: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         start, end = self.span
         if self.cc < 1 or self.sloc < 1:
             raise ValueError(f"{self.qualified_name}: cc and sloc must be >= 1")
@@ -109,10 +124,10 @@ class CallableRecord:
             raise ValueError(f"{self.qualified_name}: span {self.span} inverted")
         if self.sloc > end - start + 1:
             raise ValueError(f"{self.qualified_name}: sloc {self.sloc} exceeds span {self.span}")
+        return self
 
 
-@dataclass(frozen=True)
-class SourceInventory:
+class SourceInventory(NamedTuple):
     """Everything measured in one workspace snapshot.
 
     ``callables`` is sorted by (file, start_line) so serialized inventories

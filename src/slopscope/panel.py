@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import statistics
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .clones import DEFAULT_MIN_WINDOW
 from .history import DEFAULT_MAX_COMMITS, HistoryResult, measure_history
@@ -28,23 +28,25 @@ def star_tier(stars: int) -> str:
     return "Major"
 
 
-@dataclass(frozen=True)
-class RepoSpec:
-    """One panel repository; an absent ``repo_id`` is the ``repo_path``."""
-
+class _RepoFields(NamedTuple):
     repo_path: str
     repo_id: str | None = None
     stars: int = 0
     max_commits: int = DEFAULT_MAX_COMMITS
     seed: int = 0
 
-    def __post_init__(self) -> None:
-        if self.repo_id is None:
-            object.__setattr__(self, "repo_id", self.repo_path)
+
+class RepoSpec(_RepoFields):
+    """One panel repository; an absent ``repo_id`` is the ``repo_path``."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        return self if self.repo_id is not None else self._replace(repo_id=self.repo_path)
 
 
-@dataclass(frozen=True)
-class RepoPanelEntry:
+class RepoPanelEntry(NamedTuple):
     repo_id: str
     star_tier: str
     head_metrics: CheckpointMetrics
@@ -52,8 +54,7 @@ class RepoPanelEntry:
     era: EraShift | None = None
 
 
-@dataclass(frozen=True)
-class TierStats:
+class TierStats(NamedTuple):
     n: int
     mean_verbosity: float
     std_verbosity: float
@@ -61,8 +62,7 @@ class TierStats:
     std_erosion: float
 
 
-@dataclass(frozen=True)
-class PanelReport:
+class PanelReport(NamedTuple):
     overall: TierStats
     tiers: dict[str, TierStats]
     rising_fraction_erosion: float

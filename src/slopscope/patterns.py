@@ -21,7 +21,7 @@ from __future__ import annotations
 import ast
 import itertools
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .adapters import SourceText, TreeIndex
 
@@ -66,14 +66,12 @@ def _render(pattern: str, omit: frozenset[str]) -> str:
     return out
 
 
-@dataclass(frozen=True)
-class _Variant:
+class _Variant(NamedTuple):
     kind: str  # "expr" or "stmts"
     nodes: tuple[ast.AST, ...]
 
 
-@dataclass(frozen=True)
-class CompiledPattern:
+class CompiledPattern(NamedTuple):
     source: str
     variants: tuple[_Variant, ...]
 

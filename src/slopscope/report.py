@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
-from dataclasses import asdict
 from datetime import datetime, timezone
 
 from . import __version__
@@ -69,7 +66,7 @@ def erosion_to_dict(report: ErosionReport) -> dict:
 
 
 def verbosity_to_dict(breakdown: VerbosityBreakdown) -> dict:
-    return asdict(breakdown)
+    return breakdown._asdict()
 
 
 def match_to_dict(match: RuleMatch) -> dict:
@@ -140,11 +137,11 @@ def checkpoint_to_dict(cm: CheckpointMetrics) -> dict:
 
 
 def summary_to_dict(summary: TrajectorySummary) -> dict:
-    return {**asdict(summary), "missing_checkpoints": list(summary.missing_checkpoints)}
+    return {**summary._asdict(), "missing_checkpoints": list(summary.missing_checkpoints)}
 
 
 def era_to_dict(era: EraShift) -> dict:
-    return {**asdict(era), "cutoff_date": era.cutoff_date.isoformat()}
+    return {**era._asdict(), "cutoff_date": era.cutoff_date.isoformat()}
 
 
 def history_to_dict(result: HistoryResult) -> dict:
@@ -178,6 +175,9 @@ def scan_report_csv(analysis: CheckpointAnalysis) -> str:
     counts (``verbosity.counted_lines``), so the file rows add up to the
     TOTAL row.
     """
+    import csv  # here, not with the module: a JSON report writes no CSV
+    import io
+
     counted = counted_lines(measured_lines(analysis.files), analysis.matches, analysis.clones)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -212,6 +212,9 @@ def scan_report_csv(analysis: CheckpointAnalysis) -> str:
 
 
 def history_report_csv(payload: dict) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(HISTORY_CSV_HEADER)

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from pathlib import Path
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .adapters import SourceText, TreeIndex
 from .model import read_record, read_yaml
@@ -19,8 +21,7 @@ class RuleError(Exception):
     every bad rule."""
 
 
-@dataclass(frozen=True)
-class QualityRule:
+class QualityRule(NamedTuple):
     id: str
     pattern: str
     kind: str = "pattern"  # "pattern" | "regex"
@@ -29,20 +30,44 @@ class QualityRule:
     regex_flags: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class RuleMatch:
+class _MatchFields(NamedTuple):
     rule_id: str
     file: str
     start: tuple[int, int]  # (line, col), 1-based
     end: tuple[int, int]  # position immediately after the match
     lines: tuple[int, ...]  # every line the matched span covers
-    captures: dict[str, str] = field(default_factory=dict, compare=False)
+    # Metavariable name -> bound source text; the default is read-only, so
+    # no two matches share a mutable mapping.
+    captures: Mapping[str, str] = MappingProxyType({})
 
 
-@dataclass(frozen=True)
+class RuleMatch(_MatchFields):
+    """One match of one rule. Equality and hash ignore ``captures``: two
+    matches of the same rule over the same span are the same match."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not RuleMatch:
+            return NotImplemented
+        return self[:5] == other[:5]
+
+    def __ne__(self, other):  # else tuple's, which compares captures too
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:5])
+
+
 class RuleSet:
-    rules: tuple[QualityRule, ...]
-    _compiled: dict[str, object] = field(default_factory=dict, compare=False, repr=False)
+    """Rules in file order, each with its compiled pattern or regex.
+    Iterating a rule set gives its rules."""
+
+    __slots__ = ("rules", "_compiled")
+
+    def __init__(self, rules: tuple[QualityRule, ...], compiled: dict[str, object] | None = None) -> None:
+        self.rules = rules
+        self._compiled = {} if compiled is None else compiled
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -53,7 +78,7 @@ class RuleSet:
     def compiled(self, rule: QualityRule):
         return self._compiled[rule.id]
 
-    def subset(self, rule_ids: set[str]) -> "RuleSet":
+    def subset(self, rule_ids: set[str]) -> RuleSet:
         kept = tuple(r for r in self.rules if r.id in rule_ids)
         return RuleSet(kept, {r.id: self._compiled[r.id] for r in kept})
 

@@ -6,8 +6,8 @@ import fnmatch
 import os
 import stat
 from collections.abc import Iterator
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .model import ScanError, read_record, read_yaml
 
@@ -15,8 +15,7 @@ from .model import ScanError, read_record, read_yaml
 ALWAYS_SKIP_DIRS = {".git", ".hg", ".svn", "__pycache__"}
 
 
-@dataclass(frozen=True)
-class ScanConfig:
+class ScanConfig(NamedTuple):
     exclude: tuple[str, ...] = ()
     minified_line_threshold: int = 500
 

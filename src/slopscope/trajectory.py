@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import statistics
-from dataclasses import dataclass
 from datetime import date, datetime, timezone
+from typing import NamedTuple
 
 from .erosion import ErosionReport
 from .verbosity import VerbosityBreakdown
@@ -13,8 +12,7 @@ PHASES = ("Start", "Early", "Mid", "Late", "Final")
 DEFAULT_ERA_CUTOFF = date(2024, 1, 1)
 
 
-@dataclass(frozen=True)
-class CheckpointMetrics:
+class CheckpointMetrics(NamedTuple):
     index: int
     label: str
     erosion: ErosionReport
@@ -23,8 +21,7 @@ class CheckpointMetrics:
     timestamp: datetime | None = None
 
 
-@dataclass(frozen=True)
-class TrajectorySummary:
+class TrajectorySummary(NamedTuple):
     n_checkpoints: int
     first_erosion: float
     last_erosion: float
@@ -39,8 +36,7 @@ class TrajectorySummary:
     missing_checkpoints: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class EraShift:
+class EraShift(NamedTuple):
     cutoff_date: date
     eligible: bool
     pre_median_erosion: float | None = None
@@ -126,6 +122,8 @@ def era_split(series: list[CheckpointMetrics], cutoff: date = DEFAULT_ERA_CUTOFF
     Eligible only with at least three checkpoints strictly before the
     cutoff and three at or after it.
     """
+    import statistics  # here, not with the module: ``scan`` takes no median
+
     untimed = [c.label for c in series if c.timestamp is None]
     if untimed:
         raise ValueError(f"checkpoints without timestamps: {', '.join(untimed)}")

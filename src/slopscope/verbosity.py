@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .clones import CloneRegion
 from .model import ConsistencyError
 from .rules import RuleMatch
 
 
-@dataclass(frozen=True)
-class VerbosityBreakdown:
+class VerbosityBreakdown(NamedTuple):
     score: float
     flagged_lines: int
     clone_lines: int

@@ -4,6 +4,7 @@ with the package."""
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -65,6 +66,47 @@ def test_scan_with_a_yaml_config_loads_the_parser(tmp_path):
     modules = loaded_modules("scan", str(FIXTURES / "golden_tree"), "--config", str(config),
                              "--out", str(tmp_path / "r.json"))
     assert "yaml" in modules
+
+
+@pytest.mark.parametrize("command", [["rules", "list"], ["scan", str(FIXTURES / "golden_tree")]])
+def test_commands_build_records_without_dataclasses(command, tmp_path):
+    out = ["--out", str(tmp_path / "r.json")] if command[0] == "scan" else []
+    assert loaded_modules(*command, *out) & {"dataclasses", "inspect"} == set()
+
+
+def test_rules_list_loads_no_clone_detector_or_hash():
+    assert loaded_modules("rules", "list") & {"hashlib", "_hashlib", "slopscope.clones"} == set()
+
+
+def test_scan_loads_no_statistics_or_csv(tmp_path):
+    modules = loaded_modules("scan", str(FIXTURES / "golden_tree"), "--out", str(tmp_path / "r.json"))
+    assert modules & {"statistics", "fractions", "decimal", "csv", "_csv"} == set()
+
+
+def test_csv_and_history_import_what_they_use(tmp_path, history_repo):
+    scan = loaded_modules("scan", str(FIXTURES / "golden_tree"), "--format", "csv", "--out", str(tmp_path / "r.csv"))
+    assert "csv" in scan
+    assert (tmp_path / "r.csv").read_text().startswith("file,loc,")
+    history = loaded_modules("history", str(history_repo), "--format", "csv", "--out", str(tmp_path / "h.csv"))
+    assert {"csv", "statistics"} <= history
+    assert len((tmp_path / "h.csv").read_text().splitlines()) == 6  # the header and 5 checkpoints
+
+
+def test_no_module_imports_dataclasses():
+    """Defining a dataclass generates and compiles its methods at import,
+    and ``dataclasses`` loads ``inspect``; records are NamedTuples."""
+    offenders = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                offenders.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
+    assert offenders == []
 
 
 def test_cli_resolves_the_functions_it_runs_on_first_use():

@@ -225,7 +225,7 @@ def entry(
     ]
     summary = trajectory_summary(series)
     if slope_erosion:
-        summary = type(summary)(**{**summary.__dict__, "slope_erosion": slope_erosion})
+        summary = summary._replace(slope_erosion=slope_erosion)
     return RepoPanelEntry(
         repo_id=repo_id,
         star_tier=star_tier(stars),
