@@ -74,6 +74,12 @@ class SourceText(NamedTuple):
 # Node types that add one decision point to the callable that owns them.
 _ONE_POINT = frozenset({ast.If, ast.IfExp, ast.For, ast.AsyncFor, ast.While, ast.ExceptHandler})
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+# Fields that hold only names, comment strings, or context and operator
+# nodes (``Load``, ``Add``, ``Eq``, ...): nothing the index records or
+# counts, so the walk does not enter them.
+_LEAF_FIELDS = frozenset({"ctx", "op", "ops", "id", "attr", "type_comment"})
+# Node type -> the fields the walk enters, filled as types are first met.
+_WALKED_FIELDS: dict[type, tuple[str, ...]] = {}
 
 
 class TreeIndex(NamedTuple):
@@ -97,7 +103,8 @@ class TreeIndex(NamedTuple):
     def from_tree(cls, tree: ast.AST) -> TreeIndex:
         """Walk ``tree`` breadth-first, in ``ast.walk`` order, without
         recursion, so nesting no deeper than the parser allows cannot
-        exhaust the stack.
+        exhaust the stack. Only leaf fields (``_LEAF_FIELDS``) are
+        skipped, so the recorded nodes and windows keep that order.
 
         Each queued node carries its owner (the entry of the nearest
         enclosing ``def``, or None under a ``class`` or at module level)
@@ -110,13 +117,15 @@ class TreeIndex(NamedTuple):
         index = cls([], {}, [], {}, [])
         exprs, exprs_by_type = index.exprs, index.exprs_by_type
         windows, windows_by_type = index.windows, index.windows_by_type
-        queue = deque([(tree, (None, ()))])
+        callables = index.callables
+        AST, expr, stmt, one_point, defs, walked = ast.AST, ast.expr, ast.stmt, _ONE_POINT, _DEFS, _WALKED_FIELDS
+        queue = deque([(tree, None, ())])
+        push, pop = queue.append, queue.popleft
         while queue:
-            node, context = queue.popleft()
+            node, owner, scope = pop()
             kind = type(node)
-            owner, scope = context
             if owner is not None:
-                if kind in _ONE_POINT:
+                if kind in one_point:
                     owner[3] += 1
                 elif kind is ast.BoolOp:
                     owner[3] += len(node.values) - 1
@@ -124,26 +133,43 @@ class TreeIndex(NamedTuple):
                     owner[3] += len(node.ifs)
                 elif kind is ast.Match:
                     owner[3] += max(0, len(node.cases) - 1)
-            if kind in _DEFS:
-                names = (*scope, node.name)
-                owner = [".".join(names), node.lineno, node.end_lineno or node.lineno, 1]
-                index.callables.append(owner)
-                context = (owner, names)
+            if kind in defs:
+                scope = (*scope, node.name)
+                owner = [".".join(scope), node.lineno, node.end_lineno or node.lineno, 1]
+                callables.append(owner)
             elif kind is ast.ClassDef:
-                context = (None, (*scope, node.name))
-            if isinstance(node, ast.expr):
+                owner, scope = None, (*scope, node.name)
+            elif isinstance(node, expr):
                 exprs.append(node)
-                exprs_by_type.setdefault(kind, []).append(node)
-            for fname in node._fields:
+                same = exprs_by_type.get(kind)
+                if same is None:
+                    exprs_by_type[kind] = [node]
+                else:
+                    same.append(node)
+            fields = walked.get(kind)
+            if fields is None:
+                fields = walked[kind] = tuple(f for f in node._fields if f not in _LEAF_FIELDS)
+            for fname in fields:
                 value = getattr(node, fname, None)
-                if isinstance(value, ast.AST):
-                    queue.append((value, context))
-                elif isinstance(value, list) and value:
-                    if all(isinstance(v, ast.stmt) for v in value):
-                        for i, stmt in enumerate(value):
-                            windows.append((value, i))
-                            windows_by_type.setdefault(type(stmt), []).append((value, i))
-                    queue.extend((item, context) for item in value if isinstance(item, ast.AST))
+                if isinstance(value, AST):
+                    push((value, owner, scope))
+                elif type(value) is list and value:
+                    # A list field holds one kind of node, so its first
+                    # element tells whether it is a statement list.
+                    if isinstance(value[0], stmt):
+                        for i, item in enumerate(value):
+                            window = (value, i)
+                            windows.append(window)
+                            same = windows_by_type.get(type(item))
+                            if same is None:
+                                windows_by_type[type(item)] = [window]
+                            else:
+                                same.append(window)
+                            push((item, owner, scope))
+                    else:
+                        for item in value:
+                            if isinstance(item, AST):
+                                push((item, owner, scope))
         return index
 
 

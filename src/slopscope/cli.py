@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from datetime import date
 from importlib import import_module
 from pathlib import Path
 
@@ -68,7 +67,11 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _iso_date(text: str) -> date:
+def _iso_date(text: str):
+    """The ``datetime.date`` that ``text`` spells; imported here, as only
+    ``history`` takes a date."""
+    from datetime import date
+
     try:
         return date.fromisoformat(text)
     except ValueError:

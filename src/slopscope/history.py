@@ -109,15 +109,17 @@ def sample_commits(
 ) -> list[CommitRef]:
     """Uniform sample without replacement of source-modifying commits.
 
-    Deterministic for a fixed seed; output is chronological. If fewer than
-    ``max_commits`` commits qualify, all of them are returned.
+    Deterministic for a fixed seed. The sample keeps the listing's order
+    (oldest first, the reverse of ``git log``'s default order), also for
+    commits that share a committer second. If no more than ``max_commits``
+    commits qualify, all of them are returned.
     """
     import random
 
     commits = list_source_commits(repo, exclude_tests)
     if len(commits) > max_commits:
-        commits = random.Random(seed).sample(commits, max_commits)
-        commits.sort(key=lambda c: (c.committed_at, c.sha))
+        picked = random.Random(seed).sample(range(len(commits)), max_commits)
+        commits = [commits[i] for i in sorted(picked)]
     return commits
 
 

@@ -14,6 +14,14 @@ looked up by the type of the pattern's root (an expression root, or the
 first statement of a window), since no node of another type can match it.
 A root that is a metavariable (``$X``, or a bare ``$S`` statement) matches
 any node, so it falls back to every expression or every window.
+
+Each variant is compared through match plans, built from its pattern tree
+on its first match: one small tuple per pattern node. A candidate's
+structure is checked first, collecting each metavariable's node; their
+source text is read only once the whole candidate (every statement of a
+window) matches, and a repeated name whose texts differ rejects it then.
+Binds are a conjunction of equality checks, so reading them last changes
+no match or capture.
 """
 
 from __future__ import annotations
@@ -66,9 +74,22 @@ def _render(pattern: str, omit: frozenset[str]) -> str:
     return out
 
 
-class _Variant(NamedTuple):
-    kind: str  # "expr" or "stmts"
-    nodes: tuple[ast.AST, ...]
+class _Variant:
+    """One form of a pattern: an ``expr`` node, or the ``stmts`` of a
+    window. Its match plans are built on its first match, so loading rules
+    does not pay for them."""
+
+    __slots__ = ("kind", "nodes", "_plans")
+
+    def __init__(self, kind: str, nodes: tuple[ast.AST, ...]) -> None:
+        self.kind = kind  # "expr" or "stmts"
+        self.nodes = nodes
+        self._plans: tuple | None = None
+
+    def plans(self) -> tuple:
+        if self._plans is None:
+            self._plans = tuple(map(_plan, self.nodes))
+        return self._plans
 
 
 class CompiledPattern(NamedTuple):
@@ -120,48 +141,84 @@ def _stmt_placeholder_name(node: ast.AST) -> str | None:
     return None
 
 
-class _Matcher:
-    def __init__(self, source: SourceText) -> None:
-        self.node_text = source.segment
-        self.bindings: dict[str, str] = {}
+# Match plan tags. A plan is a tuple led by its tag:
+#   (_NODE, type, ((field, plan), ...))  a node of that type whose compared
+#                                        fields match their plans
+#   (_LIST, (plan, ...))                 a list of that length, item by item
+#   (_BIND, class, name)                 a metavariable: any expression,
+#                                        statement or identifier string
+#                                        (``isinstance`` of the class),
+#                                        bound to ``name``
+#   (_VALUE, type, value)                an equal value of the same type
+_NODE, _LIST, _BIND, _VALUE = range(4)
 
-    def bind(self, name: str, text: str | None) -> bool:
-        if text is None:
-            return False
-        if name in self.bindings:
-            return self.bindings[name] == text
-        self.bindings[name] = text
-        return True
 
-    def match_node(self, pat: ast.AST, src: ast.AST, stmt_position: bool = False) -> bool:
+def _plan(pat: object) -> tuple:
+    """The match plan of one pattern value, built once per variant."""
+    if isinstance(pat, ast.AST):
         name = _placeholder_name(pat)
         if name is not None:
-            if not isinstance(src, ast.expr):
-                return False
-            return self.bind(name, self.node_text(src))
-        if stmt_position:
-            stmt_name = _stmt_placeholder_name(pat)
-            if stmt_name is not None and isinstance(src, ast.stmt):
-                return self.bind(stmt_name, self.node_text(src))
-        if type(pat) is not type(src):
+            return (_BIND, ast.expr, name)
+        name = _stmt_placeholder_name(pat)
+        if name is not None:
+            return (_BIND, ast.stmt, name)
+        fields = tuple((f, _plan(getattr(pat, f, None))) for f in pat._fields if f not in _IGNORED_FIELDS)
+        return (_NODE, type(pat), fields)
+    if isinstance(pat, list):
+        return (_LIST, tuple(map(_plan, pat)))
+    if isinstance(pat, str) and pat.startswith(_PLACEHOLDER_PREFIX):
+        return (_BIND, str, pat[len(_PLACEHOLDER_PREFIX) :])
+    return (_VALUE, type(pat), pat)
+
+
+def _match(plan: tuple, src: object, binds: list) -> bool:
+    """Whether ``src`` has the structure of ``plan``. Each metavariable
+    adds a (name, node or string) pair to ``binds``; no text is read."""
+    tag = plan[0]
+    if tag is _NODE:
+        if type(src) is not plan[1]:
             return False
-        for fname in pat._fields:
-            if fname in _IGNORED_FIELDS:
-                continue
-            if not self.match_value(getattr(pat, fname, None), getattr(src, fname, None)):
+        for fname, sub in plan[2]:
+            value = getattr(src, fname, None)
+            tag = sub[0]
+            if tag is _VALUE:  # the leaf cases inline, the rest by recursion
+                if type(value) is not sub[1] or value != sub[2]:
+                    return False
+            elif tag is _BIND:
+                if not isinstance(value, sub[1]):
+                    return False
+                binds.append((sub[2], value))
+            elif not _match(sub, value, binds):
                 return False
         return True
+    if tag is _BIND:
+        if not isinstance(src, plan[1]):
+            return False
+        binds.append((plan[2], src))
+        return True
+    if tag is _VALUE:
+        return type(src) is plan[1] and src == plan[2]
+    subs = plan[1]  # _LIST
+    if not isinstance(src, list) or len(src) != len(subs):
+        return False
+    for sub, item in zip(subs, src):
+        if not _match(sub, item, binds):
+            return False
+    return True
 
-    def match_value(self, pv: object, sv: object) -> bool:
-        if isinstance(pv, ast.AST):
-            return isinstance(sv, ast.AST) and self.match_node(pv, sv, stmt_position=isinstance(pv, ast.stmt))
-        if isinstance(pv, list):
-            if not isinstance(sv, list) or len(pv) != len(sv):
-                return False
-            return all(self.match_value(p, s) for p, s in zip(pv, sv))
-        if isinstance(pv, str) and pv.startswith(_PLACEHOLDER_PREFIX):
-            return isinstance(sv, str) and self.bind(pv[len(_PLACEHOLDER_PREFIX) :], sv)
-        return type(pv) is type(sv) and pv == sv
+
+def _keep(matches: dict, span: tuple, binds: list, segment) -> None:
+    """Keep a structural match under ``span`` unless a match already holds
+    that span: read the text of each bind, and drop the match if a node has
+    no text or a repeated name binds different texts."""
+    if span in matches:
+        return
+    captures: dict[str, str] = {}
+    for name, value in binds:
+        text = value if type(value) is str else segment(value)
+        if text is None or captures.setdefault(name, text) != text:
+            return
+    matches[span] = captures
 
 
 def _position(node: ast.AST) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -179,31 +236,29 @@ def find_matches(
     after the match, and the metavariable bindings. The first match found
     of each span is kept."""
     matches: dict[tuple[tuple[int, int], tuple[int, int]], dict[str, str]] = {}
+    segment = source.segment
     for variant in compiled.variants:
-        root = variant.nodes[0]
+        plans = variant.plans()
+        root = plans[0]
         if variant.kind == "expr":
-            if _placeholder_name(root) is None:
-                candidates = index.exprs_by_type.get(type(root), [])
-            else:
-                candidates = index.exprs
+            candidates = index.exprs if root[0] is _BIND else index.exprs_by_type.get(root[1], ())
             for node in candidates:
-                m = _Matcher(source)
-                if m.match_node(root, node):
-                    matches.setdefault(_position(node), m.bindings)
+                binds: list = []
+                if _match(root, node, binds):
+                    _keep(matches, _position(node), binds, segment)
         else:
-            if _stmt_placeholder_name(root) is None:
-                windows = index.windows_by_type.get(type(root), [])
-            else:
-                windows = index.windows
-            width = len(variant.nodes)
+            windows = index.windows if root[0] is _BIND else index.windows_by_type.get(root[1], ())
+            width = len(plans)
             for stmts, i in windows:
                 if i + width > len(stmts):
                     continue
-                window = stmts[i : i + width]
-                m = _Matcher(source)
-                if all(
-                    m.match_node(p, s, stmt_position=True)
-                    for p, s in zip(variant.nodes, window)
-                ):
-                    matches.setdefault((_position(window[0])[0], _position(window[-1])[1]), m.bindings)
+                binds = []
+                for plan, stmt in zip(plans, stmts[i : i + width]):
+                    if not _match(plan, stmt, binds):
+                        break
+                else:
+                    span = (_position(stmts[i])[0], _position(stmts[i + width - 1])[1])
+                    _keep(matches, span, binds, segment)
+    if not matches:
+        return []
     return [(start, end, captures) for (start, end), captures in sorted(matches.items())]

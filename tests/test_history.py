@@ -114,6 +114,52 @@ class TestSampling:
         assert stamps == sorted(stamps)
 
 
+@pytest.fixture(scope="module")
+def tied_repo(tmp_path_factory) -> Path:
+    """Twelve source commits that all share one committer second, as
+    ``git rebase`` and ``cherry-pick`` often leave them."""
+    files: dict[str, str] = {}
+    commits = []
+    for i in range(12):
+        files[f"m{i}.py"] = f"def f{i}(x):\n    return x + {i}\n"
+        commits.append((dict(files), "2023-05-10T10:00:00+00:00"))
+    return build_history_repo(tmp_path_factory.mktemp("tied"), commits)
+
+
+def _rev_list_reverse(repo: Path) -> list[str]:
+    done = subprocess.run(["git", "-C", str(repo), "rev-list", "--reverse", "HEAD"],
+                          capture_output=True, text=True, check=True)
+    return done.stdout.split()
+
+
+class TestTiedCommitDates:
+    """Sampled commits keep history order when committer dates tie."""
+
+    @pytest.mark.parametrize("max_commits", [30, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_labels_follow_rev_list(self, tied_repo, max_commits, seed):
+        order = _rev_list_reverse(tied_repo)
+        labels = [cp.label for cp in measure_history(tied_repo, max_commits=max_commits, seed=seed).checkpoints]
+        assert len(labels) == min(max_commits, len(order))
+        assert labels == [sha for sha in order if sha in set(labels)]
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_two_sample_sizes_keep_one_order(self, tied_repo, seed):
+        small = [c.sha for c in sample_commits(tied_repo, max_commits=4, seed=seed)]
+        large = [c.sha for c in sample_commits(tied_repo, max_commits=9, seed=seed)]
+        whole = [c.sha for c in sample_commits(tied_repo, max_commits=30, seed=seed)]
+        for sample in (small, large):
+            assert sample == [sha for sha in whole if sha in set(sample)]
+        assert [sha for sha in large if sha in set(small)] == [sha for sha in small if sha in set(large)]
+
+    @pytest.mark.parametrize("seed", [0, 5, 42])
+    def test_sample_picks_the_commits_a_date_sorted_sample_picked(self, tied_repo, seed):
+        """Only the order changed: ``random.sample`` draws positions from
+        the population's length alone."""
+        listed = list_source_commits(tied_repo)
+        assert set(sample_commits(tied_repo, max_commits=5, seed=seed)) == set(random.Random(seed).sample(listed, 5))
+
+
 class TestMeasureCheckpoint:
     def test_single_snapshot(self, tmp_path):
         write_tree(tmp_path, {"main.py": MAIN_V1})

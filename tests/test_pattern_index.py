@@ -2,11 +2,14 @@
 
 ``find_matches_by_walk`` below is ``patterns.find_matches`` as it was before
 files were indexed: every variant walks the whole tree again and tries every
-expression node or every statement window. The indexed path must return the
-same matches, captures included, in the same order, on the bundled
-fixtures, on this package and its tests, on a fixed sample of the local
-standard library, and for patterns whose root is a metavariable or whose
-optional metavariables give variants of different root types.
+expression node or every statement window, with the recursive ``_Matcher``
+that read each metavariable's text as soon as it met it. The indexed path,
+which checks a candidate's structure through match plans before it reads
+any text, must return the same matches, captures included, in the same
+order, on the bundled fixtures, on this package and its tests, on a fixed
+sample of the local standard library, and for patterns whose root is a
+metavariable or whose optional metavariables give variants of different
+root types.
 """
 
 from __future__ import annotations
@@ -20,10 +23,13 @@ import pytest
 import slopscope.rules
 from slopscope.adapters import SourceText
 from slopscope.patterns import (
+    _IGNORED_FIELDS,
+    _PLACEHOLDER_PREFIX,
     CompiledPattern,
     TreeIndex,
-    _Matcher,
+    _placeholder_name,
     _position,
+    _stmt_placeholder_name,
     compile_pattern,
     find_matches,
 )
@@ -38,6 +44,53 @@ def _statement_lists(tree: ast.AST):
             value = getattr(node, fname, None)
             if isinstance(value, list) and value and all(isinstance(v, ast.stmt) for v in value):
                 yield value
+
+
+class _Matcher:
+    """The recursive matcher ``find_matches`` used before match plans: it
+    reads each metavariable's text as soon as it meets it."""
+
+    def __init__(self, source: SourceText) -> None:
+        self.node_text = source.segment
+        self.bindings: dict[str, str] = {}
+
+    def bind(self, name: str, text: str | None) -> bool:
+        if text is None:
+            return False
+        if name in self.bindings:
+            return self.bindings[name] == text
+        self.bindings[name] = text
+        return True
+
+    def match_node(self, pat: ast.AST, src: ast.AST, stmt_position: bool = False) -> bool:
+        name = _placeholder_name(pat)
+        if name is not None:
+            if not isinstance(src, ast.expr):
+                return False
+            return self.bind(name, self.node_text(src))
+        if stmt_position:
+            stmt_name = _stmt_placeholder_name(pat)
+            if stmt_name is not None and isinstance(src, ast.stmt):
+                return self.bind(stmt_name, self.node_text(src))
+        if type(pat) is not type(src):
+            return False
+        for fname in pat._fields:
+            if fname in _IGNORED_FIELDS:
+                continue
+            if not self.match_value(getattr(pat, fname, None), getattr(src, fname, None)):
+                return False
+        return True
+
+    def match_value(self, pv: object, sv: object) -> bool:
+        if isinstance(pv, ast.AST):
+            return isinstance(sv, ast.AST) and self.match_node(pv, sv, stmt_position=isinstance(pv, ast.stmt))
+        if isinstance(pv, list):
+            if not isinstance(sv, list) or len(pv) != len(sv):
+                return False
+            return all(self.match_value(p, s) for p, s in zip(pv, sv))
+        if isinstance(pv, str) and pv.startswith(_PLACEHOLDER_PREFIX):
+            return isinstance(sv, str) and self.bind(pv[len(_PLACEHOLDER_PREFIX) :], sv)
+        return type(pv) is type(sv) and pv == sv
 
 
 def find_matches_by_walk(compiled: CompiledPattern, tree: ast.AST, source: SourceText) -> list[tuple]:
@@ -184,12 +237,48 @@ def test_stdlib_sample_has_nested_same_span_expressions():
     assert any(has_same_span_child(_parsed(path)[1]) for path in CORPORA["stdlib"])
 
 
+def _walk_reference(tree: ast.AST):
+    """``exprs`` and ``windows`` as ``ast.walk`` and ``_statement_lists`` give them."""
+    exprs = [n for n in ast.walk(tree) if isinstance(n, ast.expr)]
+    windows = [(stmts, i) for stmts in _statement_lists(tree) for i in range(len(stmts))]
+    return exprs, windows
+
+
+def _ids(windows):
+    return [(id(stmts), i) for stmts, i in windows]
+
+
 def test_index_keeps_walk_order():
-    tree = ast.parse(NESTED)
+    paths = [path for corpus in sorted(CORPORA) for path in CORPORA[corpus]]
+    for tree in [ast.parse(NESTED), *(_parsed(path)[1] for path in paths)]:
+        index = TreeIndex.from_tree(tree)
+        exprs, windows = _walk_reference(tree)
+        assert list(map(id, index.exprs)) == list(map(id, exprs))
+        assert _ids(index.windows) == _ids(windows)
+        for kind, nodes in index.exprs_by_type.items():
+            assert list(map(id, nodes)) == [id(n) for n in exprs if type(n) is kind]
+        assert set(index.exprs_by_type) == {type(n) for n in exprs}
+        for kind, entries in index.windows_by_type.items():
+            assert _ids(entries) == _ids(w for w in windows if type(w[0][w[1]]) is kind)
+        assert set(index.windows_by_type) == {type(stmts[i]) for stmts, i in windows}
+
+
+def test_a_structural_mismatch_reads_no_text(monkeypatch):
+    text = "".join(f"v{i} = d.get(k{i}, 1)\n" for i in range(200))
+    source, tree = SourceText.from_text(text), ast.parse(text)
     index = TreeIndex.from_tree(tree)
-    assert index.exprs == [n for n in ast.walk(tree) if isinstance(n, ast.expr)]
-    assert [(id(stmts), i) for stmts, i in index.windows] == [
-        (id(stmts), i) for stmts in _statement_lists(tree) for i in range(len(stmts))
-    ]
-    for kind, nodes in index.exprs_by_type.items():
-        assert nodes == [n for n in index.exprs if type(n) is kind]
+    read = []  # every node whose text ``SourceText.segment`` reads
+    segment = SourceText.segment
+    monkeypatch.setattr(SourceText, "segment", lambda self, node: read.append(node) or segment(self, node))
+    assert find_matches(compile_pattern("$D.get($K, None)"), index, source) == []
+    assert read == []
+    found = find_matches(compile_pattern("$D.get($K, 1)"), index, source)
+    assert len(found) == 200 and found[7][2] == {"D": "d", "K": "k7"}
+    assert len(read) == 400  # the binds of full matches only
+
+
+def test_a_repeated_name_binds_one_text():
+    source = SourceText.from_text("a == b\nc == c\n")
+    index = TreeIndex.from_tree(ast.parse(source.text))
+    found = find_matches(compile_pattern("$X == $X"), index, source)
+    assert found == [((2, 1), (2, 7), {"X": "c"})]

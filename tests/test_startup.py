@@ -78,6 +78,10 @@ def test_rules_list_loads_no_clone_detector_or_hash():
     assert loaded_modules("rules", "list") & {"hashlib", "_hashlib", "slopscope.clones"} == set()
 
 
+def test_rules_list_loads_no_datetime():
+    assert loaded_modules("rules", "list") & {"datetime", "_datetime"} == set()
+
+
 def test_scan_loads_no_statistics_or_csv(tmp_path):
     modules = loaded_modules("scan", str(FIXTURES / "golden_tree"), "--out", str(tmp_path / "r.json"))
     assert modules & {"statistics", "fractions", "decimal", "csv", "_csv"} == set()
