@@ -12,7 +12,6 @@ import ast
 import bisect
 import re
 from collections import deque
-from itertools import accumulate
 from typing import NamedTuple
 
 from .model import CallableRecord
@@ -34,14 +33,11 @@ class SourceText(NamedTuple):
     """One file's text, split into lines once, the way the parser splits it.
 
     ``starts`` holds the character offset of line 1 and of the position
-    after every line break; ``byte_starts`` holds the same offsets into
-    ``data``, the UTF-8 encoding of ``text`` that syntax-tree columns count.
+    after every line break.
     """
 
     text: str
-    data: bytes
     starts: tuple[int, ...]
-    byte_starts: tuple[int, ...]
     line_count: int
     source_lines: frozenset[int]  # 1-based lines that are neither blank nor comment
 
@@ -49,10 +45,8 @@ class SourceText(NamedTuple):
     def from_text(cls, text: str) -> SourceText:
         starts = (0, *(m.end() for m in _LINE_BREAK.finditer(text)))
         lines = [text[a:b] for a, b in zip(starts, (*starts[1:], len(text))) if a < len(text)]
-        data = text.encode()
-        byte_starts = starts if len(data) == len(text) else (0, *accumulate(len(line.encode()) for line in lines))
         source_lines = frozenset(n for n, line in enumerate(lines, 1) if is_source_line(line))
-        return cls(text, data, starts, byte_starts[: len(starts)], len(lines), source_lines)
+        return cls(text, starts, len(lines), source_lines)
 
     def sloc(self, start: int, end: int) -> int:
         """Source lines within a 1-based inclusive line span."""
@@ -63,12 +57,19 @@ class SourceText(NamedTuple):
         line = bisect.bisect_right(self.starts, offset)
         return line, offset - self.starts[line - 1] + 1
 
+    def _offset(self, lineno: int, col: int) -> int:
+        """Character offset into ``text`` of a syntax-tree position, whose
+        column counts UTF-8 bytes of its line. No character is shorter
+        than one byte, so the line's first ``col`` characters hold it."""
+        start = self.starts[lineno - 1]
+        return start + len(self.text[start : start + col].encode()[:col].decode())
+
     def segment(self, node: ast.AST) -> str | None:
         """Exact source text of an expression or statement node."""
         if getattr(node, "end_col_offset", None) is None:
             return None
-        start = self.byte_starts[node.lineno - 1] + node.col_offset
-        return self.data[start : self.byte_starts[node.end_lineno - 1] + node.end_col_offset].decode()
+        offset = self._offset
+        return self.text[offset(node.lineno, node.col_offset) : offset(node.end_lineno, node.end_col_offset)]
 
 
 # Node types that add one decision point to the callable that owns them.
@@ -85,17 +86,15 @@ _WALKED_FIELDS: dict[type, tuple[str, ...]] = {}
 class TreeIndex(NamedTuple):
     """One file's syntax tree, walked once.
 
-    ``exprs`` holds every expression node in ``ast.walk`` order, and
-    ``windows`` every (statement list, start index) pair: lists in walk
-    order, starts ascending. The ``*_by_type`` maps split the same entries
-    by the type of the node, or of the window's first statement, keeping
-    that order. ``callables`` holds one [qualified name, first line, last
-    line, cyclomatic complexity] entry per ``def`` or ``async def``.
+    ``exprs_by_type`` maps each expression node type to its nodes in
+    ``ast.walk`` order. ``windows_by_type`` maps each statement type to the
+    (statement list, start index) pairs whose first statement has that
+    type: lists in walk order, starts ascending. ``callables`` holds one
+    [qualified name, first line, last line, cyclomatic complexity] entry
+    per ``def`` or ``async def``.
     """
 
-    exprs: list[ast.expr]
     exprs_by_type: dict[type, list[ast.expr]]
-    windows: list[tuple[list[ast.stmt], int]]
     windows_by_type: dict[type, list[tuple[list[ast.stmt], int]]]
     callables: list[list]
 
@@ -114,10 +113,8 @@ class TreeIndex(NamedTuple):
         beyond the first. A def's decorators, defaults and annotations are
         its own; lambdas fold into their owner.
         """
-        index = cls([], {}, [], {}, [])
-        exprs, exprs_by_type = index.exprs, index.exprs_by_type
-        windows, windows_by_type = index.windows, index.windows_by_type
-        callables = index.callables
+        index = cls({}, {}, [])
+        exprs_by_type, windows_by_type, callables = index
         AST, expr, stmt, one_point, defs, walked = ast.AST, ast.expr, ast.stmt, _ONE_POINT, _DEFS, _WALKED_FIELDS
         queue = deque([(tree, None, ())])
         push, pop = queue.append, queue.popleft
@@ -140,7 +137,6 @@ class TreeIndex(NamedTuple):
             elif kind is ast.ClassDef:
                 owner, scope = None, (*scope, node.name)
             elif isinstance(node, expr):
-                exprs.append(node)
                 same = exprs_by_type.get(kind)
                 if same is None:
                     exprs_by_type[kind] = [node]
@@ -159,7 +155,6 @@ class TreeIndex(NamedTuple):
                     if isinstance(value[0], stmt):
                         for i, item in enumerate(value):
                             window = (value, i)
-                            windows.append(window)
                             same = windows_by_type.get(type(item))
                             if same is None:
                                 windows_by_type[type(item)] = [window]

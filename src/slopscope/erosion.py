@@ -8,6 +8,7 @@ from .model import CallableRecord, SourceInventory
 
 SWEEP_CUTOFFS = (8, 10, 12)
 SWEEP_EXPONENTS = (0.0, 0.5, 1.0)
+HOTSPOT_LIMIT = 20  # heaviest callables a report keeps: by mass, then file, then line
 
 
 class _ErosionFields(NamedTuple):
@@ -72,7 +73,7 @@ def erosion_score(inventory: SourceInventory, params: ErosionParams | None = Non
         high_cc_mass=high,
         high_cc_count=high_count,
         max_cc=max_cc,
-        hotspots=tuple(masses),
+        hotspots=tuple(masses[:HOTSPOT_LIMIT]),
     )
 
 

@@ -35,9 +35,10 @@ TEST_PATH_GLOBS = ("test_*.py", "*_test.py", "tests/*", "*/tests/*", "test/*", "
 # One entry of a tree object, up to its raw object id: octal mode, name.
 _TREE_ENTRY = re.compile(rb"([0-7]+) ([^\0]+)\0")
 _S_IFGITLINK = 0o160000  # the mode git gives a submodule's commit
-# A PEP 263 coding comment, and a line that may come before one.
+# A PEP 263 coding comment, a line that may come before one, and the parser's line breaks.
 _CODING_COOKIE = re.compile(rb"[ \t\f]*#.*?coding[:=][ \t]*([-\w.]+)", re.ASCII)
-_BLANK_LINE = re.compile(rb"[ \t\f]*(?:[#\r]|$)")
+_BLANK_LINE = re.compile(rb"[ \t\f]*(?:#|$)")
+_LINE_BREAK = re.compile(rb"\r\n|\r|\n")
 
 
 class GitError(Exception):
@@ -315,7 +316,7 @@ def _source_encoding(data: bytes) -> str:
     decoding with it raises ``LookupError``.
     """
     bom = data.startswith(codecs.BOM_UTF8)
-    for line in data[len(codecs.BOM_UTF8) if bom else 0 :].split(b"\n", 2)[:2]:
+    for line in _LINE_BREAK.split(data[len(codecs.BOM_UTF8) if bom else 0 :], 2)[:2]:
         cookie = _CODING_COOKIE.match(line)
         if cookie:
             name = _normal_encoding_name(cookie[1].decode("ascii"))

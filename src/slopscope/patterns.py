@@ -13,7 +13,8 @@ tree is walked once into an ``adapters.TreeIndex``; candidates are then
 looked up by the type of the pattern's root (an expression root, or the
 first statement of a window), since no node of another type can match it.
 A root that is a metavariable (``$X``, or a bare ``$S`` statement) matches
-any node, so it falls back to every expression or every window.
+any node, so it reads every type's list; nodes that share a span share its
+text, and no two windows start at one statement, so no match changes.
 
 Each variant is compared through match plans, built from its pattern tree
 on its first match: one small tuple per pattern node. A candidate's
@@ -240,16 +241,16 @@ def find_matches(
     for variant in compiled.variants:
         plans = variant.plans()
         root = plans[0]
+        by_type = index.exprs_by_type if variant.kind == "expr" else index.windows_by_type
+        candidates = itertools.chain(*by_type.values()) if root[0] is _BIND else by_type.get(root[1], ())
         if variant.kind == "expr":
-            candidates = index.exprs if root[0] is _BIND else index.exprs_by_type.get(root[1], ())
             for node in candidates:
                 binds: list = []
                 if _match(root, node, binds):
                     _keep(matches, _position(node), binds, segment)
         else:
-            windows = index.windows if root[0] is _BIND else index.windows_by_type.get(root[1], ())
             width = len(plans)
-            for stmts, i in windows:
+            for stmts, i in candidates:
                 if i + width > len(stmts):
                     continue
                 binds = []

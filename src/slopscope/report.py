@@ -15,8 +15,6 @@ from .rules import RuleMatch
 from .trajectory import CheckpointMetrics, EraShift, TrajectorySummary
 from .verbosity import VerbosityBreakdown, counted_lines
 
-HOTSPOT_LIMIT = 20  # hotspots serialized per report; full list stays in memory
-
 SCAN_CSV_HEADER = [
     "file",
     "loc",
@@ -60,7 +58,7 @@ def erosion_to_dict(report: ErosionReport) -> dict:
                 "sloc": c.sloc,
                 "mass": mass,
             }
-            for c, mass in report.hotspots[:HOTSPOT_LIMIT]
+            for c, mass in report.hotspots
         ],
     }
 

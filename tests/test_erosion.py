@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from slopscope.erosion import (
+    HOTSPOT_LIMIT,
     ErosionParams,
     complexity_mass,
     erosion_score,
@@ -72,6 +73,15 @@ class TestErosionScore:
         inv = make_inventory([(4, 25), (12, 100), (4, 25)])
         names = [c.qualified_name for c, _ in erosion_score(inv).hotspots]
         assert names == ["f1", "f0", "f2"]
+
+    def test_hotspots_keep_the_heaviest_twenty(self):
+        specs = [(1 + (7 * i) % 13, 1 + (11 * i) % 17) for i in range(25)]
+        inv = make_inventory(specs)
+        ranking = sorted(inv.callables, key=lambda c: (-complexity_mass(c.cc, c.sloc), c.file, c.span[0]))
+        hotspots = erosion_score(inv).hotspots
+        assert HOTSPOT_LIMIT == 20
+        assert [c for c, _ in hotspots] == ranking[:20]
+        assert [mass for _, mass in hotspots] == [complexity_mass(c.cc, c.sloc) for c in ranking[:20]]
 
     def test_params_validation(self):
         with pytest.raises(ValueError):

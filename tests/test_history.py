@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from slopscope import history
+from slopscope import erosion, history
 from slopscope.adapters import ADAPTERS
 from slopscope.cli import main
 from slopscope.history import (
@@ -23,6 +23,7 @@ from slopscope.history import (
     measure_history,
     sample_commits,
 )
+from slopscope.report import canonical_json, history_to_dict
 from slopscope.rules import load_starter_rules
 from slopscope.scan import ALWAYS_SKIP_DIRS, ScanConfig, decode_path
 
@@ -452,6 +453,21 @@ def _assert_history_matches_checkouts(repo: Path, tmp_path: Path, monkeypatch, c
 
 def test_history_repo_matches_checkouts(history_repo, tmp_path, monkeypatch):
     _assert_history_matches_checkouts(history_repo, tmp_path, monkeypatch, ScanConfig(), 30, 0)
+
+
+def test_checkpoints_keep_only_the_reported_hotspots(generated_repo, monkeypatch):
+    """Each checkpoint keeps its 20 heaviest callables, and the report is the
+    one a full ranking, cut to 20 as it is serialized, gives."""
+    limit = erosion.HOTSPOT_LIMIT
+    kept = measure_history(generated_repo, max_commits=17, seed=5, config=EXCLUDE_VENDOR)
+    monkeypatch.setattr(erosion, "HOTSPOT_LIMIT", None)  # masses[:None]: every callable
+    full = measure_history(generated_repo, max_commits=17, seed=5, config=EXCLUDE_VENDOR)
+    assert limit == 20 and max(len(cp.erosion.hotspots) for cp in full.checkpoints) > limit
+    assert all(len(cp.erosion.hotspots) <= limit for cp in kept.checkpoints)
+    want = history_to_dict(full)
+    for checkpoint in want["checkpoints"]:
+        checkpoint["erosion"]["hotspots"] = checkpoint["erosion"]["hotspots"][:limit]
+    assert canonical_json(history_to_dict(kept)) == canonical_json(want)
 
 
 @pytest.mark.parametrize("max_commits,seed", [(100, 0), (17, 5)])

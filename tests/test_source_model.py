@@ -253,6 +253,9 @@ DECODING_CASES = {
     # With no cookie every byte must be UTF-8, comments included: ``python
     # file.py`` refuses this file, while ``compile()`` and import accept it.
     "latin1-comment-without-cookie": (b"# \xe9\nx=1\n", "decode"),
+    # A lone \r ends a line for the cookie search as it does for the parser.
+    "cookie-on-line-three-after-lone-cr": (b'#hello\rx = 1\ry = "coding=latin-1"\rz = "\xe9"\r', "decode"),
+    "cookie-after-shebang-lone-cr": (b"#!/usr/bin/env python\r# coding: latin-1\rs = '\xe9'\r", None),
 }
 SCRIPT_ORACLE = {"latin1-comment-without-cookie"}
 

@@ -23,7 +23,8 @@ from slopscope.rules import load_starter_rules, match_rules
 from conftest import FIXTURES
 
 # Identifiers, strings and comments outside ASCII; a form feed, NEL and a
-# line separator that the parser does not break on; \r\n and lone \r that it does.
+# line separator that the parser does not break on; \r\n and lone \r that it
+# does; a call over two lines with non-ASCII text before its first and last column.
 NON_ASCII = (
     "def grüße(naïve, 名前='値'):\n"
     '    """Ünïcödé docstring ✓."""\n'
@@ -33,6 +34,7 @@ NON_ASCII = (
     "    return {'ключ': len(名前) == 0, 'x': 'a b\x85c'}\r\n"
     "class Ω:\r"
     "    def m(self): return self.ß + (lambda: 'ü')()\n"
+    "x = 'é' + f(ö,\n  'ü', ä) + 'ß'\n"
 )
 
 FILES = sorted(
@@ -87,9 +89,9 @@ def test_lines_follow_the_parser():
     source = SourceText.from_text(NON_ASCII)
     tree = ast.parse(NON_ASCII)
     last = max(getattr(n, "end_lineno", 0) or 0 for n in ast.walk(tree))
-    assert source.line_count == last == 8
+    assert source.line_count == last == 10
     assert len(NON_ASCII.splitlines()) > last
-    assert source.source_lines == set(range(1, 9))
+    assert source.source_lines == set(range(1, 11))
 
 
 def test_empty_and_unterminated_text():

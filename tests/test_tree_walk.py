@@ -75,17 +75,15 @@ def collect_by_recursion(path: str, source: SourceText, tree: ast.AST) -> list[C
 
 
 def index_by_walk(tree: ast.AST) -> TreeIndex:
-    index = TreeIndex([], {}, [], {}, [])
+    index = TreeIndex({}, {}, [])
     for node in ast.walk(tree):
         if isinstance(node, ast.expr):
-            index.exprs.append(node)
             index.exprs_by_type.setdefault(type(node), []).append(node)
             continue
         for fname in node._fields:
             value = getattr(node, fname, None)
             if isinstance(value, list) and value and all(isinstance(v, ast.stmt) for v in value):
                 for i, stmt in enumerate(value):
-                    index.windows.append((value, i))
                     index.windows_by_type.setdefault(type(stmt), []).append((value, i))
     return index
 
@@ -96,9 +94,7 @@ def _identities(index: TreeIndex) -> tuple:
         return [(id(stmts), i) for stmts, i in entries]
 
     return (
-        [id(n) for n in index.exprs],
         {kind: [id(n) for n in nodes] for kind, nodes in index.exprs_by_type.items()},
-        windows(index.windows),
         {kind: windows(entries) for kind, entries in index.windows_by_type.items()},
     )
 
@@ -192,4 +188,4 @@ def test_deep_nesting_needs_no_recursion():
         collect_by_recursion("deep.py", SourceText.from_text(DEEP_SUM), tree)
     index = TreeIndex.from_tree(tree)
     assert _identities(index) == _identities(index_by_walk(tree))
-    assert len(index.exprs) == 1 + 1199 + 1200  # the target, the additions, the terms
+    assert sum(map(len, index.exprs_by_type.values())) == 1 + 1199 + 1200  # the target, the additions, the terms
