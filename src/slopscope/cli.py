@@ -1,20 +1,22 @@
 """Command-line interface: scan, history, panel, rules.
 
 Exit codes: 0 success, 1 usage error (a bad flag value, --config or panel
-file, or an unknown rule id), 2 unreadable root / not a repository /
-skipped file, 3 invalid rule file. Reports go to stdout (or --out);
-diagnostics go to stderr.
+file, an unknown rule id, or a failed write of the report), 2 unreadable
+root / not a repository / skipped file, 3 invalid rule file. Reports go to
+stdout (or --out); diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import json
 import math
 import os
 import sys
 from importlib import import_module
 from pathlib import Path
+from typing import NoReturn
 
 from .model import ScanError
 from .rules import RuleError, RuleSet, load_rules, load_starter_rules
@@ -105,9 +107,19 @@ def _emit(args, rules: RuleSet, config: ScanConfig, payload_type: str, payload: 
         }
         text = _this.canonical_json(envelope(payload_type, payload, digested, args.deterministic))
     if not args.out:
-        sys.stdout.write(text)
-        return EXIT_OK
+        return _write_stdout(text)
     return _write(args.out, text)
+
+
+def _write_stdout(text: str) -> int:
+    """Every write to stdout: a failed write or flush is one line and exit 1,
+    as a failed ``--out`` write is."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        return _fail(f"cannot write <stdout>: {exc.strerror or exc}", EXIT_USAGE)
+    return EXIT_OK
 
 
 def _write(path: str, text: str) -> int:
@@ -246,9 +258,7 @@ def cmd_panel(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> i
 
 def cmd_rules(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> int:
     if args.rules_command == "list":
-        for rule in rules:
-            print(f"{rule.id}\t{rule.kind}\t{rule.category}")
-        return EXIT_OK
+        return _write_stdout("".join(f"{rule.id}\t{rule.kind}\t{rule.category}\n" for rule in rules))
 
     from .history import scan_tree_with_sources
     from .report import match_to_dict
@@ -264,9 +274,8 @@ def cmd_rules(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> i
     analysis = scan_tree_with_sources(file, config, selected)[1][name]
     if analysis.inventory.skipped:
         return _fail(f"{path}: skipped ({analysis.inventory.skipped[0][1]})", EXIT_UNREADABLE)
-    for m in analysis.matches:
-        print(json.dumps(match_to_dict(m), sort_keys=True))
-    return EXIT_OK
+    lines = "".join(json.dumps(match_to_dict(m), sort_keys=True) + "\n" for m in analysis.matches)
+    return _write_stdout(lines)
 
 
 def _add_common(parser: argparse.ArgumentParser, csv: bool = True) -> None:
@@ -343,5 +352,30 @@ def main(argv: list[str] | None = None) -> int:
     return args.func(args, rules, config)
 
 
+def run() -> NoReturn:
+    """The process entry (``python -m slopscope.cli`` and the ``slopscope``
+    script): runs ``main()``, then the exit handlers, flushes stdout and
+    stderr and ends the process without interpreter teardown, which would
+    only free, module by module, memory the process is about to give back.
+
+    This is safe while a command leaves no thread running and no file open
+    (``tests/test_startup.py`` checks both). An exception or ``SystemExit``
+    from ``main()`` (argparse's ``--help`` and usage errors) propagates and
+    exits as usual.
+    """
+    code = main()
+    atexit._run_exitfuncs()
+    # A failed command has reported already. A failed write's bytes may still
+    # be buffered, and reporting the flush of them would say it twice.
+    if code == EXIT_OK:
+        code = _write_stdout("")
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:
+            pass  # reported above, or nowhere left to report it
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

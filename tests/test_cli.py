@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import json
 import os
 import subprocess
@@ -40,6 +41,16 @@ def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
         code = int(exc.code or 0)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv: str, stdout=subprocess.PIPE, code: str | None = None) -> subprocess.CompletedProcess:
+    """``python -m slopscope.cli argv`` in a child process (or ``python -c
+    code argv``), with the bundled rules and a 60 s timeout."""
+    env = {**os.environ, "PYTHONPATH": str(Path(slopscope.__file__).parents[1])}
+    env.pop(RULES_ENV, None)
+    head = ["-m", "slopscope.cli"] if code is None else ["-c", code]
+    return subprocess.run([sys.executable, *head, *argv], stdout=stdout, stderr=subprocess.PIPE,
+                          timeout=60, env=env)
 
 
 class TestExitCodes:
@@ -622,11 +633,7 @@ class TestSymlinks:
         tree = write_tree(tmp_path / "tree", SIMPLE_TREE)
         os.mkfifo(tree / "pipe.py")
         # In a child process with a timeout: opening the FIFO would block forever.
-        env = {**os.environ, "PYTHONPATH": str(Path(slopscope.__file__).parents[1])}
-        done = subprocess.run(
-            [sys.executable, "-m", "slopscope.cli", "scan", str(tree), "--deterministic"],
-            capture_output=True, text=True, timeout=60, env=env,
-        )
+        done = run_module("scan", str(tree), "--deterministic")
         assert done.returncode == EXIT_OK, done.stderr
         payload = json.loads(done.stdout)["payload"]
         assert payload["inventory"]["skipped"] == [{"path": "pipe.py", "reason": "special"}]
@@ -642,3 +649,55 @@ class TestSymlinks:
         assert code == EXIT_OK
         (checkpoint,) = json.loads(out)["payload"]["checkpoints"]
         assert [h["qualified_name"] for h in checkpoint["erosion"]["hotspots"]] == ["pick"]
+
+
+class TestProcessEntry:
+    """``python -m slopscope.cli`` runs ``cli.run``, which ends the process
+    without interpreter teardown once ``main()`` has returned."""
+
+    @pytest.mark.parametrize("command", ["scan", "history", "rules"])
+    def test_stdout_is_what_main_writes(self, capsys, history_repo, command):
+        argv = {"scan": ["scan", GOLDEN_TREE, "--deterministic"],
+                "history": ["history", str(history_repo), "--deterministic"],
+                "rules": ["rules", "list"]}[command]
+        code, out, _ = run_cli(capsys, *argv)
+        done = run_module(*argv)
+        assert (done.returncode, done.stdout, done.stderr) == (code, out.encode(), b"")
+        assert code == EXIT_OK and out
+
+    def test_exit_codes_come_through(self, tmp_path):
+        target = write_tree(tmp_path, SIMPLE_TREE) / "app.py"
+        bad_rules = tmp_path / "bad.yaml"
+        bad_rules.write_text("- {id: r, kind: regex}\n")
+        for argv, expected in ((["rules", "test", "no-such-rule", str(target)], EXIT_USAGE),
+                               (["scan", str(tmp_path / "nope")], EXIT_UNREADABLE),
+                               (["rules", "list", "--rules", str(bad_rules)], EXIT_BAD_RULES)):
+            done = run_module(*argv)
+            assert done.returncode == expected, argv
+            assert done.stdout == b"" and done.stderr.decode().startswith("slopscope: "), argv
+            assert len(done.stderr.splitlines()) == 1, argv
+
+    @pytest.mark.parametrize("argv, expected", [(["rules", "list"], EXIT_OK),
+                                                (["scan", "no/such/root"], EXIT_UNREADABLE)])
+    def test_exit_handlers_run_before_the_process_ends(self, argv, expected):
+        code = ("import atexit, sys\n"
+                "atexit.register(lambda: print('handler ran'))\n"
+                "from slopscope.cli import run\n"
+                "run()\n")
+        done = run_module(*argv, code=code)
+        assert done.returncode == expected
+        assert done.stdout.decode().splitlines()[-1] == "handler ran"
+
+    def test_help_and_usage_errors_exit_as_before(self):
+        done = run_module("--help")
+        assert done.returncode == EXIT_OK and done.stdout.startswith(b"usage: slopscope")
+        done = run_module("scan")
+        assert done.returncode == EXIT_USAGE and b"error: the following arguments are required" in done.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+    @pytest.mark.parametrize("argv", [["scan", GOLDEN_TREE, "--deterministic"], ["rules", "list"]])
+    def test_a_failed_stdout_write_is_one_line(self, argv):
+        with open("/dev/full", "wb") as full:
+            done = run_module(*argv, stdout=full)
+        assert done.returncode == EXIT_USAGE
+        assert done.stderr.decode().splitlines() == [f"slopscope: cannot write <stdout>: {os.strerror(errno.ENOSPC)}"]

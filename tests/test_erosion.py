@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from slopscope import measure_checkpoint
 from slopscope.erosion import (
     HOTSPOT_LIMIT,
     ErosionParams,
@@ -83,6 +84,19 @@ class TestErosionScore:
         assert [c for c, _ in hotspots] == ranking[:20]
         assert [mass for _, mass in hotspots] == [complexity_mass(c.cc, c.sloc) for c in ranking[:20]]
 
+    def test_hotspots_are_the_head_of_the_full_ranking(self):
+        """Many callables tie on mass, file and first line: the kept hotspots
+        are still the first twenty of the whole stable ranking."""
+        rng = random.Random(3)
+        for size in (0, 19, 20, 21, 60, 200):
+            callables = tuple(
+                CallableRecord(f"f{i}", rng.choice(["a.py", "b.py"]), (line, line + 1), rng.randint(1, 4), 2)
+                for i, line in enumerate(rng.randint(1, 5) for _ in range(size))
+            )
+            ranking = sorted(callables, key=lambda c: (-complexity_mass(c.cc, c.sloc), c.file, c.span[0]))
+            hotspots = erosion_score(SourceInventory(callables=callables)).hotspots
+            assert [c for c, _ in hotspots] == ranking[:HOTSPOT_LIMIT]
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             ErosionParams(size_exponent=0.7)
@@ -109,6 +123,16 @@ class TestSensitivitySweep:
         inv = make_inventory([(13, 7), (9, 31), (25, 120)])
         rows = {(c, e): s for c, e, s in erosion_sensitivity(inv)}
         assert rows[(10, 0.5)] == erosion_score(inv).score
+
+    def test_every_cell_is_the_score_with_its_params(self, cc_corpus):
+        rng = random.Random(11)
+        inventories = [measure_checkpoint(cc_corpus).inventory] + [
+            make_inventory([(rng.randint(1, 40), rng.randint(1, 500)) for _ in range(rng.randint(0, 60))])
+            for _ in range(50)
+        ]
+        for inv in inventories:
+            for cutoff, exponent, score in erosion_sensitivity(inv):
+                assert score == erosion_score(inv, ErosionParams(cutoff, exponent)).score
 
     def test_all_below_eight_all_zero(self):
         rows = erosion_sensitivity(make_inventory([(8, 50), (3, 10)]))

@@ -6,6 +6,7 @@ import json
 import os
 import random
 import subprocess
+import sys
 import tarfile
 import tempfile
 from datetime import datetime, timedelta, timezone
@@ -460,7 +461,7 @@ def test_checkpoints_keep_only_the_reported_hotspots(generated_repo, monkeypatch
     one a full ranking, cut to 20 as it is serialized, gives."""
     limit = erosion.HOTSPOT_LIMIT
     kept = measure_history(generated_repo, max_commits=17, seed=5, config=EXCLUDE_VENDOR)
-    monkeypatch.setattr(erosion, "HOTSPOT_LIMIT", None)  # masses[:None]: every callable
+    monkeypatch.setattr(erosion, "HOTSPOT_LIMIT", sys.maxsize)  # every callable
     full = measure_history(generated_repo, max_commits=17, seed=5, config=EXCLUDE_VENDOR)
     assert limit == 20 and max(len(cp.erosion.hotspots) for cp in full.checkpoints) > limit
     assert all(len(cp.erosion.hotspots) <= limit for cp in kept.checkpoints)

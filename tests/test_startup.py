@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -111,6 +112,38 @@ def test_no_module_imports_dataclasses():
             if any(name.split(".")[0] == "dataclasses" for name in names):
                 offenders.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
     assert offenders == []
+
+
+def test_commands_leave_no_thread_running_and_no_file_open(history_repo):
+    """``cli.run`` ends the process without interpreter teardown, which would
+    join a thread left running and flush a file left open: so no command may
+    leave either behind."""
+    result = run_child(
+        "import io, json, os, sys, threading\n"
+        "from slopscope.cli import main\n"
+        "def fds():\n"
+        "    return len(os.listdir('/proc/self/fd')) if os.path.isdir('/proc/self/fd') else None\n"
+        "before = fds()\n"
+        "out, sys.stdout = sys.stdout, io.StringIO()\n"
+        "codes = [main(['scan', sys.argv[1]]), main(['history', sys.argv[2]]), main(['rules', 'list'])]\n"
+        "sys.stdout = out\n"
+        "print(json.dumps({'codes': codes, 'threads': threading.active_count(), 'fds': [before, fds()]}))\n",
+        str(FIXTURES / "golden_tree"), str(history_repo),
+    )
+    assert result["codes"] == [0, 0, 0]
+    assert result["threads"] == 1
+    before, after = result["fds"]
+    if before is None:
+        pytest.skip("no /proc/self/fd to count open files")
+    assert after == before
+
+
+def test_the_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["slopscope"]
+    module, _, name = target.partition(":")
+    assert getattr(import_module(module), name) is import_module("slopscope.cli").run
 
 
 def test_cli_resolves_the_functions_it_runs_on_first_use():
