@@ -236,7 +236,6 @@ class CommitTree(NamedTuple):
 
     blobs: dict[str, str]
     links: tuple[str, ...]
-    store: ObjectStore
     trees: dict[tuple[str, str], TreeListing]
 
 
@@ -269,7 +268,7 @@ def materialize_commit(
         blobs.update(listing.blobs)
         links.extend(listing.links)
         pending.extend(listing.subtrees)
-    return CommitTree(blobs, tuple(links), store, trees)
+    return CommitTree(blobs, tuple(links), trees)
 
 
 class FileAnalysis(NamedTuple):
@@ -337,7 +336,8 @@ def analyse_file(relpath: str, data: bytes, config: ScanConfig, rules: RuleSet) 
     ``decode`` skip. The text is then split into lines, checked for
     minification and parsed; one walk of the tree gives its callables and
     the index every pattern rule reads. A file that cannot be measured comes
-    back as a skip with its reason. The tree and its index die on return.
+    back as a skip with its reason (nesting too deep for the parser raises
+    MemoryError: a ``parse`` skip). The tree and its index die on return.
     """
     adapter = ADAPTERS["python"]
     try:
@@ -349,7 +349,7 @@ def analyse_file(relpath: str, data: bytes, config: ScanConfig, rules: RuleSet) 
         return _skipped(relpath, "minified")
     try:
         index = TreeIndex.from_tree(adapter.parse(text))
-    except (SyntaxError, ValueError, RecursionError):
+    except (SyntaxError, ValueError, RecursionError, MemoryError):
         return _skipped(relpath, "parse")
 
     record = FileRecord(relpath, loc=len(source.source_lines), line_count=source.line_count)
@@ -367,11 +367,11 @@ def scan_tree_with_sources(
 ) -> tuple[SourceInventory, dict[str, FileAnalysis]]:
     """Analyse one snapshot, one file at a time.
 
-    ``files`` gives each eligible path with the bytes to analyse, the
-    reason it was skipped unread, or an analysis kept from an earlier
-    snapshot. Returns the snapshot's inventory and every path's analysis,
-    sorted by path. Each file's records are sorted already, so the
-    snapshot's inventory is theirs joined in path order.
+    ``files`` gives each eligible path, in any order, with the bytes to
+    analyse, the reason it was skipped unread, or an analysis kept from an
+    earlier snapshot. Returns the snapshot's inventory and every path's
+    analysis, sorted by path: the one sort a snapshot gets. Each file's
+    records are sorted already, so the inventory is theirs joined in order.
     """
     analyses: dict[str, FileAnalysis] = {}
     for path, item in files:
@@ -391,13 +391,13 @@ def scan_tree_with_sources(
     return inventory, analyses
 
 
-def _read_commit(tree: CommitTree, reuse: Mapping[tuple[str, str], FileAnalysis]):
+def _read_commit(store: ObjectStore, tree: CommitTree, reuse: Mapping[tuple[str, str], FileAnalysis]):
     """Each file of a commit: a link's skip reason, the analysis ``reuse``
     holds for its (path, blob), or else the blob's bytes, read on demand."""
     for path in tree.links:
         yield path, "symlink"
     for path, blob in tree.blobs.items():
-        yield path, reuse[(path, blob)] if (path, blob) in reuse else tree.store.read(blob)
+        yield path, reuse[(path, blob)] if (path, blob) in reuse else store.read(blob)
 
 
 class CheckpointAnalysis(NamedTuple):
@@ -412,28 +412,24 @@ class CheckpointAnalysis(NamedTuple):
 
 
 def measure_checkpoint(
-    workspace: str | Path | CommitTree,
+    workspace: str | Path | Iterable[tuple[str, bytes | str | FileAnalysis]],
     config: ScanConfig = ScanConfig(),
     rules: RuleSet = RuleSet(()),
     min_window: int = DEFAULT_MIN_WINDOW,
-    reuse: Mapping[tuple[str, str], FileAnalysis] | None = None,
 ) -> CheckpointAnalysis:
-    """Measure a snapshot: a directory, or a commit ``materialize_commit``
-    listed. Both stream through one loop, one file at a time.
+    """Measure a snapshot: a directory, or the files of one as
+    ``scan_tree_with_sources`` takes them. Either streams through one loop,
+    one file at a time.
 
-    ``rules`` defaults to an empty rule set, which flags no line. A commit's
-    file whose (path, blob id) is a key of ``reuse`` takes that analysis;
-    only the other files are read and analysed. Clones, erosion and
-    verbosity are always computed over every file, verbosity from each
-    measured file's line count and source lines. A snapshot's place
-    in a history (index, commit, time and phase) is not its own:
+    ``rules`` defaults to an empty rule set, which flags no line. Clones,
+    erosion and verbosity are always computed over every file, verbosity
+    from each measured file's line count and source lines. A snapshot's
+    place in a history (index, commit, time and phase) is not its own:
     ``measure_history`` adds it when it builds the ``CheckpointMetrics``.
     """
-    if isinstance(workspace, CommitTree):
-        snapshot = _read_commit(workspace, reuse or {})
-    else:
-        snapshot = read_tree(workspace, config)
-    inventory, files = scan_tree_with_sources(snapshot, config, rules)
+    if isinstance(workspace, (str, Path)):
+        workspace = read_tree(workspace, config)
+    inventory, files = scan_tree_with_sources(workspace, config, rules)
     erosion = erosion_score(inventory)
     matches = [m for f in files.values() for m in f.matches]
     regions = detect_clones([f.normalized for f in files.values() if f.normalized is not None], min_window)
@@ -487,7 +483,7 @@ def measure_history(
         for i, commit in enumerate(commits):
             try:
                 tree = materialize_commit(store, commit.sha, config, previous)
-                analysis = measure_checkpoint(tree, config, rules, min_window, reuse)
+                analysis = measure_checkpoint(_read_commit(store, tree, reuse), config, rules, min_window)
             except GitError as err:
                 skipped.append((commit.sha, str(err)))
                 continue  # unreadable commit: reported, not imputed

@@ -17,7 +17,7 @@ any node, so it reads every type's list; nodes that share a span share its
 text, and no two windows start at one statement, so no match changes.
 
 Each variant is compared through match plans, built from its pattern tree
-on its first match: one small tuple per pattern node. A candidate's
+when the pattern is compiled: one small tuple per pattern node. A candidate's
 structure is checked first, collecting each metavariable's node; their
 source text is read only once the whole candidate (every statement of a
 window) matches, and a repeated name whose texts differ rejects it then.
@@ -75,34 +75,27 @@ def _render(pattern: str, omit: frozenset[str]) -> str:
     return out
 
 
-class _Variant:
+class Variant(NamedTuple):
     """One form of a pattern: an ``expr`` node, or the ``stmts`` of a
-    window. Its match plans are built on its first match, so loading rules
-    does not pay for them."""
+    window, and the match plan of each node."""
 
-    __slots__ = ("kind", "nodes", "_plans")
-
-    def __init__(self, kind: str, nodes: tuple[ast.AST, ...]) -> None:
-        self.kind = kind  # "expr" or "stmts"
-        self.nodes = nodes
-        self._plans: tuple | None = None
-
-    def plans(self) -> tuple:
-        if self._plans is None:
-            self._plans = tuple(map(_plan, self.nodes))
-        return self._plans
+    kind: str  # "expr" or "stmts"
+    nodes: tuple[ast.AST, ...]
+    plans: tuple[tuple, ...]
 
 
 class CompiledPattern(NamedTuple):
     source: str
-    variants: tuple[_Variant, ...]
+    variants: tuple[Variant, ...]
 
 
 def compile_pattern(pattern: str) -> CompiledPattern:
     """Compile a metavariable pattern, expanding optional-metavariable
-    variants: the full form first, then each set of optionals left out."""
+    variants: the full form first, then each set of optionals left out. A
+    pattern nested too deeply to parse or to plan raises MemoryError or
+    RecursionError."""
     optional = sorted({m[1] for m in _MV_TOKEN.finditer(pattern) if m[2]})
-    variants: list[_Variant] = []
+    variants: list[Variant] = []
     errors: list[str] = []
     full_error = ""  # the full form must itself be valid code
     for r in range(len(optional) + 1):
@@ -119,9 +112,10 @@ def compile_pattern(pattern: str) -> CompiledPattern:
                 errors.append(f"{text!r}: empty pattern")
                 continue
             if len(module.body) == 1 and isinstance(module.body[0], ast.Expr):
-                variants.append(_Variant("expr", (module.body[0].value,)))
+                kind, nodes = "expr", (module.body[0].value,)
             else:
-                variants.append(_Variant("stmts", tuple(module.body)))
+                kind, nodes = "stmts", tuple(module.body)
+            variants.append(Variant(kind, nodes, tuple(map(_plan, nodes))))
 
     if not variants:
         raise PatternError("; ".join(errors))
@@ -153,9 +147,16 @@ def _stmt_placeholder_name(node: ast.AST) -> str | None:
 #   (_VALUE, type, value)                an equal value of the same type
 _NODE, _LIST, _BIND, _VALUE = range(4)
 
+# The most node and list plans one plan may nest. ``_match`` recurses once
+# a level, so no pattern that compiles can exhaust the stack when matched.
+_MAX_PLAN_DEPTH = 100
 
-def _plan(pat: object) -> tuple:
-    """The match plan of one pattern value, built once per variant."""
+
+def _plan(pat: object, depth: int = 1) -> tuple:
+    """The match plan of one pattern value at ``depth`` (a root's is 1),
+    built once per variant."""
+    if depth > _MAX_PLAN_DEPTH:
+        raise RecursionError(f"pattern nested more than {_MAX_PLAN_DEPTH} levels deep")
     if isinstance(pat, ast.AST):
         name = _placeholder_name(pat)
         if name is not None:
@@ -163,10 +164,10 @@ def _plan(pat: object) -> tuple:
         name = _stmt_placeholder_name(pat)
         if name is not None:
             return (_BIND, ast.stmt, name)
-        fields = tuple((f, _plan(getattr(pat, f, None))) for f in pat._fields if f not in _IGNORED_FIELDS)
+        fields = tuple((f, _plan(getattr(pat, f, None), depth + 1)) for f in pat._fields if f not in _IGNORED_FIELDS)
         return (_NODE, type(pat), fields)
     if isinstance(pat, list):
-        return (_LIST, tuple(map(_plan, pat)))
+        return (_LIST, tuple(_plan(item, depth + 1) for item in pat))
     if isinstance(pat, str) and pat.startswith(_PLACEHOLDER_PREFIX):
         return (_BIND, str, pat[len(_PLACEHOLDER_PREFIX) :])
     return (_VALUE, type(pat), pat)
@@ -239,7 +240,7 @@ def find_matches(
     matches: dict[tuple[tuple[int, int], tuple[int, int]], dict[str, str]] = {}
     segment = source.segment
     for variant in compiled.variants:
-        plans = variant.plans()
+        plans = variant.plans
         root = plans[0]
         by_type = index.exprs_by_type if variant.kind == "expr" else index.windows_by_type
         candidates = itertools.chain(*by_type.values()) if root[0] is _BIND else by_type.get(root[1], ())

@@ -74,7 +74,7 @@ def match_to_dict(match: RuleMatch) -> dict:
         "start": {"line": match.start[0], "col": match.start[1]},
         "end": {"line": match.end[0], "col": match.end[1]},
         "lines": list(match.lines),
-        "captures": dict(sorted(match.captures.items())),
+        "captures": dict(match.captures),
     }
 
 

@@ -141,6 +141,8 @@ def _check_rules(raw, path: str | Path) -> RuleSet:
             errors.append(str(exc))
         except (PatternError, re.error) as exc:
             errors.append(f"{rule.id}: {exc}")
+        except (RecursionError, MemoryError):  # the parser, ``re`` or a match plan
+            errors.append(f"{rule.id}: nested too deeply to compile")
     if errors:
         raise RuleError(f"{path}: invalid rules: " + "; ".join(errors))
     return RuleSet(tuple(rules), compiled)

@@ -57,10 +57,9 @@ def is_python(name: str) -> bool:
 
 def is_eligible(relpath: str, config: ScanConfig) -> bool:
     """Whether a scan measures the file at ``relpath`` ('/'-separated,
-    relative to the root): no directory on its way is one that is never
-    source, no ``exclude`` glob matches it, and it is a Python file."""
-    *dirs, name = relpath.split("/")
-    return ALWAYS_SKIP_DIRS.isdisjoint(dirs) and not _excluded(relpath, config.exclude) and is_python(name)
+    relative to the root): no ``exclude`` glob matches it, and it is a
+    Python file. No walk enters an ``ALWAYS_SKIP_DIRS`` directory."""
+    return not _excluded(relpath, config.exclude) and is_python(relpath)
 
 
 def read_file(root: Path, relpath: str) -> bytes | str:
@@ -82,24 +81,18 @@ def read_file(root: Path, relpath: str) -> bytes | str:
         return "unreadable"
 
 
-def _eligible_paths(root: Path, config: ScanConfig) -> list[tuple[str, str]]:
-    """Each eligible file under ``root``: its reported path and its path on disk."""
-    paths: list[tuple[str, str]] = []
-    for dirpath, dirnames, filenames in os.walk(root):
-        dirnames[:] = sorted(d for d in dirnames if d not in ALWAYS_SKIP_DIRS)
-        for name in sorted(filenames):
-            real = os.path.relpath(os.path.join(dirpath, name), root)
-            rel = decode_path(os.fsencode(real.replace(os.sep, "/")))
-            if is_eligible(rel, config):
-                paths.append((rel, real))
-    return sorted(paths)
-
-
 def read_tree(root: str | Path, config: ScanConfig) -> Iterator[tuple[str, bytes | str]]:
-    """Each eligible file of a directory, in path order, with its bytes or
-    the reason it is skipped unread. Files are read one at a time, as the
-    caller asks for them."""
+    """Each eligible file of a directory, in walk order, with its bytes or
+    the reason it is skipped unread, read as the caller asks for it. A link
+    to a directory is offered as a file, as git lists it, and so skipped."""
     root = Path(root)
     if not root.is_dir():
         raise ScanError(f"root does not exist or is not a directory: {root}")
-    return ((rel, read_file(root, real)) for rel, real in _eligible_paths(root, config))
+    for dirpath, dirnames, filenames in os.walk(root):
+        filenames += [d for d in dirnames if os.path.islink(os.path.join(dirpath, d))]
+        dirnames[:] = [d for d in dirnames if d not in ALWAYS_SKIP_DIRS]
+        for name in filenames:
+            real = os.path.relpath(os.path.join(dirpath, name), root)
+            rel = decode_path(os.fsencode(real.replace(os.sep, "/")))
+            if is_eligible(rel, config):
+                yield rel, read_file(root, real)

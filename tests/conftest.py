@@ -82,6 +82,38 @@ SLOP = handler_source("handle_alpha", "x") + "\n\n" + handler_source("handle_bet
 # but a walk that recurses once per nesting level exhausts the stack.
 DEEP_SUM = "x = (\n" + "1 +\n" * 1199 + "1\n)\n"
 
+# An if/elif chain of 10,001 branches, one per line: nested too deeply for
+# the parser, which refuses it with MemoryError on Python 3.10 to 3.13.
+TOO_DEEP = "if a: pass\n" + "elif a: pass\n" * 10_000
+
+
+def elif_chain(branches: int) -> str:
+    """An if/elif statement of ``branches`` branches, two lines each."""
+    return "if a:\n    pass\n" + "elif a:\n    pass\n" * (branches - 1)
+
+
+def deepest_elif_chain() -> int:
+    """The most branches an ``elif_chain`` pattern may have and compile."""
+    from slopscope.patterns import compile_pattern
+
+    branches = 1
+    while True:
+        try:
+            compile_pattern(elif_chain(branches + 1))
+        except RecursionError:
+            return branches
+        branches += 1
+
+
+# Rules nested too deeply to compile, as (kind, pattern): the parser
+# refuses the first with MemoryError, ``re.compile`` the second with
+# RecursionError, and the third parses but its match plans are too deep.
+TOO_DEEP_RULES = {
+    "parser": ("pattern", TOO_DEEP),
+    "regex": ("regex", "(" * 2000 + "a" + ")" * 2000),
+    "plans": ("pattern", elif_chain(400)),
+}
+
 # (files after the commit, committer date)
 HISTORY_COMMITS = [
     ({"main.py": MAIN_V1}, "2023-05-10T10:00:00+00:00"),

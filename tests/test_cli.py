@@ -18,8 +18,18 @@ from slopscope.cli import (
     RULES_ENV,
     main,
 )
+from slopscope.scan import ScanConfig, read_tree
 
-from conftest import DEEP_SUM, FIXTURES, handler_source, write_tree
+from conftest import (
+    DEEP_SUM,
+    FIXTURES,
+    TOO_DEEP,
+    TOO_DEEP_RULES,
+    deepest_elif_chain,
+    elif_chain,
+    handler_source,
+    write_tree,
+)
 
 GOLDEN_TREE = str(FIXTURES / "golden_tree")
 
@@ -106,6 +116,10 @@ BAD_INPUTS = {
     "deeply-nested-config": (["scan", "{tree}", "--config", "{deep}"], EXIT_USAGE),
     "deeply-nested-rules": (["scan", "{tree}", "--rules", "{deep}"], EXIT_BAD_RULES),
     "deeply-nested-panel": (["panel", "{deep}"], EXIT_USAGE),
+    "too-deep-pattern-for-the-parser": (["scan", "{tree}", "--rules", "{deep_parser_rules}"], EXIT_BAD_RULES),
+    "too-deep-regex": (["rules", "list", "--rules", "{deep_regex_rules}"], EXIT_BAD_RULES),
+    "too-deep-pattern-plans": (["scan", "{tree}", "--rules", "{deep_plans_rules}"], EXIT_BAD_RULES),
+    "too-deep-rules-test": (["rules", "test", "self-equality", "{too_deep}"], EXIT_UNREADABLE),
     "string-exclude": (["scan", "{tree}", "--config", "{string_exclude}"], EXIT_USAGE),
     "zero-minified-threshold": (["scan", "{tree}", "--config", "{zero_threshold}"], EXIT_USAGE),
     "unknown-encoding": (["history", "{repo}", "--config", "{unknown_encoding}"], EXIT_USAGE),
@@ -174,6 +188,9 @@ BAD_FILES = {
     "panel.yaml": b"- {repo_path: repo, repo_id: r, stars: 5}\n",
     "undecodable.py": b"x = 1\n\xff\n",
     "unparsable.py": b"def (:\n",
+    "too_deep.py": TOO_DEEP.encode(),
+    **{f"deep_{shape}_rules.json": json.dumps([{"id": "deep", "kind": kind, "pattern": pattern}]).encode()
+       for shape, (kind, pattern) in TOO_DEEP_RULES.items()},
     "unclaimed.txt": b"ys = [x for x in xs]\n",
     "negative_max_commits.yaml": b"- {repo_path: repo, max_commits: -1}\n",
     "zero_max_commits.yaml": b"- {repo_path: repo, repo_id: zero, max_commits: 0}\n",
@@ -334,6 +351,38 @@ class TestDeterminism:
             assert report["payload"]["matches"] == []
             digests.append(report["config_digest"])
         assert digests[0] != digests[1]
+
+    @pytest.mark.parametrize("tree", ["golden_tree", "names"])
+    def test_reports_do_not_depend_on_the_walk_order(self, capsys, tmp_path, monkeypatch, tree):
+        """Files are read in walk order and reported in path order: a walk
+        that offers every directory's names in reverse gives the same bytes."""
+        if tree == "golden_tree":
+            root = FIXTURES / "golden_tree"
+        else:  # its walk order is not its path order
+            root = write_tree(tmp_path / "tree", dict.fromkeys(("a.py", "a/b.py", "a-b.py", "b/c.py"),
+                                                               SIMPLE_TREE["app.py"]))
+
+        def reports() -> list:
+            out = []
+            for extra in ([], ["--format", "csv"], ["--emit-matches", str(tmp_path / "m.jsonl")]):
+                code, text, err = run_cli(capsys, "scan", str(root), "--deterministic", *extra)
+                assert code == EXIT_OK, err
+                out.append(text)
+            return [*out, (tmp_path / "m.jsonl").read_bytes()]
+
+        want = reports()
+        walk = os.walk
+
+        def reversed_walk(*args, **kwargs):
+            for dirpath, dirnames, filenames in walk(*args, **kwargs):
+                dirnames.sort(reverse=True)
+                filenames.sort(reverse=True)
+                yield dirpath, dirnames, filenames
+
+        monkeypatch.setattr(os, "walk", reversed_walk)
+        walked = [path for path, _ in read_tree(root, ScanConfig())]
+        assert tree == "golden_tree" or walked != sorted(walked)
+        assert reports() == want
 
     def test_canonical_json_shape(self, capsys, tmp_path):
         write_tree(tmp_path, SIMPLE_TREE)
@@ -588,6 +637,26 @@ class TestDeepNesting:
         target.write_text(DEEP_SUM)
         code, out, err = run_cli(capsys, "rules", "test", "identity-comprehension", str(target))
         assert (code, out, err) == (EXIT_OK, "", "")
+
+    def test_scan_skips_a_file_too_deep_for_the_parser(self, capsys, tmp_path):
+        tree = write_tree(tmp_path / "tree", {**SIMPLE_TREE, "deep.py": TOO_DEEP})
+        code, out, err = run_cli(capsys, "scan", str(tree), "--deterministic")
+        assert code == EXIT_OK, err
+        inventory = json.loads(out)["payload"]["inventory"]
+        assert [f["path"] for f in inventory["files"]] == ["app.py"]
+        assert inventory["skipped"] == [{"path": "deep.py", "reason": "parse"}]
+
+    def test_the_deepest_pattern_that_compiles_matches_in_a_scan(self, capsys, tmp_path):
+        chain = elif_chain(deepest_elif_chain())
+        rules = tmp_path / "deep.json"
+        rules.write_text(json.dumps([{"id": "deep", "pattern": chain}]))
+        tree = write_tree(tmp_path / "tree", {"chain.py": chain})
+        code, out, err = run_cli(capsys, "scan", str(tree), "--rules", str(rules), "--deterministic")
+        assert code == EXIT_OK, err
+        matches = json.loads(out)["payload"]["matches"]
+        assert [(m["rule_id"], m["start"]["line"], m["end"]["line"]) for m in matches] == [
+            ("deep", 1, chain.count("\n"))
+        ]
 
 
 class TestRulesEnv:

@@ -34,6 +34,7 @@ from conftest import (
     HISTORY_COMMITS,
     MAIN_V1,
     SLOP,
+    TOO_DEEP,
     build_history_repo,
     drop_blob,
     handler_source,
@@ -454,6 +455,32 @@ def _assert_history_matches_checkouts(repo: Path, tmp_path: Path, monkeypatch, c
 
 def test_history_repo_matches_checkouts(history_repo, tmp_path, monkeypatch):
     _assert_history_matches_checkouts(history_repo, tmp_path, monkeypatch, ScanConfig(), 30, 0)
+
+
+def test_a_file_too_deep_for_the_parser_is_a_parse_skip(tmp_path, monkeypatch):
+    """Python refuses such a file with MemoryError; it is skipped, and the
+    commit that adds it is measured with the rest."""
+    repo = build_history_repo(tmp_path / "repo", [({"main.py": MAIN_V1}, "2024-01-01T10:00:00+00:00"),
+                                                  ({"main.py": MAIN_V1, "deep.py": TOO_DEEP},
+                                                   "2024-02-01T10:00:00+00:00")])
+    (first, _), (second, _) = _assert_history_matches_checkouts(repo, tmp_path, monkeypatch, ScanConfig(), 30, 0)
+    assert first.inventory.skipped == () and second.inventory.skipped == (("deep.py", "parse"),)
+    assert [f.path for f in second.inventory.files] == ["main.py"]
+
+
+def test_a_link_to_a_directory_is_a_link_in_scan_and_history(tmp_path, monkeypatch):
+    """The walk does not enter a linked directory, but offers its name, so a
+    scan lists ``x.py -> pkg`` as a ``symlink`` skip, as history does."""
+    repo = write_tree(tmp_path / "repo", {"pkg/a.py": MAIN_V1})
+    os.symlink("pkg", repo / "x.py")
+    os.symlink("pkg/a.py", repo / "y.py")
+    for args in (["init", "-q"], ["add", "-A"],
+                 ["-c", "user.name=t", "-c", "user.email=t@example.com", "commit", "-q", "-m", "links"]):
+        subprocess.run(["git", "-C", str(repo), *args], check=True, capture_output=True)
+    ((analysis, _),) = _assert_history_matches_checkouts(repo, tmp_path, monkeypatch, ScanConfig(), 30, 0)
+    links = (("x.py", "symlink"), ("y.py", "symlink"))
+    assert analysis.inventory.skipped == links
+    assert measure_checkpoint(repo).inventory.skipped == links  # the working tree
 
 
 def test_checkpoints_keep_only_the_reported_hotspots(generated_repo, monkeypatch):

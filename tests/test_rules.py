@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import json
 import re
 
 import pytest
@@ -14,6 +15,8 @@ from slopscope.rules import (
     load_starter_rules,
     match_rules,
 )
+
+from conftest import TOO_DEEP_RULES, deepest_elif_chain, elif_chain
 
 
 def matches_of(pattern: str, source: str):
@@ -138,6 +141,30 @@ class TestRuleLoading:
             "identity-comprehension",
         ):
             assert expected in categories
+
+
+class TestDeepRules:
+    @pytest.mark.parametrize("shape", sorted(TOO_DEEP_RULES))
+    def test_a_rule_nested_too_deeply_is_refused_when_loaded(self, tmp_path, shape):
+        kind, pattern = TOO_DEEP_RULES[shape]
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps([{"id": "fine", "pattern": "$X == $X"},
+                                    {"id": "deep", "kind": kind, "pattern": pattern}]))
+        with pytest.raises(RuleError) as err:
+            load_rules(path)
+        assert str(err.value) == f"{path}: invalid rules: deep: nested too deeply to compile"
+
+    def test_match_plans_are_built_when_a_pattern_compiles(self):
+        for variant in compile_pattern("$F($A?, $B)").variants:
+            assert len(variant.plans) == len(variant.nodes) == 1 and variant.plans[0][1] is ast.Call
+
+    def test_the_deepest_pattern_that_compiles_matches(self):
+        branches = deepest_elif_chain()
+        assert branches > 10  # far deeper than any starter pattern
+        with pytest.raises(RecursionError):
+            compile_pattern(elif_chain(branches + 1))
+        source = elif_chain(branches)
+        assert [(start, end) for start, end, _ in matches_of(source, source)] == [((1, 1), (2 * branches, 9))]
 
 
 class TestMatchRules:

@@ -13,9 +13,9 @@ from slopscope.adapters import PythonAdapter, SourceText, TreeIndex
 from slopscope.history import analyse_file, measure_checkpoint
 from slopscope.model import CallableRecord, FileRecord, ScanError
 from slopscope.rules import RuleSet, load_starter_rules
-from slopscope.scan import ScanConfig, load_scan_config
+from slopscope.scan import ScanConfig, load_scan_config, read_tree
 
-from conftest import write_tree
+from conftest import FIXTURES, write_tree
 
 TREE_FILES = {
     "pkg/alpha.py": """\
@@ -111,6 +111,17 @@ class TestScanTree:
         files = sorted((f for part in parts for f in part.files), key=lambda f: f.path)
         callables = sorted((c for part in parts for c in part.callables), key=lambda c: (c.file, c.span))
         assert (files, callables) == (list(whole.files), list(whole.callables))
+
+    def test_directories_that_are_never_source_are_not_entered(self, tmp_path):
+        hidden = (".git/h.py", ".hg/x.py", ".svn/y.py", "__pycache__/c.py", "pkg/__pycache__/d.py")
+        write_tree(tmp_path, {"m.py": "x = 1\n", **dict.fromkeys(hidden, "y = [a for a in b]\n")})
+        assert [path for path, _ in read_tree(tmp_path, ScanConfig())] == ["m.py"]
+        inv = measure_checkpoint(tmp_path).inventory
+        assert [f.path for f in inv.files] == ["m.py"] and inv.skipped == ()
+
+    def test_a_stream_of_files_is_measured_as_its_directory(self):
+        root, config, rules = FIXTURES / "golden_tree", ScanConfig(), load_starter_rules()
+        assert measure_checkpoint(read_tree(root, config), config, rules) == measure_checkpoint(root, config, rules)
 
     def test_exclude_globs(self, tmp_path):
         write_tree(tmp_path, TREE_FILES)
