@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 _HOMES = {
     "CloneRegion": "clones",
     "detect_clones": "clones",
-    "ErosionParams": "erosion",
     "ErosionReport": "erosion",
     "complexity_mass": "erosion",
     "erosion_score": "erosion",

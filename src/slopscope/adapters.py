@@ -176,11 +176,11 @@ class PythonAdapter:
     def enumerate_callables(self, path: str, source: SourceText, index: TreeIndex) -> list[CallableRecord]:
         """The file's named callables, from the index its one walk built."""
         records = [
-            CallableRecord(qualified_name=name, file=path, span=(start, end), cc=cc,
+            CallableRecord(qualified_name=name, file=path, start_line=start, end_line=end, cc=cc,
                            sloc=max(1, source.sloc(start, end)))
             for name, start, end, cc in index.callables
         ]
-        records.sort(key=lambda c: (c.span[0], c.qualified_name))
+        records.sort(key=lambda c: (c.start_line, c.qualified_name))
         return records
 
 

@@ -70,14 +70,19 @@ def _finite_float(text: str) -> float:
 
 
 def _iso_date(text: str):
-    """The ``datetime.date`` that ``text`` spells; imported here, as only
-    ``history`` takes a date."""
+    """The ``datetime.date`` that ``text`` spells as YYYY-MM-DD in ASCII
+    digits, the one form ``date.fromisoformat`` takes on every version
+    (3.11 also takes ``20240101`` and ``2024-W01-1``); imported here, as
+    only ``history`` takes a date."""
+    import re
     from datetime import date
 
     try:
-        return date.fromisoformat(text)
+        if re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", text):
+            return date.fromisoformat(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an ISO date (YYYY-MM-DD), got {text!r}") from None
+        pass
+    raise argparse.ArgumentTypeError(f"expected an ISO date (YYYY-MM-DD), got {text!r}")
 
 
 def _fail(message: object, code: int) -> int:
@@ -131,16 +136,10 @@ def _write(path: str, text: str) -> int:
 
 
 def cmd_scan(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> int:
-    from .report import (
-        callables_to_list,
-        clone_to_dict,
-        erosion_to_dict,
-        inventory_to_dict,
-        match_to_dict,
-        scan_report_csv,
-        verbosity_to_dict,
-    )
+    from .report import erosion_to_dict, inventory_to_dict, match_to_dict, scan_report_csv
 
+    if args.sweep and args.format == "csv":
+        return _fail("--sweep needs a JSON report; the CSV has no sweep table", EXIT_USAGE)
     try:
         analysis = _this.measure_checkpoint(args.root, config, rules, min_window=args.min_window)
     except ScanError as exc:
@@ -149,11 +148,11 @@ def cmd_scan(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> in
     payload = {
         "root": "." if args.deterministic else str(args.root),
         "inventory": inventory_to_dict(analysis.inventory),
-        "callables": callables_to_list(analysis.inventory),
+        "callables": [c._asdict() for c in analysis.inventory.callables],
         "erosion": erosion_to_dict(analysis.erosion),
-        "verbosity": verbosity_to_dict(analysis.verbosity),
+        "verbosity": analysis.verbosity._asdict(),
         "matches": [match_to_dict(m) for m in analysis.matches],
-        "clones": [clone_to_dict(r) for r in analysis.clones],
+        "clones": [r._asdict() for r in analysis.clones],
     }
     if args.sweep:
         from .erosion import erosion_sensitivity

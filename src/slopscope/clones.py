@@ -32,7 +32,8 @@ DEFAULT_MIN_WINDOW = 6
 class CloneRegion(NamedTuple):
     clone_class_id: int
     file: str
-    span: tuple[int, int]  # physical lines, 1-based inclusive
+    start_line: int  # physical lines, 1-based inclusive
+    end_line: int
     fingerprint: str  # hash of the region's normalized content
     lines: tuple[int, ...]  # the physical source lines the region covers
 
@@ -196,7 +197,8 @@ def detect_clones_normalized(
             CloneRegion(
                 clone_class_id=class_id,
                 file=nf.path,
-                span=(phys[0], phys[-1]),
+                start_line=phys[0],
+                end_line=phys[-1],
                 fingerprint=hashlib.sha1(content.encode()).hexdigest(),
                 lines=phys,
             )

@@ -100,7 +100,8 @@ class FileRecord(_FileFields):
 class _CallableFields(NamedTuple):
     qualified_name: str
     file: str
-    span: tuple[int, int]
+    start_line: int
+    end_line: int
     cc: int
     sloc: int
 
@@ -108,7 +109,7 @@ class _CallableFields(NamedTuple):
 class CallableRecord(_CallableFields):
     """One function or method, with its cyclomatic complexity and SLOC.
 
-    ``span`` is (start_line, end_line), 1-based inclusive. Lambdas are not
+    Lines are 1-based and ``end_line`` is inclusive. Lambdas are not
     recorded on their own; their decision points fold into the nearest
     enclosing named callable.
     """
@@ -117,13 +118,13 @@ class CallableRecord(_CallableFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        start, end = self.span
+        start, end = self.start_line, self.end_line
         if self.cc < 1 or self.sloc < 1:
             raise ValueError(f"{self.qualified_name}: cc and sloc must be >= 1")
         if start > end:
-            raise ValueError(f"{self.qualified_name}: span {self.span} inverted")
+            raise ValueError(f"{self.qualified_name}: lines {start}-{end} inverted")
         if self.sloc > end - start + 1:
-            raise ValueError(f"{self.qualified_name}: sloc {self.sloc} exceeds span {self.span}")
+            raise ValueError(f"{self.qualified_name}: sloc {self.sloc} exceeds lines {start}-{end}")
         return self
 
 

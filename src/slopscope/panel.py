@@ -51,7 +51,7 @@ class RepoPanelEntry(NamedTuple):
     star_tier: str
     head_metrics: CheckpointMetrics
     trajectory: TrajectorySummary
-    era: EraShift | None = None
+    era: EraShift
 
 
 class TierStats(NamedTuple):
@@ -119,7 +119,7 @@ def build_panel_entry(
         star_tier=star_tier(spec.stars),
         head_metrics=result.checkpoints[-1],
         trajectory=result.summary,  # type: ignore[arg-type]
-        era=result.era,
+        era=result.era,  # type: ignore[arg-type]
     )
 
 
@@ -151,7 +151,7 @@ def panel_aggregate(
         for tier in TIERS
         if (group := [e for e in ordered if e.star_tier == tier])
     }
-    eligible = [e for e in ordered if e.era is not None and e.era.eligible]
+    eligible = [e for e in ordered if e.era.eligible]
     return PanelReport(
         overall=_tier_stats(ordered),
         tiers=tiers,

@@ -85,7 +85,6 @@ class Variant(NamedTuple):
 
 
 class CompiledPattern(NamedTuple):
-    source: str
     variants: tuple[Variant, ...]
 
 
@@ -121,7 +120,7 @@ def compile_pattern(pattern: str) -> CompiledPattern:
         raise PatternError("; ".join(errors))
     if full_error:
         raise PatternError(full_error)
-    return CompiledPattern(pattern, tuple(variants))
+    return CompiledPattern(tuple(variants))
 
 
 def _placeholder_name(node: ast.AST) -> str | None:

@@ -7,13 +7,12 @@ import json
 from datetime import datetime, timezone
 
 from . import __version__
-from .clones import CloneRegion
 from .erosion import ErosionReport
 from .history import CheckpointAnalysis, HistoryResult, measured_lines
 from .model import SourceInventory
 from .rules import RuleMatch
-from .trajectory import CheckpointMetrics, EraShift, TrajectorySummary
-from .verbosity import VerbosityBreakdown, counted_lines
+from .trajectory import CheckpointMetrics, EraShift
+from .verbosity import counted_lines
 
 SCAN_CSV_HEADER = [
     "file",
@@ -43,17 +42,15 @@ def canonical_json(obj) -> str:
 
 
 def erosion_to_dict(report: ErosionReport) -> dict:
+    """The report's fields; a hotspot is its callable, without ``end_line``,
+    and its mass."""
     return {
-        "score": report.score,
-        "total_mass": report.total_mass,
-        "high_cc_mass": report.high_cc_mass,
-        "high_cc_count": report.high_cc_count,
-        "max_cc": report.max_cc,
+        **report._asdict(),
         "hotspots": [
             {
                 "qualified_name": c.qualified_name,
                 "file": c.file,
-                "start_line": c.span[0],
+                "start_line": c.start_line,
                 "cc": c.cc,
                 "sloc": c.sloc,
                 "mass": mass,
@@ -61,10 +58,6 @@ def erosion_to_dict(report: ErosionReport) -> dict:
             for c, mass in report.hotspots
         ],
     }
-
-
-def verbosity_to_dict(breakdown: VerbosityBreakdown) -> dict:
-    return breakdown._asdict()
 
 
 def match_to_dict(match: RuleMatch) -> dict:
@@ -78,64 +71,28 @@ def match_to_dict(match: RuleMatch) -> dict:
     }
 
 
-def clone_to_dict(region: CloneRegion) -> dict:
-    return {
-        "clone_class_id": region.clone_class_id,
-        "file": region.file,
-        "start_line": region.span[0],
-        "end_line": region.span[1],
-        "fingerprint": region.fingerprint,
-        "lines": list(region.lines),
-    }
-
-
 def inventory_to_dict(inventory: SourceInventory) -> dict:
     return {
         "n_files": len(inventory.files),
         "n_callables": len(inventory.callables),
         "total_loc": inventory.total_loc,
-        "files": [
-            {
-                "path": f.path,
-                "loc": f.loc,
-                "line_count": f.line_count,
-            }
-            for f in inventory.files
-        ],
+        "files": [f._asdict() for f in inventory.files],
         "skipped": [{"path": p, "reason": r} for p, r in inventory.skipped],
     }
-
-
-def callables_to_list(inventory: SourceInventory) -> list[dict]:
-    return [
-        {
-            "qualified_name": c.qualified_name,
-            "file": c.file,
-            "start_line": c.span[0],
-            "end_line": c.span[1],
-            "cc": c.cc,
-            "sloc": c.sloc,
-        }
-        for c in inventory.callables
-    ]
 
 
 def checkpoint_to_dict(cm: CheckpointMetrics) -> dict:
     return {
         "index": cm.index,
         "label": cm.label,
-        "timestamp": cm.timestamp.isoformat() if cm.timestamp else None,
+        "timestamp": cm.timestamp.isoformat(),
         "phase": cm.phase,
         "loc": cm.verbosity.loc,
         "high_cc_count": cm.erosion.high_cc_count,
         "max_cc": cm.erosion.max_cc,
         "erosion": erosion_to_dict(cm.erosion),
-        "verbosity": verbosity_to_dict(cm.verbosity),
+        "verbosity": cm.verbosity._asdict(),
     }
-
-
-def summary_to_dict(summary: TrajectorySummary) -> dict:
-    return {**summary._asdict(), "missing_checkpoints": list(summary.missing_checkpoints)}
 
 
 def era_to_dict(era: EraShift) -> dict:
@@ -145,7 +102,7 @@ def era_to_dict(era: EraShift) -> dict:
 def history_to_dict(result: HistoryResult) -> dict:
     return {
         "checkpoints": [checkpoint_to_dict(c) for c in result.checkpoints],
-        "summary": summary_to_dict(result.summary) if result.summary else None,
+        "summary": result.summary._asdict() if result.summary else None,
         "era": era_to_dict(result.era) if result.era else None,
         "skipped_commits": [{"sha": sha, "reason": reason} for sha, reason in result.skipped_commits],
     }
@@ -221,7 +178,7 @@ def history_report_csv(payload: dict) -> str:
             [
                 cp["index"],
                 cp["label"],
-                cp["timestamp"] or "",
+                cp["timestamp"],
                 cp["phase"],
                 cp["loc"],
                 repr(cp["erosion"]["score"]),

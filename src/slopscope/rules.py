@@ -30,7 +30,9 @@ class QualityRule(NamedTuple):
     regex_flags: tuple[str, ...] = ()
 
 
-class _MatchFields(NamedTuple):
+class RuleMatch(NamedTuple):
+    """One match of one rule."""
+
     rule_id: str
     file: str
     start: tuple[int, int]  # (line, col), 1-based
@@ -39,24 +41,6 @@ class _MatchFields(NamedTuple):
     # Metavariable name -> bound source text; the default is read-only, so
     # no two matches share a mutable mapping.
     captures: Mapping[str, str] = MappingProxyType({})
-
-
-class RuleMatch(_MatchFields):
-    """One match of one rule. Equality and hash ignore ``captures``: two
-    matches of the same rule over the same span are the same match."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        if type(other) is not RuleMatch:
-            return NotImplemented
-        return self[:5] == other[:5]
-
-    def __ne__(self, other):  # else tuple's, which compares captures too
-        return not self == other
-
-    def __hash__(self) -> int:
-        return hash(self[:5])
 
 
 class RuleSet:

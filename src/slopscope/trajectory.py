@@ -17,8 +17,8 @@ class CheckpointMetrics(NamedTuple):
     label: str
     erosion: ErosionReport
     verbosity: VerbosityBreakdown
-    phase: str = ""
-    timestamp: datetime | None = None
+    phase: str
+    timestamp: datetime
 
 
 class TrajectorySummary(NamedTuple):
@@ -124,12 +124,9 @@ def era_split(series: list[CheckpointMetrics], cutoff: date = DEFAULT_ERA_CUTOFF
     """
     import statistics  # here, not with the module: ``scan`` takes no median
 
-    untimed = [c.label for c in series if c.timestamp is None]
-    if untimed:
-        raise ValueError(f"checkpoints without timestamps: {', '.join(untimed)}")
     boundary = datetime(cutoff.year, cutoff.month, cutoff.day, tzinfo=timezone.utc)
-    pre = [c for c in series if c.timestamp < boundary]  # type: ignore[operator]
-    post = [c for c in series if c.timestamp >= boundary]  # type: ignore[operator]
+    pre = [c for c in series if c.timestamp < boundary]
+    post = [c for c in series if c.timestamp >= boundary]
     if len(pre) < 3 or len(post) < 3:
         return EraShift(cutoff_date=cutoff, eligible=False)
     pre_e = statistics.median(c.erosion.score for c in pre)

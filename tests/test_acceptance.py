@@ -51,7 +51,7 @@ def criterion(label):
 
 def make_inventory(specs):
     callables = tuple(
-        CallableRecord(f"f{i}", "m.py", (10 * i + 1, 10 * i + sloc), cc, sloc)
+        CallableRecord(f"f{i}", "m.py", 10 * i + 1, 10 * i + sloc, cc, sloc)
         for i, (cc, sloc) in enumerate(specs)
     )
     return SourceInventory(callables=callables)
@@ -120,7 +120,7 @@ def test_criterion_04_verbosity_random_cases():
     worked = verbosity_score(
         {"m.py": all_source(10)},
         [flag(1), flag(2), flag(3)],
-        [CloneRegion(0, "m.py", (3, 4), "f", (3, 4))],
+        [CloneRegion(0, "m.py", 3, 4, "f", (3, 4))],
     )
     assert worked.score == pytest.approx(0.4, abs=1e-12)
 

@@ -132,6 +132,10 @@ BAD_INPUTS = {
     "zero-min-window": (["scan", "{tree}", "--min-window", "0"], EXIT_USAGE),
     "negative-max-commits": (["history", "{repo}", "--max-commits", "-1"], EXIT_USAGE),
     "bogus-cutoff-date": (["history", "{repo}", "--cutoff-date", "bogus"], EXIT_USAGE),
+    # date.fromisoformat on 3.11+ reads both as 2024-01-01; 3.10 refuses them.
+    "basic-format-cutoff-date": (["history", "{repo}", "--cutoff-date", "20240101"], EXIT_USAGE),
+    "week-date-cutoff-date": (["history", "{repo}", "--cutoff-date", "2024-W01-1"], EXIT_USAGE),
+    "sweep-in-csv": (["scan", "{tree}", "--sweep", "--format", "csv"], EXIT_USAGE),
     "malformed-panel": (["panel", "{malformed}"], EXIT_USAGE),
     "scalar-panel": (["panel", "{scalar}"], EXIT_USAGE),
     "empty-list-panel": (["panel", "{empty_list}"], EXIT_USAGE),
@@ -282,6 +286,16 @@ class TestScanReport:
         assert code == EXIT_OK
         golden = (FIXTURES / "golden_scan.csv").read_text()
         assert out == golden
+
+    def test_json_and_matches_golden(self, capsys, tmp_path):
+        """The whole deterministic report, sweep included, and the
+        --emit-matches file, byte for byte."""
+        emitted = tmp_path / "m.jsonl"
+        code, out, err = run_cli(capsys, "scan", GOLDEN_TREE, "--deterministic", "--sweep",
+                                 "--emit-matches", str(emitted))
+        assert code == EXIT_OK, err
+        assert out.encode("utf-8") == (FIXTURES / "golden_scan.json").read_bytes()
+        assert emitted.read_bytes() == (FIXTURES / "golden_matches.jsonl").read_bytes()
 
     def test_csv_file_rows_count_source_lines_like_the_total(self, capsys, tmp_path):
         write_tree(tmp_path, {

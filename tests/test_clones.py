@@ -74,7 +74,7 @@ class TestDetection:
     def test_renamed_duplicate_is_type2_clone(self):
         regions = detect_clones(normalized({"a.py": VERBATIM_BLOCK, "b.py": RENAMED_BLOCK}))
         assert {r.file for r in regions} == {"a.py", "b.py"}
-        spans = {r.file: r.span for r in regions}
+        spans = {r.file: (r.start_line, r.end_line) for r in regions}
         assert spans["a.py"] == (1, 8)
         assert spans["b.py"] == (1, 8)
 
@@ -153,7 +153,7 @@ class TestInvariants:
     def test_symmetry_under_file_renaming(self):
         base = detect_clones(normalized({"a.py": VERBATIM_BLOCK, "b.py": RENAMED_BLOCK}))
         flipped = detect_clones(normalized({"b.py": VERBATIM_BLOCK, "a.py": RENAMED_BLOCK}))
-        assert {r.span for r in base} == {r.span for r in flipped}
+        assert {(r.start_line, r.end_line) for r in base} == {(r.start_line, r.end_line) for r in flipped}
 
     def test_clone_lines_subset_of_normalized_lines(self):
         texts = {"a.py": SLOP, "b.py": VERBATIM_BLOCK, "c.py": VERBATIM_BLOCK}
@@ -165,6 +165,6 @@ class TestInvariants:
 
     def test_region_lines_match_span(self):
         for region in detect_clones(normalized({"a.py": VERBATIM_BLOCK, "b.py": VERBATIM_BLOCK})):
-            assert region.lines[0] == region.span[0]
-            assert region.lines[-1] == region.span[1]
+            assert region.lines[0] == region.start_line
+            assert region.lines[-1] == region.end_line
             assert list(region.lines) == sorted(region.lines)

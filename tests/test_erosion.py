@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from slopscope import measure_checkpoint
 from slopscope.erosion import (
     HOTSPOT_LIMIT,
-    ErosionParams,
     complexity_mass,
     erosion_score,
     erosion_sensitivity,
@@ -19,7 +18,7 @@ from slopscope.model import CallableRecord, SourceInventory
 
 def make_inventory(specs: list[tuple[int, int]]) -> SourceInventory:
     callables = tuple(
-        CallableRecord(f"f{i}", "m.py", (10 * i + 1, 10 * i + sloc), cc, sloc)
+        CallableRecord(f"f{i}", "m.py", 10 * i + 1, 10 * i + sloc, cc, sloc)
         for i, (cc, sloc) in enumerate(specs)
     )
     return SourceInventory(callables=callables)
@@ -78,7 +77,7 @@ class TestErosionScore:
     def test_hotspots_keep_the_heaviest_twenty(self):
         specs = [(1 + (7 * i) % 13, 1 + (11 * i) % 17) for i in range(25)]
         inv = make_inventory(specs)
-        ranking = sorted(inv.callables, key=lambda c: (-complexity_mass(c.cc, c.sloc), c.file, c.span[0]))
+        ranking = sorted(inv.callables, key=lambda c: (-complexity_mass(c.cc, c.sloc), c.file, c.start_line))
         hotspots = erosion_score(inv).hotspots
         assert HOTSPOT_LIMIT == 20
         assert [c for c, _ in hotspots] == ranking[:20]
@@ -90,16 +89,12 @@ class TestErosionScore:
         rng = random.Random(3)
         for size in (0, 19, 20, 21, 60, 200):
             callables = tuple(
-                CallableRecord(f"f{i}", rng.choice(["a.py", "b.py"]), (line, line + 1), rng.randint(1, 4), 2)
+                CallableRecord(f"f{i}", rng.choice(["a.py", "b.py"]), line, line + 1, rng.randint(1, 4), 2)
                 for i, line in enumerate(rng.randint(1, 5) for _ in range(size))
             )
-            ranking = sorted(callables, key=lambda c: (-complexity_mass(c.cc, c.sloc), c.file, c.span[0]))
+            ranking = sorted(callables, key=lambda c: (-complexity_mass(c.cc, c.sloc), c.file, c.start_line))
             hotspots = erosion_score(SourceInventory(callables=callables)).hotspots
             assert [c for c, _ in hotspots] == ranking[:HOTSPOT_LIMIT]
-
-    def test_params_validation(self):
-        with pytest.raises(ValueError):
-            ErosionParams(size_exponent=0.7)
 
 
 class TestSensitivitySweep:
@@ -131,8 +126,11 @@ class TestSensitivitySweep:
             for _ in range(50)
         ]
         for inv in inventories:
+            specs = [(c.cc, c.sloc) for c in inv.callables]
             for cutoff, exponent, score in erosion_sensitivity(inv):
-                assert score == erosion_score(inv, ErosionParams(cutoff, exponent)).score
+                assert score == pytest.approx(brute_force_erosion(specs, cutoff, exponent), rel=1e-12, abs=0)
+                if (cutoff, exponent) == (10, 0.5):
+                    assert score == erosion_score(inv).score
 
     def test_all_below_eight_all_zero(self):
         rows = erosion_sensitivity(make_inventory([(8, 50), (3, 10)]))

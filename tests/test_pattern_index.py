@@ -158,11 +158,6 @@ def _parsed(path: Path) -> tuple[SourceText, ast.AST]:
     return SourceText.from_text(text), ast.parse(text)
 
 
-def _with_captures(found):
-    """Rule matches with their captures, which ``RuleMatch`` equality skips."""
-    return [(m, m.captures) for m in found]
-
-
 def _texts(source: SourceText, found) -> set[str]:
     """The text each match spans; for an ASCII file, columns count characters."""
     def offset(line, col):
@@ -183,21 +178,21 @@ def test_starter_rules_match_as_by_walk(corpus, monkeypatch):
         source, tree = _parsed(path)
         found = match_rules(path.name, source, TreeIndex.from_tree(tree), rules)
         by_walk = match_rules_by_walk(monkeypatch, path.name, source, tree, rules)
-        assert _with_captures(found) == _with_captures(by_walk), path
+        assert found == by_walk, path
         total += len(found)
     assert total > 0
 
 
 @pytest.mark.parametrize("corpus", sorted(CORPORA))
 def test_hand_written_patterns_match_as_by_walk(corpus):
-    compiled = [compile_pattern(p) for p in PATTERNS]
+    compiled = {p: compile_pattern(p) for p in PATTERNS}
     hits = 0
     for path in CORPORA[corpus]:
         source, tree = _parsed(path)
         index = TreeIndex.from_tree(tree)
-        for pattern in compiled:
+        for text, pattern in compiled.items():
             found = find_matches(pattern, index, source)
-            assert found == find_matches_by_walk(pattern, tree, source), pattern.source
+            assert found == find_matches_by_walk(pattern, tree, source), text
             hits += bool(found)
     assert hits > 0
 
@@ -220,9 +215,10 @@ def test_nested_same_span_nodes_keep_the_first_match():
     spans = [_position(n) for n in ast.walk(tree) if isinstance(n, (ast.expr, ast.stmt))]
     assert len(spans) > len(set(spans))  # the case under test occurs
     index = TreeIndex.from_tree(tree)
-    for pattern in map(compile_pattern, PATTERNS):
+    for text in PATTERNS:
+        pattern = compile_pattern(text)
         found = find_matches(pattern, index, source)
-        assert found == find_matches_by_walk(pattern, tree, source), pattern.source
+        assert found == find_matches_by_walk(pattern, tree, source), text
 
 
 @pytest.mark.skipif(sys.version_info >= (3, 12), reason="f-string pieces carry their own spans from 3.12")

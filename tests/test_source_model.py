@@ -109,7 +109,7 @@ class TestScanTree:
             measure_checkpoint(tmp_path, ScanConfig(exclude=("sub/*",))).inventory,
         ]
         files = sorted((f for part in parts for f in part.files), key=lambda f: f.path)
-        callables = sorted((c for part in parts for c in part.callables), key=lambda c: (c.file, c.span))
+        callables = sorted((c for part in parts for c in part.callables), key=lambda c: (c.file, c.start_line, c.end_line))
         assert (files, callables) == (list(whole.files), list(whole.callables))
 
     def test_directories_that_are_never_source_are_not_entered(self, tmp_path):
@@ -135,9 +135,9 @@ class TestScanTree:
         )
         inv = measure_checkpoint(tmp_path).inventory
         assert (inv.files[0].line_count, inv.files[0].loc) == (7, 5)
-        assert {c.qualified_name: (c.span, c.sloc) for c in inv.callables} == {
-            "f": ((1, 3), 3),
-            "g": ((6, 7), 2),
+        assert {c.qualified_name: (c.start_line, c.end_line, c.sloc) for c in inv.callables} == {
+            "f": (1, 3, 3),
+            "g": (6, 7, 2),
         }
 
 
@@ -155,7 +155,7 @@ class TestEnumerateCallables:
     def test_nested_function_gets_own_record(self, tmp_path):
         write_tree(tmp_path, {"m.py": TREE_FILES["pkg/beta.py"]})
         inv = measure_checkpoint(tmp_path).inventory
-        spans = {c.qualified_name: c.span for c in inv.callables}
+        spans = {c.qualified_name: (c.start_line, c.end_line) for c in inv.callables}
         assert set(spans) == {"outer", "outer.inner"}
         assert spans["outer"] != spans["outer.inner"]
 
@@ -204,9 +204,9 @@ class TestRecords:
         with pytest.raises(ValueError):
             FileRecord(path="../a.py", loc=1, line_count=1)
         with pytest.raises(ValueError):
-            CallableRecord("f", "a.py", (3, 2), cc=1, sloc=1)
+            CallableRecord("f", "a.py", 3, 2, cc=1, sloc=1)
         with pytest.raises(ValueError):
-            CallableRecord("f", "a.py", (1, 2), cc=0, sloc=1)
+            CallableRecord("f", "a.py", 1, 2, cc=0, sloc=1)
 
 
 def test_load_scan_config(tmp_path):

@@ -44,13 +44,14 @@ def checkpoint(
     index: int,
     erosion: float = 0.0,
     verbosity: float = 0.0,
-    when: datetime | None = None,
+    when: datetime = datetime(2023, 6, 1, tzinfo=timezone.utc),
 ) -> CheckpointMetrics:
     return CheckpointMetrics(
         index=index,
         label=f"cp{index}",
         erosion=fake_erosion(erosion),
         verbosity=fake_verbosity(verbosity),
+        phase="Mid",
         timestamp=when,
     )
 
@@ -185,11 +186,6 @@ class TestEraSplit:
         assert era_split(series, cutoff=date(2023, 1, 1)).eligible is True
         assert era_split(series).eligible is False
 
-    def test_untimed_checkpoint_is_an_error(self):
-        series = [timed(0, "2023-01-01T00:00:00+00:00"), checkpoint(1)]
-        with pytest.raises(ValueError, match="cp1"):
-            era_split(series)
-
     def test_randomized_eligibility(self):
         rng = random.Random(9)
         base = datetime(2022, 1, 1, tzinfo=timezone.utc)
@@ -231,6 +227,7 @@ def entry(
         star_tier=star_tier(stars),
         head_metrics=series[-1],
         trajectory=summary,
+        era=era_split(series),  # two checkpoints: not eligible
     )
 
 

@@ -58,7 +58,7 @@ def _collect(node: ast.AST, path: str, source: SourceText, scope: list[str], out
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
             start, end = child.lineno, child.end_lineno or child.lineno
-            out.append(CallableRecord(".".join(scope + [child.name]), path, (start, end),
+            out.append(CallableRecord(".".join(scope + [child.name]), path, start, end,
                                       cyclomatic_complexity(child), max(1, source.sloc(start, end))))
             _collect(child, path, source, scope + [child.name], out)
         elif isinstance(child, ast.ClassDef):
@@ -70,7 +70,7 @@ def _collect(node: ast.AST, path: str, source: SourceText, scope: list[str], out
 def collect_by_recursion(path: str, source: SourceText, tree: ast.AST) -> list[CallableRecord]:
     records: list[CallableRecord] = []
     _collect(tree, path, source, [], records)
-    records.sort(key=lambda c: (c.span[0], c.qualified_name))
+    records.sort(key=lambda c: (c.start_line, c.qualified_name))
     return records
 
 

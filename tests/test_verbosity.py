@@ -30,7 +30,8 @@ def clone(file: str, *lines: int, class_id: int = 0) -> CloneRegion:
     return CloneRegion(
         clone_class_id=class_id,
         file=file,
-        span=(lines[0], lines[-1]),
+        start_line=lines[0],
+        end_line=lines[-1],
         fingerprint="f",
         lines=tuple(lines),
     )
