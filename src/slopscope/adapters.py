@@ -57,7 +57,7 @@ class SourceText(NamedTuple):
         line = bisect.bisect_right(self.starts, offset)
         return line, offset - self.starts[line - 1] + 1
 
-    def _offset(self, lineno: int, col: int) -> int:
+    def offset(self, lineno: int, col: int) -> int:
         """Character offset into ``text`` of a syntax-tree position, whose
         column counts UTF-8 bytes of its line. No character is shorter
         than one byte, so the line's first ``col`` characters hold it."""
@@ -68,7 +68,7 @@ class SourceText(NamedTuple):
         """Exact source text of an expression or statement node."""
         if getattr(node, "end_col_offset", None) is None:
             return None
-        offset = self._offset
+        offset = self.offset
         return self.text[offset(node.lineno, node.col_offset) : offset(node.end_lineno, node.end_col_offset)]
 
 

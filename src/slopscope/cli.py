@@ -136,7 +136,7 @@ def _write(path: str, text: str) -> int:
 
 
 def cmd_scan(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> int:
-    from .report import erosion_to_dict, inventory_to_dict, match_to_dict, scan_report_csv
+    from .report import erosion_to_dict, inventory_to_dict, match_to_dict, matches_to_jsonl, scan_report_csv
 
     if args.sweep and args.format == "csv":
         return _fail("--sweep needs a JSON report; the CSV has no sweep table", EXIT_USAGE)
@@ -162,10 +162,7 @@ def cmd_scan(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> in
             for cutoff, exponent, score in erosion_sensitivity(analysis.inventory)
         ]
     if args.emit_matches:
-        lines = "".join(
-            json.dumps(match_to_dict(m), sort_keys=True) + "\n" for m in analysis.matches
-        )
-        if _write(args.emit_matches, lines) != EXIT_OK:
+        if _write(args.emit_matches, matches_to_jsonl(analysis.matches)) != EXIT_OK:
             return EXIT_USAGE  # before the report, so a bad path writes nothing
     return _emit(args, rules, config, "ScanReport", payload, {},
                  lambda _payload: scan_report_csv(analysis))
@@ -260,7 +257,7 @@ def cmd_rules(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> i
         return _write_stdout("".join(f"{rule.id}\t{rule.kind}\t{rule.category}\n" for rule in rules))
 
     from .history import scan_tree_with_sources
-    from .report import match_to_dict
+    from .report import matches_to_jsonl
 
     selected = rules.subset({args.rule_id})
     if not selected:
@@ -273,8 +270,7 @@ def cmd_rules(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> i
     analysis = scan_tree_with_sources(file, config, selected)[1][name]
     if analysis.inventory.skipped:
         return _fail(f"{path}: skipped ({analysis.inventory.skipped[0][1]})", EXIT_UNREADABLE)
-    lines = "".join(json.dumps(match_to_dict(m), sort_keys=True) + "\n" for m in analysis.matches)
-    return _write_stdout(lines)
+    return _write_stdout(matches_to_jsonl(analysis.matches))
 
 
 def _add_common(parser: argparse.ArgumentParser, csv: bool = True) -> None:

@@ -17,7 +17,7 @@ from .clones import DEFAULT_MIN_WINDOW, CloneRegion, NormalizedFile, detect_clon
 from .erosion import ErosionReport, erosion_score
 from .model import FileRecord, SourceInventory
 from .rules import RuleMatch, RuleSet, match_rules
-from .scan import ALWAYS_SKIP_DIRS, ScanConfig, decode_path, is_eligible, is_python, read_tree
+from .scan import ALWAYS_SKIP_DIRS, MAX_FILE_BYTES, ScanConfig, decode_path, is_eligible, is_python, read_tree
 from .trajectory import (
     DEFAULT_ERA_CUTOFF,
     CheckpointMetrics,
@@ -330,15 +330,18 @@ def _source_encoding(data: bytes) -> str:
 def analyse_file(relpath: str, data: bytes, config: ScanConfig, rules: RuleSet) -> FileAnalysis:
     """Measure the bytes of one Python file.
 
-    The text is decoded as Python decodes a source file
-    (``_source_encoding``). A cookie that names no text encoding, a BOM with
-    a cookie other than UTF-8, or bytes the encoding cannot decode make it a
-    ``decode`` skip. The text is then split into lines, checked for
+    A file of more than ``scan.MAX_FILE_BYTES`` is a ``large`` skip, before
+    anything else is done with it. The text is decoded as Python decodes a
+    source file (``_source_encoding``). A cookie that names no text
+    encoding, a BOM with a cookie other than UTF-8, or bytes the encoding
+    cannot decode make it a ``decode`` skip. The text is then split into lines, checked for
     minification and parsed; one walk of the tree gives its callables and
     the index every pattern rule reads. A file that cannot be measured comes
     back as a skip with its reason (nesting too deep for the parser raises
     MemoryError: a ``parse`` skip). The tree and its index die on return.
     """
+    if len(data) > MAX_FILE_BYTES:
+        return _skipped(relpath, "large")
     adapter = ADAPTERS["python"]
     try:
         text = data.decode(_source_encoding(data))

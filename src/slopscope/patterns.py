@@ -222,22 +222,15 @@ def _keep(matches: dict, span: tuple, binds: list, segment) -> None:
     matches[span] = captures
 
 
-def _position(node: ast.AST) -> tuple[tuple[int, int], tuple[int, int]]:
-    return (
-        (node.lineno, node.col_offset + 1),
-        (node.end_lineno or node.lineno, (node.end_col_offset or node.col_offset) + 1),
-    )
-
-
 def find_matches(
     compiled: CompiledPattern, index: TreeIndex, source: SourceText
-) -> list[tuple[tuple[int, int], tuple[int, int], dict[str, str]]]:
-    """All matches of a compiled pattern in one indexed file, in span order,
-    as (start, end, captures): the first (line, col), 1-based, the position
-    after the match, and the metavariable bindings. The first match found
-    of each span is kept."""
-    matches: dict[tuple[tuple[int, int], tuple[int, int]], dict[str, str]] = {}
-    segment = source.segment
+) -> dict[tuple[int, int], dict[str, str]]:
+    """All matches of a compiled pattern in one indexed file, in the order
+    they are found: each span's (start, end) character offsets into the
+    text, the end just after the match, mapped to its metavariable
+    bindings. The first match found of each span is kept."""
+    matches: dict[tuple[int, int], dict[str, str]] = {}
+    segment, offset = source.segment, source.offset
     for variant in compiled.variants:
         plans = variant.plans
         root = plans[0]
@@ -247,7 +240,8 @@ def find_matches(
             for node in candidates:
                 binds: list = []
                 if _match(root, node, binds):
-                    _keep(matches, _position(node), binds, segment)
+                    span = offset(node.lineno, node.col_offset), offset(node.end_lineno, node.end_col_offset)
+                    _keep(matches, span, binds, segment)
         else:
             width = len(plans)
             for stmts, i in candidates:
@@ -258,8 +252,7 @@ def find_matches(
                     if not _match(plan, stmt, binds):
                         break
                 else:
-                    span = (_position(stmts[i])[0], _position(stmts[i + width - 1])[1])
+                    first, last = stmts[i], stmts[i + width - 1]
+                    span = offset(first.lineno, first.col_offset), offset(last.end_lineno, last.end_col_offset)
                     _keep(matches, span, binds, segment)
-    if not matches:
-        return []
-    return [(start, end, captures) for (start, end), captures in sorted(matches.items())]
+    return matches

@@ -71,6 +71,12 @@ def match_to_dict(match: RuleMatch) -> dict:
     }
 
 
+def matches_to_jsonl(matches) -> str:
+    """JSON Lines: one match per line, keys sorted, as ``scan
+    --emit-matches`` writes them and ``rules test`` prints them."""
+    return "".join(json.dumps(match_to_dict(m), sort_keys=True) + "\n" for m in matches)
+
+
 def inventory_to_dict(inventory: SourceInventory) -> dict:
     return {
         "n_files": len(inventory.files),

@@ -35,7 +35,7 @@ class RuleMatch(NamedTuple):
 
     rule_id: str
     file: str
-    start: tuple[int, int]  # (line, col), 1-based
+    start: tuple[int, int]  # (line, col), 1-based; a column counts characters
     end: tuple[int, int]  # position immediately after the match
     lines: tuple[int, ...]  # every line the matched span covers
     # Metavariable name -> bound source text; the default is read-only, so
@@ -132,24 +132,21 @@ def _check_rules(raw, path: str | Path) -> RuleSet:
     return RuleSet(tuple(rules), compiled)
 
 
-def _regex_matches(regex: re.Pattern, source: SourceText):
-    """Each non-empty match of ``regex`` in the text: its start, the position
-    after it, the line of its last character, and no captures."""
-    for m in regex.finditer(source.text):
-        if m.start() != m.end():
-            yield source.position(m.start()), source.position(m.end()), source.position(m.end() - 1)[0], {}
-
-
 def match_rules(path: str, source: SourceText, index: TreeIndex, rules: RuleSet) -> list[RuleMatch]:
-    """Every match of every rule in one indexed file, canonically ordered."""
+    """Every match of every rule in one indexed file, in (start, end, rule
+    id) order. Both kinds of rule give each match's span as character
+    offsets, which ``SourceText.position`` turns into (line, column)."""
     out: list[RuleMatch] = []
+    position = source.position
     for rule in rules:
         compiled = rules.compiled(rule)
         if rule.kind == "regex":
-            found = _regex_matches(compiled, source)
+            spans = {m.span(): {} for m in compiled.finditer(source.text) if m.start() != m.end()}
         else:
-            found = ((start, end, end[0], captures) for start, end, captures in find_matches(compiled, index, source))
-        for start, end, last_line, captures in found:
-            out.append(RuleMatch(rule.id, path, start, end, tuple(range(start[0], last_line + 1)), captures))
-    out.sort(key=lambda m: (m.file, m.start, m.end, m.rule_id))
+            spans = find_matches(compiled, index, source)
+        for (start, end), captures in spans.items():
+            first = position(start)
+            lines = tuple(range(first[0], position(end - 1)[0] + 1))
+            out.append(RuleMatch(rule.id, path, first, position(end), lines, captures))
+    out.sort(key=lambda m: (m.start, m.end, m.rule_id))
     return out

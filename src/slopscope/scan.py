@@ -14,6 +14,11 @@ from .model import ScanError, read_record, read_yaml
 # Directories that are never source, regardless of config.
 ALWAYS_SKIP_DIRS = {".git", ".hg", ".svn", "__pycache__"}
 
+# The most bytes a measured file may hold; a larger one is a ``large`` skip.
+# Parsing holds about 220 MiB per MB of dense code, so this bounds a file's
+# memory. No score of a smaller file depends on it.
+MAX_FILE_BYTES = 1 << 20
+
 
 class ScanConfig(NamedTuple):
     exclude: tuple[str, ...] = ()
@@ -67,15 +72,18 @@ def read_file(root: Path, relpath: str) -> bytes | str:
 
     Symbolic links are never followed: they may point out of the tree, or
     at a device that never ends. Nothing but a regular file is opened: a
-    FIFO or a device may block a read forever.
+    FIFO or a device may block a read forever. A file of more than
+    ``MAX_FILE_BYTES`` is not read either.
     """
     full = root / relpath
     try:
-        mode = full.lstat().st_mode
-        if stat.S_ISLNK(mode):
+        info = full.lstat()
+        if stat.S_ISLNK(info.st_mode):
             return "symlink"
-        if not stat.S_ISREG(mode):
+        if not stat.S_ISREG(info.st_mode):
             return "special"
+        if info.st_size > MAX_FILE_BYTES:
+            return "large"
         return full.read_bytes()
     except OSError:
         return "unreadable"

@@ -87,6 +87,16 @@ DEEP_SUM = "x = (\n" + "1 +\n" * 1199 + "1\n)\n"
 TOO_DEEP = "if a: pass\n" + "elif a: pass\n" * 10_000
 
 
+def padded_module(size: int) -> str:
+    """A module of exactly ``size`` ASCII bytes (at least 6): one
+    assignment, then comment lines of up to 64 bytes. The parser skips
+    comments, so even a module at the size cap is measured quickly."""
+    head = "x = 1\n"
+    comments = ("#" + "-" * 62 + "\n") * ((size - len(head)) // 64)
+    rest = size - len(head) - len(comments)
+    return head + comments + ("#" * (rest - 1) + "\n" if rest else "")
+
+
 def elif_chain(branches: int) -> str:
     """An if/elif statement of ``branches`` branches, two lines each."""
     return "if a:\n    pass\n" + "elif a:\n    pass\n" * (branches - 1)

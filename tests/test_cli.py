@@ -18,7 +18,8 @@ from slopscope.cli import (
     RULES_ENV,
     main,
 )
-from slopscope.scan import ScanConfig, read_tree
+from slopscope.rules import load_starter_rules
+from slopscope.scan import MAX_FILE_BYTES, ScanConfig, read_file, read_tree
 
 from conftest import (
     DEEP_SUM,
@@ -28,6 +29,7 @@ from conftest import (
     deepest_elif_chain,
     elif_chain,
     handler_source,
+    padded_module,
     write_tree,
 )
 
@@ -635,6 +637,106 @@ class TestRulesCommand:
         code, out, _ = run_cli(capsys, "rules", "test", rule_id, str(tmp_path / "tree" / "a.py"))
         assert code == EXIT_OK
         assert out.splitlines() == want
+
+
+# Lines with non-ASCII text, each with the one span ``x == None`` matches
+# there: its start, the position after it, and its lines.
+NON_ASCII_MATCHES = {
+    "before": ('s = "\u00e9"; ok = x == None\n', ((1, 15), (1, 24), [1])),
+    "inside": ("gr\u00f6\u00dfe == None\n", ((1, 1), (1, 14), [1])),
+}
+
+
+def _none_eq_rules(tmp_path) -> Path:
+    """The starter ``compare-none-eq`` pattern rule and a regex rule that
+    matches the same spans."""
+    (pattern,) = [rule.pattern for rule in load_starter_rules() if rule.id == "compare-none-eq"]
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps([{"id": "compare-none-eq", "pattern": pattern},
+                                {"id": "none-eq-regex", "kind": "regex", "pattern": r"\w+ == None"}]))
+    return path
+
+
+def _places(lines: list[str]) -> dict[str, list[tuple]]:
+    """Each rule's matches as (start, end, lines)."""
+    out: dict[str, list[tuple]] = {}
+    for line in lines:
+        m = json.loads(line)
+        out.setdefault(m["rule_id"], []).append(
+            ((m["start"]["line"], m["start"]["col"]), (m["end"]["line"], m["end"]["col"]), m["lines"]))
+    return out
+
+
+class TestMatchPositions:
+    @pytest.mark.parametrize("case", sorted(NON_ASCII_MATCHES))
+    def test_pattern_and_regex_rules_place_a_match_alike(self, capsys, tmp_path, case):
+        """In characters of its line, through ``rules test`` and ``scan
+        --emit-matches``."""
+        text, place = NON_ASCII_MATCHES[case]
+        tree = tmp_path / "tree"
+        tree.mkdir()
+        (tree / "m.py").write_text(text, encoding="utf-8")
+        rules = _none_eq_rules(tmp_path)
+        for rule_id in ("compare-none-eq", "none-eq-regex"):
+            code, out, err = run_cli(capsys, "rules", "test", rule_id, str(tree / "m.py"), "--rules", str(rules))
+            assert code == EXIT_OK, err
+            assert _places(out.splitlines()) == {rule_id: [place]}
+        emitted = tmp_path / "m.jsonl"
+        code, _, err = run_cli(capsys, "scan", str(tree), "--rules", str(rules), "--emit-matches", str(emitted))
+        assert code == EXIT_OK, err
+        assert _places(emitted.read_text(encoding="utf-8").splitlines()) == {
+            "compare-none-eq": [place], "none-eq-regex": [place]}
+
+
+class TestLargeFiles:
+    """A file of more than ``MAX_FILE_BYTES`` bytes is a ``large`` skip."""
+
+    def test_scan_skips_a_file_over_the_cap_and_measures_one_at_it(self, capsys, tmp_path):
+        tree = write_tree(tmp_path / "tree", {"big.py": padded_module(MAX_FILE_BYTES + 1),
+                                              "cap.py": padded_module(MAX_FILE_BYTES)})
+        code, out, err = run_cli(capsys, "scan", str(tree), "--deterministic")
+        assert code == EXIT_OK, err
+        inventory = json.loads(out)["payload"]["inventory"]
+        assert [(f["path"], f["line_count"]) for f in inventory["files"]] == [
+            ("cap.py", padded_module(MAX_FILE_BYTES).count("\n"))]
+        assert inventory["skipped"] == [{"path": "big.py", "reason": "large"}]
+
+    def test_scan_never_reads_a_file_over_the_cap(self, tmp_path, monkeypatch):
+        (tmp_path / "big.py").write_text(padded_module(MAX_FILE_BYTES + 1))
+        monkeypatch.setattr(Path, "read_bytes", lambda self: pytest.fail(f"{self} was read"))
+        assert read_file(tmp_path, "big.py") == "large"
+
+    def test_rules_test_refuses_a_file_over_the_cap(self, capsys, tmp_path):
+        target = tmp_path / "big.py"
+        target.write_text(padded_module(MAX_FILE_BYTES + 1))
+        code, out, err = run_cli(capsys, "rules", "test", "compare-none-eq", str(target))
+        assert (code, out, err) == (EXIT_UNREADABLE, "", f"slopscope: {target}: skipped (large)\n")
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss counts KiB on Linux only")
+    def test_a_scan_next_to_a_huge_module_stays_small(self, tmp_path):
+        """Measured by a fresh wrapper process, so that only its one child,
+        the scan, counts toward ``RUSAGE_CHILDREN``."""
+        function = "def f{0}(a, b):\n    if a == {0}:\n        return [x for x in b if x]\n    return a + {0}\n"
+        parts, size, i = [], 0, 0
+        while size < 5_000_000:
+            parts.append(function.format(i))
+            size += len(parts[-1])
+            i += 1
+        tree = write_tree(tmp_path / "tree", {**SIMPLE_TREE, "huge.py": "".join(parts)})
+        wrapper = (
+            "import resource, subprocess, sys\n"
+            "done = subprocess.run([sys.executable, '-m', 'slopscope.cli', 'scan', sys.argv[1],"
+            " '--deterministic'], capture_output=True, timeout=60)\n"
+            "print(done.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+            "sys.stdout.write(done.stdout.decode())\n"
+        )
+        done = run_module(str(tree), code=wrapper)
+        assert done.returncode == 0, done.stderr
+        status, report = done.stdout.decode().split("\n", 1)
+        code, peak_kib = map(int, status.split())
+        assert code == EXIT_OK
+        assert json.loads(report)["payload"]["inventory"]["skipped"] == [{"path": "huge.py", "reason": "large"}]
+        assert peak_kib < 100 * 1024
 
 
 class TestDeepNesting:

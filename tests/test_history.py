@@ -26,7 +26,7 @@ from slopscope.history import (
 )
 from slopscope.report import canonical_json, history_to_dict
 from slopscope.rules import load_starter_rules
-from slopscope.scan import ALWAYS_SKIP_DIRS, ScanConfig, decode_path
+from slopscope.scan import ALWAYS_SKIP_DIRS, MAX_FILE_BYTES, ScanConfig, decode_path
 
 from conftest import (
     DEEP_SUM,
@@ -38,6 +38,7 @@ from conftest import (
     build_history_repo,
     drop_blob,
     handler_source,
+    padded_module,
     write_tree,
 )
 
@@ -466,6 +467,24 @@ def test_a_file_too_deep_for_the_parser_is_a_parse_skip(tmp_path, monkeypatch):
     (first, _), (second, _) = _assert_history_matches_checkouts(repo, tmp_path, monkeypatch, ScanConfig(), 30, 0)
     assert first.inventory.skipped == () and second.inventory.skipped == (("deep.py", "parse"),)
     assert [f.path for f in second.inventory.files] == ["main.py"]
+
+
+def test_a_file_over_the_size_cap_is_a_large_skip(tmp_path, monkeypatch):
+    """In history as in a scan of the commit's checkout; a file at the cap
+    is measured."""
+    files = {"main.py": MAIN_V1, "big.py": padded_module(MAX_FILE_BYTES + 1), "cap.py": padded_module(MAX_FILE_BYTES)}
+    repo = build_history_repo(tmp_path / "repo", [(files, "2024-01-01T10:00:00+00:00")])
+    ((analysis, _),) = _assert_history_matches_checkouts(repo, tmp_path, monkeypatch, ScanConfig(), 30, 0)
+    assert analysis.inventory.skipped == (("big.py", "large"),)
+    assert [f.path for f in analysis.inventory.files] == ["cap.py", "main.py"]
+
+
+def test_the_size_cap_comes_before_decoding():
+    undecodable = b"\xff" * (MAX_FILE_BYTES + 1)
+    assert history.analyse_file("big.py", undecodable, ScanConfig(), load_starter_rules()).inventory.skipped == (
+        ("big.py", "large"),)
+    assert history.analyse_file("cap.py", undecodable[:MAX_FILE_BYTES], ScanConfig(),
+                                load_starter_rules()).inventory.skipped == (("cap.py", "decode"),)
 
 
 def test_a_link_to_a_directory_is_a_link_in_scan_and_history(tmp_path, monkeypatch):

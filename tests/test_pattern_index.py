@@ -5,16 +5,17 @@ files were indexed: every variant walks the whole tree again and tries every
 expression node or every statement window, with the recursive ``_Matcher``
 that read each metavariable's text as soon as it met it. The indexed path,
 which checks a candidate's structure through match plans before it reads
-any text, must return the same matches, captures included, in the same
-order, on the bundled fixtures, on this package and its tests, on a fixed
-sample of the local standard library, and for patterns whose root is a
-metavariable or whose optional metavariables give variants of different
-root types.
+any text, must find the same spans with the same captures (and
+``match_rules`` the same matches in the same order) on the bundled
+fixtures, on this package and its tests, on a fixed sample of the local
+standard library, and for patterns whose root is a metavariable or whose
+optional metavariables give variants of different root types.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -28,7 +29,6 @@ from slopscope.patterns import (
     CompiledPattern,
     TreeIndex,
     _placeholder_name,
-    _position,
     _stmt_placeholder_name,
     compile_pattern,
     find_matches,
@@ -93,10 +93,30 @@ class _Matcher:
         return type(pv) is type(sv) and pv == sv
 
 
-def find_matches_by_walk(compiled: CompiledPattern, tree: ast.AST, source: SourceText) -> list[tuple]:
+def _char_offsets(text: str):
+    """The character offset into ``text`` of a syntax-tree (line, column),
+    whose column counts UTF-8 bytes: each line is encoded and cut on its
+    own, not read through ``SourceText``."""
+    lines = re.split(r"(?<=\n)|(?<=\r)(?!\n)", text)
+    starts = [0]
+    for line in lines:
+        starts.append(starts[-1] + len(line))
+
+    def offset(lineno: int, col: int) -> int:
+        return starts[lineno - 1] + len(lines[lineno - 1].encode()[:col].decode())
+
+    return offset
+
+
+def _span(offset, first: ast.AST, last: ast.AST) -> tuple[int, int]:
+    return offset(first.lineno, first.col_offset), offset(last.end_lineno, last.end_col_offset)
+
+
+def find_matches_by_walk(compiled: CompiledPattern, tree: ast.AST, source: SourceText) -> dict:
     """All matches of a compiled pattern in one parsed file, as
-    (start, end, captures)."""
-    matches: dict[tuple[tuple[int, int], tuple[int, int]], dict[str, str]] = {}
+    (start, end) character offsets -> captures, in the order found."""
+    matches: dict[tuple[int, int], dict[str, str]] = {}
+    offset = _char_offsets(source.text)
     for variant in compiled.variants:
         if variant.kind == "expr":
             pat = variant.nodes[0]
@@ -105,7 +125,7 @@ def find_matches_by_walk(compiled: CompiledPattern, tree: ast.AST, source: Sourc
                     continue
                 m = _Matcher(source)
                 if m.match_node(pat, node):
-                    matches.setdefault(_position(node), dict(m.bindings))
+                    matches.setdefault(_span(offset, node, node), dict(m.bindings))
         else:
             width = len(variant.nodes)
             for stmts in _statement_lists(tree):
@@ -116,10 +136,8 @@ def find_matches_by_walk(compiled: CompiledPattern, tree: ast.AST, source: Sourc
                         m.match_node(p, s, stmt_position=True)
                         for p, s in zip(variant.nodes, window)
                     ):
-                        start, _ = _position(window[0])
-                        _, end = _position(window[-1])
-                        matches.setdefault((start, end), dict(m.bindings))
-    return [(start, end, captures) for (start, end), captures in sorted(matches.items())]
+                        matches.setdefault(_span(offset, window[0], window[-1]), dict(m.bindings))
+    return matches
 
 
 def match_rules_by_walk(monkeypatch, path, source, tree, rules):
@@ -159,11 +177,12 @@ def _parsed(path: Path) -> tuple[SourceText, ast.AST]:
 
 
 def _texts(source: SourceText, found) -> set[str]:
-    """The text each match spans; for an ASCII file, columns count characters."""
-    def offset(line, col):
-        return source.starts[line - 1] + col - 1
+    """The text each match spans."""
+    return {source.text[start:end] for start, end in found}
 
-    return {source.text[offset(*start) : offset(*end)] for start, end, _ in found}
+
+def _position(node: ast.AST) -> tuple[int, int, int, int]:
+    return node.lineno, node.col_offset, node.end_lineno, node.end_col_offset
 
 
 def test_stdlib_sample_is_large_enough():
@@ -265,10 +284,10 @@ def test_a_structural_mismatch_reads_no_text(monkeypatch):
     read = []  # every node whose text ``SourceText.segment`` reads
     segment = SourceText.segment
     monkeypatch.setattr(SourceText, "segment", lambda self, node: read.append(node) or segment(self, node))
-    assert find_matches(compile_pattern("$D.get($K, None)"), index, source) == []
+    assert find_matches(compile_pattern("$D.get($K, None)"), index, source) == {}
     assert read == []
     found = find_matches(compile_pattern("$D.get($K, 1)"), index, source)
-    assert len(found) == 200 and found[7][2] == {"D": "d", "K": "k7"}
+    assert len(found) == 200 and list(found.values())[7] == {"D": "d", "K": "k7"}
     assert len(read) == 400  # the binds of full matches only
 
 
@@ -276,4 +295,4 @@ def test_a_repeated_name_binds_one_text():
     source = SourceText.from_text("a == b\nc == c\n")
     index = TreeIndex.from_tree(ast.parse(source.text))
     found = find_matches(compile_pattern("$X == $X"), index, source)
-    assert found == [((2, 1), (2, 7), {"X": "c"})]
+    assert found == {(7, 13): {"X": "c"}}

@@ -134,5 +134,10 @@ def test_panel_report_with_a_failed_repository_validates(capsys, tmp_path, histo
 
 def test_schema_rejects_malformed_match():
     validator = _validator("rule_match.schema.json")
+    match = {"rule_id": "x", "file": "a.py", "start": {"line": 1, "col": 1}, "end": {"line": 1, "col": 2},
+             "lines": [1], "captures": {}}
+    validator.validate(match)
     with pytest.raises(jsonschema.ValidationError):
         validator.validate({"rule_id": "x", "file": "a.py"})
+    with pytest.raises(jsonschema.ValidationError):  # columns are 1-based
+        validator.validate({**match, "start": {"line": 1, "col": 0}})
