@@ -10,9 +10,10 @@ so comment and blank lines have no normalized line. A token counts on the
 physical line where it starts, and lines break at CR LF, CR and LF, as the
 parser's do. Fixed-size windows of normalized lines are fingerprinted; any
 window that occurs at two or more distinct positions marks its lines as
-clone lines, and overlapping matched windows are merged into maximal
-regions. Regions linked through a shared window fingerprint form one clone
-class.
+clone lines. Matched windows of one file that overlap or touch (one starts
+at most ``min_window`` normalized lines after another) are merged into
+maximal regions. Regions linked through a shared window fingerprint form
+one clone class.
 
 This module imports only the standard library.
 """
@@ -121,88 +122,56 @@ def normalize_file(path: str, text: str) -> NormalizedFile:
     return NormalizedFile(path, tuple(" ".join(line) for _, line in kept), tuple(n for n, _ in kept))
 
 
-class _UnionFind:
-    def __init__(self) -> None:
-        self.parent: dict[int, int] = {}
-
-    def find(self, x: int) -> int:
-        while self.parent.setdefault(x, x) != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        self.parent[self.find(a)] = self.find(b)
-
-
 def detect_clones_normalized(
     files: list[NormalizedFile], min_window: int = DEFAULT_MIN_WINDOW
 ) -> list[CloneRegion]:
     if min_window < 1:
         raise ValueError("min_window must be positive")
 
-    # Window fingerprint -> positions (file index, start normalized line).
-    index: dict[tuple[str, ...], list[tuple[int, int]]] = {}
+    # Window content -> its positions, each ``file index << 32 | start``.
+    index: dict[tuple[str, ...], list[int]] = {}
     for fi, nf in enumerate(files):
         for start in range(len(nf.lines) - min_window + 1):
-            key = nf.lines[start : start + min_window]
-            index.setdefault(key, []).append((fi, start))
+            index.setdefault(nf.lines[start : start + min_window], []).append(fi << 32 | start)
+    shared = [positions for positions in index.values() if len(positions) >= 2]
 
-    matched: dict[int, set[int]] = {}  # file index -> matched window starts
-    shared = [(key, positions) for key, positions in index.items() if len(positions) >= 2]
-    for _, positions in shared:
-        for fi, start in positions:
-            matched.setdefault(fi, set()).add(start)
+    # One pass over the matched positions in (file, start) order: a window
+    # that starts no more than ``min_window`` after the region's last start
+    # (it overlaps or touches it) extends the region. No file has 2**32
+    # lines, so a window of the next file always starts further off.
+    regions: list[list[int]] = []  # [first position, last position]
+    region_of: dict[int, int] = {}
+    for pos in sorted({pos for positions in shared for pos in positions}):
+        if regions and pos - regions[-1][1] <= min_window:
+            regions[-1][1] = pos
+        else:
+            regions.append([pos, pos])
+        region_of[pos] = len(regions) - 1
 
-    # Merge overlapping matched windows into maximal regions per file.
-    regions: list[tuple[int, int, int]] = []  # (file index, norm start, norm end)
-    window_region: dict[tuple[int, int], int] = {}  # (file, window start) -> region id
-    for fi in sorted(matched):
-        starts = sorted(matched[fi])
-        run_start = starts[0]
-        prev = starts[0]
-        runs: list[tuple[int, int]] = []
-        for s in starts[1:]:
-            if s <= prev + min_window:  # windows overlap or touch
-                prev = s
-            else:
-                runs.append((run_start, prev))
-                run_start = prev = s
-        runs.append((run_start, prev))
-        for first, last in runs:
-            region_id = len(regions)
-            regions.append((fi, first, last + min_window - 1))
-            for s in range(first, last + 1):
-                window_region[(fi, s)] = region_id
+    # Regions that share any window belong to one clone class.
+    parent = list(range(len(regions)))
 
-    # Regions that share any window fingerprint belong to one clone class.
-    # Each position of a shared window is a matched start, so lies in a region.
-    uf = _UnionFind()
-    for _, positions in shared:
-        ids = [window_region[pos] for pos in positions]
-        for other in ids[1:]:
-            uf.union(ids[0], other)
+    def find(r: int) -> int:
+        while parent[r] != r:
+            parent[r] = r = parent[parent[r]]
+        return r
 
+    for positions in shared:
+        root = find(region_of[positions[0]])
+        for pos in positions[1:]:
+            parent[find(region_of[pos])] = root
+
+    # Files come sorted by path, so class numbers follow the regions'
+    # (path, start) order.
     out: list[CloneRegion] = []
     class_numbers: dict[int, int] = {}
-    # Regions were made in file order, then by start, and files come sorted
-    # by path, so class numbers follow the regions' (path, start) order.
-    for rid, (fi, first, last) in enumerate(regions):
-        nf = files[fi]
-        root = uf.find(rid)
-        class_id = class_numbers.setdefault(root, len(class_numbers))
-        phys = nf.physical[first : last + 1]
-        content = "\n".join(nf.lines[first : last + 1])
-        out.append(
-            CloneRegion(
-                clone_class_id=class_id,
-                file=nf.path,
-                start_line=phys[0],
-                end_line=phys[-1],
-                fingerprint=hashlib.sha1(content.encode()).hexdigest(),
-                lines=phys,
-            )
-        )
+    for rid, (first, last) in enumerate(regions):
+        nf, lo = files[first >> 32], first & 0xFFFFFFFF
+        span = slice(lo, lo + last - first + min_window)
+        phys = nf.physical[span]
+        fingerprint = hashlib.sha1("\n".join(nf.lines[span]).encode()).hexdigest()
+        class_id = class_numbers.setdefault(find(rid), len(class_numbers))
+        out.append(CloneRegion(class_id, nf.path, phys[0], phys[-1], fingerprint, phys))
     return out
 
 

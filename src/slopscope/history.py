@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import codecs
-import fnmatch
 import re
 import stat
 from collections.abc import Iterable, Mapping
@@ -17,7 +16,8 @@ from .clones import DEFAULT_MIN_WINDOW, CloneRegion, NormalizedFile, detect_clon
 from .erosion import ErosionReport, erosion_score
 from .model import FileRecord, SourceInventory
 from .rules import RuleMatch, RuleSet, match_rules
-from .scan import ALWAYS_SKIP_DIRS, MAX_FILE_BYTES, ScanConfig, decode_path, is_eligible, is_python, read_tree
+from .scan import (ALWAYS_SKIP_DIRS, MAX_FILE_BYTES, ScanConfig, _excluded, decode_path, is_eligible, is_python,
+                   read_tree)
 from .trajectory import (
     DEFAULT_ERA_CUTOFF,
     CheckpointMetrics,
@@ -32,8 +32,10 @@ from .verbosity import VerbosityBreakdown
 DEFAULT_MAX_COMMITS = 30
 TEST_PATH_GLOBS = ("test_*.py", "*_test.py", "tests/*", "*/tests/*", "test/*", "*/test/*")
 
-# One entry of a tree object, up to its raw object id: octal mode, name.
-_TREE_ENTRY = re.compile(rb"([0-7]+) ([^\0]+)\0")
+# One entry of a tree object, up to its raw object id: octal mode, name. A
+# name holds no "/" and is not "." or "..", or a path built from it would
+# leave the commit's tree; git never writes such an entry.
+_TREE_ENTRY = re.compile(rb"([0-7]+) (?!\.\.?\0)([^\0/]+)\0")
 _S_IFGITLINK = 0o160000  # the mode git gives a submodule's commit
 # A PEP 263 coding comment, a line that may come before one, and the parser's line breaks.
 _CODING_COOKIE = re.compile(rb"[ \t\f]*#.*?coding[:=][ \t]*([-\w.]+)", re.ASCII)
@@ -60,10 +62,6 @@ def _git(repo: str | Path, *args: str) -> bytes:
     if proc.returncode != 0:
         raise GitError(proc.stderr.decode("utf-8", "replace").strip() or f"git {' '.join(args)} failed")
     return proc.stdout
-
-
-def _is_test_path(path: str) -> bool:
-    return any(fnmatch.fnmatch(path, g) for g in TEST_PATH_GLOBS)
 
 
 def list_source_commits(repo: str | Path, exclude_tests: bool = False) -> list[CommitRef]:
@@ -96,7 +94,7 @@ def list_source_commits(repo: str | Path, exclude_tests: bool = False) -> list[C
     commits: list[CommitRef] = []
     for sha, epoch, paths in reversed(logged):
         if exclude_tests:
-            paths = [p for p in paths if not _is_test_path(p)]
+            paths = [p for p in paths if not _excluded(p, TEST_PATH_GLOBS)]
         if any(is_python(p) for p in paths):
             commits.append(CommitRef(sha, datetime.fromtimestamp(int(epoch), tz=timezone.utc)))
     return commits
@@ -143,9 +141,11 @@ class ObjectStore:
             stderr=subprocess.DEVNULL,
         )
 
-    def _read(self, kind: str, name: str) -> tuple[str, bytes]:
+    def _read(self, kind: str, name: str, cap: float = float("inf")) -> tuple[str, bytes | None]:
         """The id and content of the object ``name`` names (an id, or any
-        revision git resolves); GitError if it is missing or not a ``kind``."""
+        revision git resolves); GitError if it is missing or not a ``kind``.
+        The content of more than ``cap`` bytes is read off the pipe a chunk
+        at a time and dropped: it comes back as None."""
         stdin, stdout = self._proc.stdin, self._proc.stdout
         try:
             stdin.write(name.encode() + b"\n")
@@ -154,18 +154,28 @@ class ObjectStore:
             if len(header) != 3:  # "<name> missing", or the process died
                 raise GitError(f"{kind} {name} {header[-1].decode(errors='replace') if header else 'unreadable'}")
             size = int(header[2])
-            data = stdout.read(size + 1)  # the content and a newline
+            left = size + 1  # the content and a newline
+            if size > cap:
+                data = None
+                while left and (chunk := stdout.read(min(left, 1 << 16))):
+                    left -= len(chunk)
+            else:
+                data = stdout.read(left)
+                left -= len(data)
         except OSError as exc:
             raise GitError(f"{kind} {name} unreadable: {exc}") from exc
-        if len(data) != size + 1:
+        if left:
             raise GitError(f"{kind} {name} unreadable: reply cut short")
         if header[1] != kind.encode():
             raise GitError(f"{kind} {name} is a {header[1].decode(errors='replace')}")
-        return header[0].decode(), data[:size]
+        return header[0].decode(), None if data is None else data[:size]
 
-    def read(self, blob: str) -> bytes:
-        """The bytes of one blob; GitError if the repository lacks it."""
-        return self._read("blob", blob)[1]
+    def read(self, blob: str) -> bytes | str:
+        """The bytes of one blob, or ``large`` for a blob of more than
+        ``scan.MAX_FILE_BYTES``, which is never held whole; GitError if the
+        repository lacks it."""
+        data = self._read("blob", blob, MAX_FILE_BYTES)[1]
+        return "large" if data is None else data
 
     def read_tree(self, name: str) -> tuple[str, list[tuple[int, bytes, str]]]:
         """The id of the tree ``name`` names and its entries, in git's order:
@@ -396,7 +406,8 @@ def scan_tree_with_sources(
 
 def _read_commit(store: ObjectStore, tree: CommitTree, reuse: Mapping[tuple[str, str], FileAnalysis]):
     """Each file of a commit: a link's skip reason, the analysis ``reuse``
-    holds for its (path, blob), or else the blob's bytes, read on demand."""
+    holds for its (path, blob), or else the blob's bytes (or ``large``),
+    read on demand."""
     for path in tree.links:
         yield path, "symlink"
     for path, blob in tree.blobs.items():
@@ -494,7 +505,8 @@ def measure_history(
             previous = tree
             checkpoints.append(
                 CheckpointMetrics(index=i, label=commit.sha, erosion=analysis.erosion, verbosity=analysis.verbosity,
-                                  phase=phases[i], timestamp=commit.committed_at)
+                                  phase=phases[i], timestamp=commit.committed_at,
+                                  skipped=analysis.inventory.skipped)
             )
 
     if not checkpoints:

@@ -98,6 +98,7 @@ def checkpoint_to_dict(cm: CheckpointMetrics) -> dict:
         "max_cc": cm.erosion.max_cc,
         "erosion": erosion_to_dict(cm.erosion),
         "verbosity": cm.verbosity._asdict(),
+        "skipped": [{"path": p, "reason": r} for p, r in cm.skipped],
     }
 
 

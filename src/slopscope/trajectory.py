@@ -19,6 +19,7 @@ class CheckpointMetrics(NamedTuple):
     verbosity: VerbosityBreakdown
     phase: str
     timestamp: datetime
+    skipped: tuple[tuple[str, str], ...] = ()  # (path, reason) of each file not measured
 
 
 class TrajectorySummary(NamedTuple):

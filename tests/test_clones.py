@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 
-from slopscope.clones import DEFAULT_MIN_WINDOW, detect_clones, normalize_file
+from slopscope.clones import DEFAULT_MIN_WINDOW, NormalizedFile, detect_clones, normalize_file
 
 from conftest import SLOP, covered_lines, handler_source, normalized
 
@@ -97,6 +97,14 @@ class TestDetection:
     def test_window_threshold_is_respected(self):
         texts = {"a.py": VERBATIM_BLOCK, "b.py": RENAMED_BLOCK}
         assert detect_clones(normalized(texts), min_window=8) and not detect_clones(normalized(texts), min_window=9)
+
+    def test_windows_that_touch_merge_and_a_gap_splits(self):
+        # Window 2: a.py's matched windows start at 0 and 2 and touch, so
+        # they make one region; b.py's start at 0 and 3, one line apart.
+        a = NormalizedFile("a.py", ("A", "B", "C", "D"), (1, 2, 3, 4))
+        b = NormalizedFile("b.py", ("A", "B", "Q", "C", "D"), (1, 2, 3, 4, 5))
+        spans = [(r.clone_class_id, r.file, r.lines) for r in detect_clones([b, a], min_window=2)]
+        assert spans == [(0, "a.py", (1, 2, 3, 4)), (0, "b.py", (1, 2)), (0, "b.py", (4, 5))]
 
     def test_comments_and_blanks_ignored(self):
         spaced = VERBATIM_BLOCK.replace("    out = []\n", "    # gather\n\n    out = []\n")

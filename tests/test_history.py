@@ -95,9 +95,15 @@ class TestCommitListing:
                     {"main.py": MAIN_V1, "test_main.py": "def test_ok():\n    pass\n"},
                     "2023-05-11T10:00:00+00:00",
                 ),
+                # A test file below the root: globs match the whole path or
+                # the base name, as ``exclude`` globs do.
+                (
+                    {"main.py": MAIN_V1, "test_main.py": "def test_ok():\n    pass\n", "pkg/test_a.py": "x = 1\n"},
+                    "2023-05-12T10:00:00+00:00",
+                ),
             ],
         )
-        assert len(list_source_commits(repo)) == 2
+        assert len(list_source_commits(repo)) == 3
         assert len(list_source_commits(repo, exclude_tests=True)) == 1
 
 
@@ -249,13 +255,17 @@ def _tree_object(repo: Path, data: bytes) -> str:
                           input=data, capture_output=True, check=True).stdout.decode().strip()
 
 
-@pytest.mark.parametrize("cut", [lambda d: d[:-3], lambda d: d[: d.rindex(b"\0")], lambda d: b"1x" + d[6:]],
-                         ids=["id", "name", "mode"])
-def test_a_malformed_tree_is_a_git_error(tmp_path, cut):
+# The last three give names git never writes: a path built from one would
+# leave the commit's tree or name a place in it twice.
+@pytest.mark.parametrize("damage", [lambda d: d[:-3], lambda d: d[: d.rindex(b"\0")], lambda d: b"1x" + d[6:],
+                                    lambda d: d.replace(b" main.py", b" .."), lambda d: d.replace(b" main.py", b" ."),
+                                    lambda d: d.replace(b" main.py", b" pkg/main.py")],
+                         ids=["id", "name", "mode", "dotdot", "dot", "slash"])
+def test_a_malformed_tree_is_a_git_error(tmp_path, damage):
     repo = build_history_repo(tmp_path / "repo", commits=HISTORY_COMMITS[:1])
     root = subprocess.run(["git", "-C", str(repo), "cat-file", "tree", "HEAD^{tree}"],
                           capture_output=True, check=True).stdout
-    bad = _tree_object(repo, cut(root))
+    bad = _tree_object(repo, damage(root))
     commit = subprocess.run(["git", "-C", str(repo), "commit-tree", bad, "-m", "bad"],
                             capture_output=True, text=True, check=True).stdout.strip()
     with history.ObjectStore(repo) as store:
@@ -448,7 +458,9 @@ def _assert_history_matches_checkouts(repo: Path, tmp_path: Path, monkeypatch, c
 
         regular = [p for p in got.files if (p, "symlink") not in want.inventory.skipped]
         pairs = _blob_ids(root, regular, "sha256" if len(commit.sha) == 64 else "sha1")
-        assert sorted(fresh) == sorted(p for p, _ in pairs - previous), commit.sha
+        # A blob over the size cap is a skip before any analysis.
+        assert sorted(fresh) == sorted(p for p, _ in pairs - previous
+                                       if (p, "large") not in want.inventory.skipped), commit.sha
         previous = pairs
         checked.append((got, pairs))
     return checked
@@ -485,6 +497,40 @@ def test_the_size_cap_comes_before_decoding():
         ("big.py", "large"),)
     assert history.analyse_file("cap.py", undecodable[:MAX_FILE_BYTES], ScanConfig(),
                                 load_starter_rules()).inventory.skipped == (("cap.py", "decode"),)
+
+
+def test_an_oversized_blob_is_dropped_unheld_and_reported(tmp_path):
+    """It is read off the pipe a bounded chunk at a time; the blobs after it
+    still read whole, and the checkpoint lists it as ``large``."""
+    files = {"main.py": MAIN_V1, "big.py": padded_module(MAX_FILE_BYTES + 1)}
+    repo = build_history_repo(tmp_path / "repo", [(files, "2024-01-01T10:00:00+00:00")])
+    blobs = subprocess.run(["git", "-C", str(repo), "rev-parse", "HEAD:big.py", "HEAD:main.py"],
+                           capture_output=True, text=True, check=True).stdout.split()
+
+    class Reads:
+        def __init__(self, pipe):
+            self.pipe, self.sizes = pipe, []
+
+        def readline(self):
+            return self.pipe.readline()
+
+        def read(self, n):
+            self.sizes.append(n)
+            return self.pipe.read(n)
+
+    with history.ObjectStore(repo) as store:
+        store._proc.stdout = reads = Reads(store._proc.stdout)
+        assert store.read(blobs[0]) == "large"
+        assert max(reads.sizes) <= 1 << 16
+        assert store.read(blobs[1]) == MAIN_V1.encode()
+        assert store.read(blobs[0]) == "large"
+        store._proc.stdout = reads.pipe
+
+    out = tmp_path / "report.json"
+    assert main(["history", str(repo), "--deterministic", "--out", str(out)]) == 0
+    (checkpoint,) = json.loads(out.read_text())["payload"]["checkpoints"]
+    assert checkpoint["skipped"] == [{"path": "big.py", "reason": "large"}]
+    assert checkpoint["loc"] == MAIN_V1.count("\n")
 
 
 def test_a_link_to_a_directory_is_a_link_in_scan_and_history(tmp_path, monkeypatch):
