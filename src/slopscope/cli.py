@@ -146,7 +146,7 @@ def cmd_scan(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> in
         return _fail(exc, EXIT_UNREADABLE)
 
     payload = {
-        "root": "." if args.deterministic else str(args.root),
+        "root": "." if args.deterministic else decode_path(os.fsencode(args.root)),
         "inventory": inventory_to_dict(analysis.inventory),
         "callables": [c._asdict() for c in analysis.inventory.callables],
         "erosion": erosion_to_dict(analysis.erosion),
@@ -193,7 +193,7 @@ def cmd_history(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) ->
     elif not result.checkpoints:
         print("slopscope: no source-modifying commits found", file=sys.stderr)
 
-    payload = {**history_to_dict(result), "repo": "." if args.deterministic else str(args.repo)}
+    payload = {**history_to_dict(result), "repo": "." if args.deterministic else decode_path(os.fsencode(args.repo))}
     settings = {
         "max_commits": max_commits,
         "seed": args.seed,

@@ -71,9 +71,11 @@ def list_source_commits(repo: str | Path, exclude_tests: bool = False) -> list[C
     header ends in a newline when file names follow it, and its file list
     ends in an empty name. Merge commits carry no file list in plain
     ``git log`` output and are therefore never counted as source-modifying.
+    ``--root`` and ``--no-renames`` keep the user's git config from hiding
+    the root commit's files or a renamed file's old path.
     """
     try:
-        raw = _git(repo, "log", "-z", "--pretty=format:%H %ct", "--name-only")
+        raw = _git(repo, "log", "-z", "--root", "--no-renames", "--pretty=format:%H %ct", "--name-only")
     except GitError as err:
         if "does not have any commits" in str(err):
             return []
@@ -209,18 +211,17 @@ class ObjectStore:
 
 
 class TreeListing(NamedTuple):
-    """What one tree object adds to a commit's files: its eligible blobs
-    and links, and the subtrees below it that a scan would enter, as
+    """What one tree object adds to a commit's files: its eligible files as
+    (path, blob id), a symbolic link's blob being None as it is skipped
+    unread, and the subtrees below it that a scan would enter, as
     (path prefix, tree id)."""
 
-    blobs: tuple[tuple[str, str], ...]
-    links: tuple[str, ...]
+    files: tuple[tuple[str, str | None], ...]
     subtrees: tuple[tuple[str, str], ...]
 
 
 def _list_tree(prefix: str, entries: list[tuple[int, bytes, str]], config: ScanConfig) -> TreeListing:
-    blobs: list[tuple[str, str]] = []
-    links: list[str] = []
+    files: list[tuple[str, str | None]] = []
     subtrees: list[tuple[str, str]] = []
     for mode, raw, oid in entries:
         name = decode_path(raw)
@@ -229,56 +230,37 @@ def _list_tree(prefix: str, entries: list[tuple[int, bytes, str]], config: ScanC
         if kind == stat.S_IFDIR:
             if name not in ALWAYS_SKIP_DIRS:  # never source: a scan does not enter it either
                 subtrees.append((path + "/", oid))
-        elif kind == _S_IFGITLINK or not is_eligible(path, config):
-            continue
-        elif kind == stat.S_IFLNK:
-            links.append(path)
-        else:
-            blobs.append((path, oid))
-    return TreeListing(tuple(blobs), tuple(links), tuple(subtrees))
-
-
-class CommitTree(NamedTuple):
-    """The files of one commit that a scan of its checkout would measure,
-    as git stores them: each path's blob id, and the paths of symbolic
-    links, which are skipped unread. ``trees`` holds the listing of every
-    tree of the commit under its (path prefix, tree id)."""
-
-    blobs: dict[str, str]
-    links: tuple[str, ...]
-    trees: dict[tuple[str, str], TreeListing]
+        elif kind != _S_IFGITLINK and is_eligible(path, config):
+            files.append((path, None if kind == stat.S_IFLNK else oid))
+    return TreeListing(tuple(files), tuple(subtrees))
 
 
 def materialize_commit(
-    store: ObjectStore, sha: str, config: ScanConfig, previous: CommitTree | None = None
-) -> CommitTree:
-    """List one commit's eligible files from its tree objects.
+    store: ObjectStore, sha: str, config: ScanConfig, previous: Mapping[tuple[str, str], TreeListing] = {}
+) -> dict[tuple[str, str], TreeListing]:
+    """List one commit's eligible files from its tree objects: the listing
+    of every tree of the commit under its (path prefix, tree id).
 
     The root tree (``<sha>^{tree}``) and the subtrees below it are read
     through the store's ``cat-file --batch`` process. A subtree that
-    ``previous`` (the commit listed before) held under the same path and id
-    is taken from its listing and not read again. Eligibility is a scan's
-    (``scan.is_eligible``) and names are reported as a scan reports them
-    (``scan.decode_path``). Gitlinks (submodules) are passed by: a checkout
-    holds no file of theirs. A missing or malformed commit or tree raises
-    GitError.
+    ``previous`` (the listings of the commit listed before) holds under the
+    same path and id is taken from there and not read again. Eligibility is
+    a scan's (``scan.is_eligible``) and names are reported as a scan reports
+    them (``scan.decode_path``). Gitlinks (submodules) are passed by: a
+    checkout holds no file of theirs. A missing or malformed commit or tree
+    raises GitError.
     """
-    known = previous.trees if previous is not None else {}
     root, root_entries = store.read_tree(f"{sha}^{{tree}}")
     trees: dict[tuple[str, str], TreeListing] = {}
-    blobs: dict[str, str] = {}
-    links: list[str] = []
     pending = [("", root)]
     while pending:
         prefix, tree = key = pending.pop()
-        listing = known.get(key)
+        listing = previous.get(key)
         if listing is None:
             listing = _list_tree(prefix, store.read_tree(tree)[1] if prefix else root_entries, config)
         trees[key] = listing
-        blobs.update(listing.blobs)
-        links.extend(listing.links)
         pending.extend(listing.subtrees)
-    return CommitTree(blobs, tuple(links), trees)
+    return trees
 
 
 class FileAnalysis(NamedTuple):
@@ -404,14 +386,16 @@ def scan_tree_with_sources(
     return inventory, analyses
 
 
-def _read_commit(store: ObjectStore, tree: CommitTree, reuse: Mapping[tuple[str, str], FileAnalysis]):
-    """Each file of a commit: a link's skip reason, the analysis ``reuse``
-    holds for its (path, blob), or else the blob's bytes (or ``large``),
-    read on demand."""
-    for path in tree.links:
-        yield path, "symlink"
-    for path, blob in tree.blobs.items():
-        yield path, reuse[(path, blob)] if (path, blob) in reuse else store.read(blob)
+def _read_commit(store: ObjectStore, trees: Iterable[TreeListing], reuse: Mapping[tuple[str, str], FileAnalysis]):
+    """Each file of a commit's tree listings: ``symlink`` for a link, the
+    analysis ``reuse`` holds for its (path, blob), or else the blob's bytes
+    (or ``large``), read on demand."""
+    for listing in trees:
+        for path, blob in listing.files:
+            if blob is None:
+                yield path, "symlink"
+            else:
+                yield path, reuse[(path, blob)] if (path, blob) in reuse else store.read(blob)
 
 
 class CheckpointAnalysis(NamedTuple):
@@ -492,17 +476,17 @@ def measure_history(
     # is nearly always unchanged since the last one too, and memory stays
     # bounded by two snapshots.
     reuse: dict[tuple[str, str], FileAnalysis] = {}
-    previous: CommitTree | None = None
+    previous: dict[tuple[str, str], TreeListing] = {}
     with ObjectStore(repo) as store:
         for i, commit in enumerate(commits):
             try:
-                tree = materialize_commit(store, commit.sha, config, previous)
-                analysis = measure_checkpoint(_read_commit(store, tree, reuse), config, rules, min_window)
+                trees = materialize_commit(store, commit.sha, config, previous)
+                analysis = measure_checkpoint(_read_commit(store, trees.values(), reuse), config, rules, min_window)
             except GitError as err:
                 skipped.append((commit.sha, str(err)))
                 continue  # unreadable commit: reported, not imputed
-            reuse = {(path, blob): analysis.files[path] for path, blob in tree.blobs.items()}
-            previous = tree
+            reuse = {(path, blob): analysis.files[path] for t in trees.values() for path, blob in t.files if blob}
+            previous = trees
             checkpoints.append(
                 CheckpointMetrics(index=i, label=commit.sha, erosion=analysis.erosion, verbosity=analysis.verbosity,
                                   phase=phases[i], timestamp=commit.committed_at,

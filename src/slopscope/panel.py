@@ -82,8 +82,9 @@ def load_panel_config(path: str | Path) -> list[RepoSpec]:
 
     Raises ValueError if the file is not such a list, names no repository
     (an empty file, ``[]`` or ``{}``), holds an entry ``read_record``
-    refuses, or if two entries share a ``repo_id``: a repository must enter
-    the aggregates once.
+    refuses or one whose ``repo_path`` is empty (which would name the
+    working directory), or if two entries share a ``repo_id``: a
+    repository must enter the aggregates once.
     """
     raw = read_yaml(path, ValueError) or []
     if not isinstance(raw, list):
@@ -92,6 +93,9 @@ def load_panel_config(path: str | Path) -> list[RepoSpec]:
         raise ValueError(f"{path}: no repositories")
     kinds = {"repo_path": str, "repo_id": str, "stars": 0, "max_commits": 1, "seed": int}
     specs = [read_record(RepoSpec, entry, kinds, f"{path}: entry {i}", ValueError) for i, entry in enumerate(raw)]
+    for i, spec in enumerate(specs):
+        if not spec.repo_path:
+            raise ValueError(f"{path}: entry {i}: repo_path must not be empty")
     repeated = sorted(repo_id for repo_id, n in Counter(spec.repo_id for spec in specs).items() if n > 1)
     if repeated:
         raise ValueError(f"{path}: repo_id used more than once: {repeated}")

@@ -92,11 +92,14 @@ def read_file(root: Path, relpath: str) -> bytes | str:
 def read_tree(root: str | Path, config: ScanConfig) -> Iterator[tuple[str, bytes | str]]:
     """Each eligible file of a directory, in walk order, with its bytes or
     the reason it is skipped unread, read as the caller asks for it. A link
-    to a directory is offered as a file, as git lists it, and so skipped."""
+    to a directory is offered as a file, as git lists it, and so skipped.
+    A directory below the root that cannot be listed comes last, as an
+    ``unreadable`` skip; a root that cannot be listed raises ScanError."""
     root = Path(root)
     if not root.is_dir():
         raise ScanError(f"root does not exist or is not a directory: {root}")
-    for dirpath, dirnames, filenames in os.walk(root):
+    unlistable: list[OSError] = []
+    for dirpath, dirnames, filenames in os.walk(root, onerror=unlistable.append):
         filenames += [d for d in dirnames if os.path.islink(os.path.join(dirpath, d))]
         dirnames[:] = [d for d in dirnames if d not in ALWAYS_SKIP_DIRS]
         for name in filenames:
@@ -104,3 +107,8 @@ def read_tree(root: str | Path, config: ScanConfig) -> Iterator[tuple[str, bytes
             rel = decode_path(os.fsencode(real.replace(os.sep, "/")))
             if is_eligible(rel, config):
                 yield rel, read_file(root, real)
+    for err in unlistable:
+        real = os.path.relpath(err.filename, root)
+        if real == os.curdir:
+            raise ScanError(f"cannot list root {root}: {err.strerror or err}")
+        yield decode_path(os.fsencode(real.replace(os.sep, "/"))), "unreadable"

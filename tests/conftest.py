@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import subprocess
 import sysconfig
 import textwrap
@@ -134,14 +135,23 @@ HISTORY_COMMITS = [
 ]
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _no_user_git_config():
+    """Run every git process as if no system or user git config existed, so
+    that a developer's ``commit.gpgsign`` or ``log.showRoot`` changes no
+    fixture and no listing. A repository's own config still applies."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("GIT_CONFIG_NOSYSTEM", "1")
+        patch.setenv("GIT_CONFIG_GLOBAL", os.devnull)
+        yield
+
+
 def _git(repo: Path, *args: str, env: dict | None = None) -> None:
     subprocess.run(["git", "-C", str(repo), *args], check=True, capture_output=True, env=env)
 
 
 def build_history_repo(dest: Path, commits=None) -> Path:
     """A deterministic git repository with the crafted commit sequence."""
-    import os
-
     dest.mkdir(parents=True, exist_ok=True)
     _git(dest, "init", "-q", "-b", "main")
     _git(dest, "config", "user.email", "fixtures@example.com")

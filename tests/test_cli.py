@@ -24,8 +24,10 @@ from slopscope.scan import MAX_FILE_BYTES, ScanConfig, read_file, read_tree
 from conftest import (
     DEEP_SUM,
     FIXTURES,
+    HISTORY_COMMITS,
     TOO_DEEP,
     TOO_DEEP_RULES,
+    build_history_repo,
     deepest_elif_chain,
     elif_chain,
     handler_source,
@@ -166,6 +168,7 @@ BAD_INPUTS = {
     "repeated-panel-repo-path": (["panel", "{repeated_repo_path}"], EXIT_USAGE),
     "misspelled-panel-stars": (["panel", "{misspelled_stars}"], EXIT_USAGE),
     "null-panel-repo-path": (["panel", "{null_repo_path}"], EXIT_USAGE),
+    "empty-panel-repo-path": (["panel", "{empty_repo_path}"], EXIT_USAGE),
     "repos-mapping-panel": (["panel", "{repos_mapping}"], EXIT_USAGE),
     "empty-rule-category": (["rules", "list", "--rules", "{empty_category}"], EXIT_BAD_RULES),
     "null-rule-id": (["rules", "list", "--rules", "{null_rule_id}"], EXIT_BAD_RULES),
@@ -214,6 +217,7 @@ BAD_FILES = {
     "repeated_repo_path.yaml": b"- {repo_path: repo}\n- {repo_path: repo, stars: 50}\n",
     "misspelled_stars.yaml": b"- {repo_path: repo, repo_id: r, star: 20000}\n",
     "null_repo_path.yaml": b"- {repo_path: ~}\n",
+    "empty_repo_path.yaml": b"- {repo_path: repo}\n- {repo_path: ''}\n",
     "repos_mapping.yaml": b"repos: [{repo_path: repo}]\nextra: 1\n",
     "empty_category.yaml": b"- id: r\n  kind: pattern\n  pattern: '$X == $X'\n  category:\n",
     "null_rule_id.yaml": b"- {id: ~, kind: pattern, pattern: '$X == $X'}\n",
@@ -280,6 +284,21 @@ class TestScanReport:
         assert code == EXIT_OK and json.loads(out.encode("utf-8"))["payload"] == payload
         code, out, _ = run_cli(capsys, "scan", str(tmp_path / "tree"), "--format", "csv")
         assert code == EXIT_OK and "caf\\xe9.py" in out.encode("utf-8").decode("utf-8")
+
+    @pytest.mark.parametrize("command", ["scan", "history"])
+    def test_a_root_name_that_is_not_utf8_is_reported_escaped(self, capsys, tmp_path, command):
+        where = tmp_path / os.fsdecode(b"caf\xe9")
+        if command == "scan":
+            write_tree(where, SIMPLE_TREE)
+        else:
+            build_history_repo(where, commits=HISTORY_COMMITS[:1])
+        field, expected = {"scan": "root", "history": "repo"}[command], str(tmp_path / "caf\\xe9")
+        out_file = tmp_path / "r.json"
+        code, _, err = run_cli(capsys, command, str(where), "--out", str(out_file))
+        assert code == EXIT_OK, err
+        assert json.loads(out_file.read_bytes().decode("utf-8"))["payload"][field] == expected
+        code, out, _ = run_cli(capsys, command, str(where))
+        assert code == EXIT_OK and json.loads(out.encode("utf-8"))["payload"][field] == expected
 
     def test_csv_golden(self, capsys):
         code, out, _ = run_cli(
@@ -834,6 +853,37 @@ class TestSymlinks:
         assert code == EXIT_OK
         (checkpoint,) = json.loads(out)["payload"]["checkpoints"]
         assert [h["qualified_name"] for h in checkpoint["erosion"]["hotspots"]] == ["pick"]
+
+
+def _refuse_to_list(monkeypatch, directory: Path) -> None:
+    """Make ``os.scandir`` fail on ``directory`` as it fails on a directory
+    the user may not read, also for a user (root) whom no mode stops."""
+    scandir = os.scandir
+
+    def guarded(path="."):
+        if os.fspath(path) == str(directory):
+            raise PermissionError(13, "Permission denied", os.fspath(path))
+        return scandir(path)
+
+    monkeypatch.setattr(os, "scandir", guarded)
+
+
+class TestUnlistableDirectories:
+    def test_a_directory_that_cannot_be_listed_is_an_unreadable_skip(self, capsys, tmp_path, monkeypatch):
+        tree = write_tree(tmp_path / "tree", {**SIMPLE_TREE, "pkg/mod.py": "x = 1\n"})
+        _refuse_to_list(monkeypatch, tree / "pkg")
+        code, out, _ = run_cli(capsys, "scan", str(tree), "--deterministic")
+        assert code == EXIT_OK
+        payload = json.loads(out)["payload"]
+        assert payload["inventory"]["skipped"] == [{"path": "pkg", "reason": "unreadable"}]
+        assert [f["path"] for f in payload["inventory"]["files"]] == ["app.py"]
+
+    def test_a_root_that_cannot_be_listed_is_exit_2(self, capsys, tmp_path, monkeypatch):
+        tree = write_tree(tmp_path / "tree", SIMPLE_TREE)
+        _refuse_to_list(monkeypatch, tree)
+        code, out, err = run_cli(capsys, "scan", str(tree))
+        assert code == EXIT_UNREADABLE
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("slopscope: cannot list root")
 
 
 class TestProcessEntry:

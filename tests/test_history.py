@@ -53,6 +53,14 @@ class TestCommitListing:
         commits = list_source_commits(history_repo)
         assert len(commits) == 5
 
+    def test_the_root_commit_and_a_renamed_file_count_whatever_the_config(self, tmp_path):
+        # The second commit only renames a.py to a.txt: it loses a Python file.
+        repo = build_history_repo(tmp_path / "repo", commits=[({"a.py": MAIN_V1}, "2023-05-10T10:00:00+00:00"),
+                                                              ({"a.txt": MAIN_V1}, "2023-05-11T10:00:00+00:00")])
+        for key, value in (("log.showRoot", "false"), ("diff.renames", "true")):
+            subprocess.run(["git", "-C", str(repo), "config", key, value], check=True)
+        assert len(list_source_commits(repo)) == 2
+
     def test_chronological_order(self, history_repo):
         commits = list_source_commits(history_repo)
         stamps = [c.committed_at for c in commits]
@@ -268,13 +276,16 @@ def test_a_malformed_tree_is_a_git_error(tmp_path, damage):
     bad = _tree_object(repo, damage(root))
     commit = subprocess.run(["git", "-C", str(repo), "commit-tree", bad, "-m", "bad"],
                             capture_output=True, text=True, check=True).stdout.strip()
+    blob = subprocess.run(["git", "-C", str(repo), "rev-parse", "HEAD:main.py"],
+                          capture_output=True, text=True, check=True).stdout.strip()
+    listing = history.TreeListing(files=(("main.py", blob),), subtrees=())
     with history.ObjectStore(repo) as store:
-        assert history.materialize_commit(store, "HEAD", ScanConfig()).blobs.keys() == {"main.py"}
+        assert list(history.materialize_commit(store, "HEAD", ScanConfig()).values()) == [listing]
         with pytest.raises(GitError, match=f"^tree {bad} malformed$"):
             history.materialize_commit(store, commit, ScanConfig())
         with pytest.raises(GitError, match="missing$"):
             history.materialize_commit(store, "0" * 40, ScanConfig())
-        assert history.materialize_commit(store, "HEAD", ScanConfig()).blobs.keys() == {"main.py"}
+        assert list(history.materialize_commit(store, "HEAD", ScanConfig()).values()) == [listing]
 
 
 def test_each_path_and_blob_is_analysed_once(history_repo, monkeypatch):
