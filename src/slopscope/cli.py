@@ -1,9 +1,10 @@
 """Command-line interface: scan, history, panel, rules.
 
-Exit codes: 0 success, 1 usage error (a bad flag value, --config or panel
-file, an unknown rule id, or a failed write of the report), 2 unreadable
-root / not a repository / skipped file, 3 invalid rule file. Reports go to
-stdout (or --out); diagnostics go to stderr.
+Exit codes: 0 success, 1 usage error (a bad flag value, an empty root or
+repository, a bad --config or panel file, an unknown rule id, or a failed
+write of the report), 2 unreadable root / not a repository / skipped file,
+3 invalid rule file. Reports go to stdout (or --out); diagnostics go to
+stderr.
 """
 
 from __future__ import annotations
@@ -99,14 +100,12 @@ def _emit(args, rules: RuleSet, config: ScanConfig, payload_type: str, payload: 
     if to_csv is not None and args.format == "csv":
         text = to_csv(payload)
     else:
-        import hashlib
-
-        from .report import envelope
+        from .report import envelope, sha256
 
         rule_defs = json.dumps([rule._asdict() for rule in rules], sort_keys=True).encode()
         digested = {
             **config._asdict(),
-            "rules": hashlib.sha256(rule_defs).hexdigest(),
+            "rules": sha256(rule_defs).hexdigest(),
             "min_window": args.min_window,
             **settings,
         }
@@ -138,6 +137,8 @@ def _write(path: str, text: str) -> int:
 def cmd_scan(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> int:
     from .report import erosion_to_dict, inventory_to_dict, match_to_dict, matches_to_jsonl, scan_report_csv
 
+    if not args.root:  # Path("") is the working directory
+        return _fail("root must not be empty", EXIT_USAGE)
     if args.sweep and args.format == "csv":
         return _fail("--sweep needs a JSON report; the CSV has no sweep table", EXIT_USAGE)
     try:
@@ -173,6 +174,8 @@ def cmd_history(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) ->
     from .report import history_report_csv, history_to_dict
     from .trajectory import DEFAULT_ERA_CUTOFF
 
+    if not args.repo:  # Path("") is the working directory
+        return _fail("repository must not be empty", EXIT_USAGE)
     max_commits = DEFAULT_MAX_COMMITS if args.max_commits is None else args.max_commits
     cutoff = DEFAULT_ERA_CUTOFF if args.cutoff_date is None else args.cutoff_date
     try:

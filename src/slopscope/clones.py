@@ -15,17 +15,23 @@ at most ``min_window`` normalized lines after another) are merged into
 maximal regions. Regions linked through a shared window fingerprint form
 one clone class.
 
-This module imports only the standard library.
+Region fingerprints are SHA-1 hex digests from CPython's built-in ``_sha1``
+module, so clone detection does not load ``hashlib`` and OpenSSL with it;
+``hashlib`` gives the same digest where that module is missing.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import keyword
 import re
 from collections.abc import Iterable
 from typing import NamedTuple
+
+try:
+    from _sha1 import sha1
+except ImportError:  # a Python built without it
+    from hashlib import sha1
 
 DEFAULT_MIN_WINDOW = 6
 
@@ -169,7 +175,7 @@ def detect_clones_normalized(
         nf, lo = files[first >> 32], first & 0xFFFFFFFF
         span = slice(lo, lo + last - first + min_window)
         phys = nf.physical[span]
-        fingerprint = hashlib.sha1("\n".join(nf.lines[span]).encode()).hexdigest()
+        fingerprint = sha1("\n".join(nf.lines[span]).encode()).hexdigest()
         class_id = class_numbers.setdefault(find(rid), len(class_numbers))
         out.append(CloneRegion(class_id, nf.path, phys[0], phys[-1], fingerprint, phys))
     return out

@@ -12,7 +12,7 @@ from .history import DEFAULT_MAX_COMMITS, HistoryResult, measure_history
 from .model import ScanError, read_record, read_yaml
 from .rules import RuleSet
 from .scan import ScanConfig
-from .trajectory import CheckpointMetrics, EraShift, TrajectorySummary
+from .trajectory import CheckpointMetrics, EraShift, TrajectorySummary, median
 
 TIERS = ("Hobby", "Niche", "Established", "Major")
 
@@ -161,14 +161,14 @@ def panel_aggregate(
         tiers=tiers,
         rising_fraction_erosion=sum(e.trajectory.rising_erosion for e in ordered) / len(ordered),
         rising_fraction_verbosity=sum(e.trajectory.rising_verbosity for e in ordered) / len(ordered),
-        median_slope_erosion=statistics.median(e.trajectory.slope_erosion for e in ordered),
-        median_slope_verbosity=statistics.median(e.trajectory.slope_verbosity for e in ordered),
+        median_slope_erosion=median(e.trajectory.slope_erosion for e in ordered),
+        median_slope_verbosity=median(e.trajectory.slope_verbosity for e in ordered),
         n_era_eligible=len(eligible),
         median_era_shift_erosion=(
-            statistics.median(e.era.shift_erosion for e in eligible) if eligible else None
+            median(e.era.shift_erosion for e in eligible) if eligible else None
         ),
         median_era_shift_verbosity=(
-            statistics.median(e.era.shift_verbosity for e in eligible) if eligible else None
+            median(e.era.shift_verbosity for e in eligible) if eligible else None
         ),
         exceed_reference_verbosity=(
             sum(e.head_metrics.verbosity.score > reference_mean_verbosity for e in ordered) / len(ordered)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 from datetime import datetime, timezone
 
@@ -13,6 +12,16 @@ from .model import SourceInventory
 from .rules import RuleMatch
 from .trajectory import CheckpointMetrics, EraShift
 from .verbosity import counted_lines
+
+# SHA-256 from CPython's built-in module, as ``random`` takes SHA-512, so a
+# report loads no ``hashlib`` and no OpenSSL; the digest is the same bytes.
+try:
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10 and 3.11
+    except ImportError:  # a Python built without either
+        from hashlib import sha256
 
 SCAN_CSV_HEADER = [
     "file",
@@ -116,7 +125,7 @@ def history_to_dict(result: HistoryResult) -> dict:
 
 
 def envelope(payload_type: str, payload: dict, config: dict, deterministic: bool) -> dict:
-    digest = hashlib.sha256(
+    digest = sha256(
         json.dumps(config, sort_keys=True, ensure_ascii=False).encode()
     ).hexdigest()
     out = {

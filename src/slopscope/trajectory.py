@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from datetime import date, datetime, timezone
 from typing import NamedTuple
 
@@ -117,23 +118,30 @@ def trajectory_summary(series: list[CheckpointMetrics]) -> TrajectorySummary:
     )
 
 
+def median(values: Iterable[float]) -> float:
+    """The median of a non-empty series, as ``statistics.median`` computes
+    it (the middle value, or the mean of the two middle values) without
+    loading ``statistics``, which loads ``decimal`` and ``fractions``."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+
+
 def era_split(series: list[CheckpointMetrics], cutoff: date = DEFAULT_ERA_CUTOFF) -> EraShift:
     """Within-trajectory median shift across a calendar cutoff.
 
     Eligible only with at least three checkpoints strictly before the
     cutoff and three at or after it.
     """
-    import statistics  # here, not with the module: ``scan`` takes no median
-
     boundary = datetime(cutoff.year, cutoff.month, cutoff.day, tzinfo=timezone.utc)
     pre = [c for c in series if c.timestamp < boundary]
     post = [c for c in series if c.timestamp >= boundary]
     if len(pre) < 3 or len(post) < 3:
         return EraShift(cutoff_date=cutoff, eligible=False)
-    pre_e = statistics.median(c.erosion.score for c in pre)
-    post_e = statistics.median(c.erosion.score for c in post)
-    pre_v = statistics.median(c.verbosity.score for c in pre)
-    post_v = statistics.median(c.verbosity.score for c in post)
+    pre_e = median(c.erosion.score for c in pre)
+    post_e = median(c.erosion.score for c in post)
+    pre_v = median(c.verbosity.score for c in pre)
+    post_v = median(c.verbosity.score for c in post)
     return EraShift(
         cutoff_date=cutoff,
         eligible=True,

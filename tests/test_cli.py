@@ -133,6 +133,9 @@ BAD_INPUTS = {
     "scalar-regex-flags": (["rules", "list", "--rules", "{scalar_regex_flags}"], EXIT_BAD_RULES),
     "empty-regex-flags": (["scan", "{tree}", "--rules", "{empty_regex_flags}"], EXIT_BAD_RULES),
     "string-regex-flags": (["rules", "list", "--rules", "{string_regex_flags}"], EXIT_BAD_RULES),
+    # Path("") is the working directory, which neither command was given.
+    "empty-root": (["scan", ""], EXIT_USAGE),
+    "empty-repository": (["history", ""], EXIT_USAGE),
     "zero-min-window": (["scan", "{tree}", "--min-window", "0"], EXIT_USAGE),
     "negative-max-commits": (["history", "{repo}", "--max-commits", "-1"], EXIT_USAGE),
     "bogus-cutoff-date": (["history", "{repo}", "--cutoff-date", "bogus"], EXIT_USAGE),

@@ -16,7 +16,7 @@ import pytest
 
 import slopscope
 
-from conftest import FIXTURES
+from conftest import FIXTURES, HISTORY_COMMITS, SLOP, build_history_repo
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "slopscope"
@@ -93,8 +93,54 @@ def test_csv_and_history_import_what_they_use(tmp_path, history_repo):
     assert "csv" in scan
     assert (tmp_path / "r.csv").read_text().startswith("file,loc,")
     history = loaded_modules("history", str(history_repo), "--format", "csv", "--out", str(tmp_path / "h.csv"))
-    assert {"csv", "statistics"} <= history
+    assert "csv" in history and "statistics" not in history
     assert len((tmp_path / "h.csv").read_text().splitlines()) == 6  # the header and 5 checkpoints
+
+
+# Modules that ``import hashlib`` loads: the OpenSSL binding and BLAKE2.
+HASHLIB = {"hashlib", "_hashlib", "_blake2"}
+
+
+def test_scan_and_history_hash_without_hashlib(tmp_path, history_repo):
+    """The config digest and clone fingerprints come from CPython's built-in
+    SHA modules, so no command that writes them maps OpenSSL."""
+    tree = str(FIXTURES / "golden_tree")
+    runs = {
+        "scan": loaded_modules("scan", tree, "--out", str(tmp_path / "r.json")),
+        "scan-csv": loaded_modules("scan", tree, "--format", "csv", "--out", str(tmp_path / "r.csv")),
+        "history": loaded_modules("history", str(history_repo), "--out", str(tmp_path / "h.json")),
+    }
+    assert {name: modules & HASHLIB for name, modules in runs.items()} == {name: set() for name in runs}
+    assert "slopscope.clones" in runs["scan"]
+
+
+def test_history_takes_its_era_medians_without_statistics(tmp_path):
+    """An eligible era split (three checkpoints on each side of the cutoff)
+    takes four medians, none of them from ``statistics``, which would load
+    ``decimal`` and ``fractions``."""
+    last = {**HISTORY_COMMITS[-1][0], "slop.py": SLOP + "\n\ndef more():\n    return 1\n"}
+    repo = build_history_repo(tmp_path / "repo", [*HISTORY_COMMITS, (last, "2024-09-01T10:00:00+00:00")])
+    out = tmp_path / "h.json"
+    modules = loaded_modules("history", str(repo), "--cutoff-date", "2023-12-01", "--out", str(out))
+    assert json.loads(out.read_text())["payload"]["era"]["eligible"] is True
+    assert modules & {"statistics", "decimal", "_decimal", "fractions"} == set()
+
+
+# Runs PROBE with CPython's built-in SHA modules hidden, as on a Python built
+# without them: importing any of them raises ImportError.
+NO_BUILTIN_SHA = 'import sys\nsys.modules["_sha1"] = sys.modules["_sha2"] = sys.modules["_sha256"] = None\n' + PROBE
+
+
+def test_without_builtin_sha_modules_the_digests_come_from_hashlib(tmp_path, history_repo):
+    scan = run_child(NO_BUILTIN_SHA, "scan", str(FIXTURES / "golden_tree"), "--deterministic", "--sweep",
+                     "--out", str(tmp_path / "r.json"))
+    assert scan["code"] == 0 and "hashlib" in scan["modules"]
+    assert (tmp_path / "r.json").read_bytes() == (FIXTURES / "golden_scan.json").read_bytes()
+
+    history = ["history", str(history_repo), "--deterministic", "--out"]
+    assert run_child(NO_BUILTIN_SHA, *history, str(tmp_path / "fallback.json"))["code"] == 0
+    assert run_child(PROBE, *history, str(tmp_path / "builtin.json"))["code"] == 0
+    assert (tmp_path / "fallback.json").read_bytes() == (tmp_path / "builtin.json").read_bytes()
 
 
 def test_no_module_imports_dataclasses():

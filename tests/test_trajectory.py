@@ -5,6 +5,7 @@ import statistics
 from datetime import date, datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, strategies as st
 
 from slopscope.erosion import ErosionReport
 from slopscope.panel import RepoPanelEntry, panel_aggregate, star_tier
@@ -12,6 +13,7 @@ from slopscope.trajectory import (
     CheckpointMetrics,
     bin_phases,
     era_split,
+    median,
     trajectory_summary,
 )
 from slopscope.verbosity import VerbosityBreakdown
@@ -202,6 +204,24 @@ class TestEraSplit:
             n_pre = sum(ts < boundary for ts in stamps)
             n_post = n - n_pre
             assert era_split(series).eligible == (n_pre >= 3 and n_post >= 3)
+
+
+# Finite floats, subnormals included, mixed with a few values drawn often
+# enough to tie: both zeros, the smallest subnormals and negatives.
+SCORES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1.5, 0.25]),
+)
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@given(values=st.lists(SCORES, min_size=2, max_size=40))
+def test_median_is_bit_equal_to_statistics_median(parity, values):
+    """Odd and even lengths: the middle value itself, or the same
+    ``(a + b) / 2`` of the two middle values."""
+    if len(values) % 2 != parity:
+        values = values[1:]
+    assert median(iter(values)).hex() == statistics.median(values).hex()
 
 
 def entry(
