@@ -1,7 +1,7 @@
 """Command-line interface: scan, history, panel, rules.
 
-Exit codes: 0 success, 1 usage error (a bad flag value, an empty root or
-repository, a bad --config or panel file, an unknown rule id, or a failed
+Exit codes: 0 success, 1 usage error (a bad flag value, an empty path
+argument, a bad --config or panel file, an unknown rule id, or a failed
 write of the report), 2 unreadable root / not a repository / skipped file,
 3 invalid rule file. Reports go to stdout (or --out); diagnostics go to
 stderr.
@@ -52,6 +52,12 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse defaults to exit 2
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _path(text: str) -> str:
+    if not text:  # Path("") is the working directory
+        raise argparse.ArgumentTypeError("expected a path, got ''")
+    return text
 
 
 def _positive_int(text: str) -> int:
@@ -137,8 +143,6 @@ def _write(path: str, text: str) -> int:
 def cmd_scan(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> int:
     from .report import erosion_to_dict, inventory_to_dict, match_to_dict, matches_to_jsonl, scan_report_csv
 
-    if not args.root:  # Path("") is the working directory
-        return _fail("root must not be empty", EXIT_USAGE)
     if args.sweep and args.format == "csv":
         return _fail("--sweep needs a JSON report; the CSV has no sweep table", EXIT_USAGE)
     try:
@@ -174,8 +178,6 @@ def cmd_history(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) ->
     from .report import history_report_csv, history_to_dict
     from .trajectory import DEFAULT_ERA_CUTOFF
 
-    if not args.repo:  # Path("") is the working directory
-        return _fail("repository must not be empty", EXIT_USAGE)
     max_commits = DEFAULT_MAX_COMMITS if args.max_commits is None else args.max_commits
     cutoff = DEFAULT_ERA_CUTOFF if args.cutoff_date is None else args.cutoff_date
     try:
@@ -277,11 +279,11 @@ def cmd_rules(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> i
 
 
 def _add_common(parser: argparse.ArgumentParser, csv: bool = True) -> None:
-    parser.add_argument("--rules", help=f"rule file (default: ${RULES_ENV} or the bundled starter set)")
-    parser.add_argument("--config", help="scan config file (JSON or YAML)")
+    parser.add_argument("--rules", type=_path, help=f"rule file (default: ${RULES_ENV} or the bundled starter set)")
+    parser.add_argument("--config", type=_path, help="scan config file (JSON or YAML)")
     if csv:
         parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--out", help="write the report to a file instead of stdout")
+    parser.add_argument("--out", type=_path, help="write the report to a file instead of stdout")
     parser.add_argument("--deterministic", action="store_true", help="omit timestamps and absolute paths")
     # None stands for clones.DEFAULT_MIN_WINDOW, which main fills in, so that
     # building the parser does not import the clone detector.
@@ -293,14 +295,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_scan = sub.add_parser("scan", help="measure one source tree")
-    p_scan.add_argument("root")
+    p_scan.add_argument("root", type=_path)
     _add_common(p_scan)
     p_scan.add_argument("--sweep", action="store_true", help="include the 3x3 erosion sensitivity table")
-    p_scan.add_argument("--emit-matches", metavar="FILE", help="write rule matches as JSON Lines")
+    p_scan.add_argument("--emit-matches", type=_path, metavar="FILE", help="write rule matches as JSON Lines")
     p_scan.set_defaults(func=cmd_scan)
 
     p_hist = sub.add_parser("history", help="measure sampled commits of a git repository")
-    p_hist.add_argument("repo")
+    p_hist.add_argument("repo", type=_path)
     _add_common(p_hist)
     # None stands for the defaults of history.py and trajectory.py, which
     # cmd_history fills in, so that building the parser imports neither.
@@ -311,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hist.set_defaults(func=cmd_history)
 
     p_panel = sub.add_parser("panel", help="aggregate a panel of repositories")
-    p_panel.add_argument("panel_config")
+    p_panel.add_argument("panel_config", type=_path)
     _add_common(p_panel, csv=False)
     p_panel.add_argument("--reference-mean-verbosity", type=_finite_float)
     p_panel.add_argument("--reference-mean-erosion", type=_finite_float)
@@ -320,12 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_rules = sub.add_parser("rules", help="inspect or test quality rules")
     rules_sub = p_rules.add_subparsers(dest="rules_command", required=True)
     p_list = rules_sub.add_parser("list")
-    p_list.add_argument("--rules")
+    p_list.add_argument("--rules", type=_path)
     p_list.set_defaults(func=cmd_rules)
     p_test = rules_sub.add_parser("test")
     p_test.add_argument("rule_id")
-    p_test.add_argument("file")
-    p_test.add_argument("--rules")
+    p_test.add_argument("file", type=_path)
+    p_test.add_argument("--rules", type=_path)
     p_test.set_defaults(func=cmd_rules)
 
     return parser
@@ -338,6 +340,8 @@ def main(argv: list[str] | None = None) -> int:
 
         args.min_window = DEFAULT_MIN_WINDOW
     rules_path = args.rules if args.rules is not None else os.environ.get(RULES_ENV)
+    if rules_path == "":
+        return _fail(f"{RULES_ENV} is set but empty", EXIT_USAGE)
     try:
         rules = load_starter_rules() if rules_path is None else load_rules(rules_path)
     except (RuleError, OSError) as exc:

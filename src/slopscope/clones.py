@@ -22,7 +22,6 @@ module, so clone detection does not load ``hashlib`` and OpenSSL with it;
 
 from __future__ import annotations
 
-import functools
 import keyword
 import re
 from collections.abc import Iterable
@@ -68,7 +67,7 @@ _INTEGER = r"(?:0[xX](?:_?[0-9a-fA-F])+|0[bB](?:_?[01])+|0[oO](?:_?[0-7])+|0(?:_
 # string before a name (its prefix), a number before an operator (``.5``).
 # A string's closing quote is optional, so once its opening matches the
 # alternative cannot fail: text that does not tokenize is one linear pass.
-_TOKEN = (
+_TOKEN = re.compile(
     r"[ \f\t]*(?:"
     r"(?P<newline>\\?\n)"  # a line break, or a backslash continuation
     r"|#[^\n]*"
@@ -87,13 +86,6 @@ _TOKEN = (
 )
 
 
-@functools.cache
-def _token_scanner() -> re.Pattern[str]:
-    # Compiled on first use (a few ms), so commands that normalize nothing
-    # do not pay for it at start-up.
-    return re.compile(_TOKEN)
-
-
 def normalize_file(path: str, text: str) -> NormalizedFile:
     """Token-normalize a file into per-line fingerprint strings.
 
@@ -106,7 +98,7 @@ def normalize_file(path: str, text: str) -> NormalizedFile:
     lineno = 1
     tokens: list[str] = []
     per_line = {lineno: tokens}
-    for match in _token_scanner().finditer(text):
+    for match in _TOKEN.finditer(text):
         kind = match.lastgroup
         if kind == "name":
             word = match["name"]

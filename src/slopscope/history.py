@@ -179,10 +179,10 @@ class ObjectStore:
         data = self._read("blob", blob, MAX_FILE_BYTES)[1]
         return "large" if data is None else data
 
-    def read_tree(self, name: str) -> tuple[str, list[tuple[int, bytes, str]]]:
-        """The id of the tree ``name`` names and its entries, in git's order:
-        each one's mode, raw name and object id. GitError if the tree is
-        missing or malformed.
+    def read_tree(self, name: str) -> list[tuple[int, bytes, str]]:
+        """The entries of the tree ``name`` names, in git's order: each
+        one's mode, raw name and object id. GitError if the tree is missing
+        or malformed.
 
         A tree object is a run of ``<octal mode> <name>\\0<raw id>``
         entries. A raw id is as long as the id in the reply header: 20
@@ -198,7 +198,7 @@ class ObjectStore:
                 raise GitError(f"tree {tree} malformed")
             pos = entry.end() + size
             entries.append((int(entry[1], 8), entry[2], data[entry.end() : pos].hex()))
-        return tree, entries
+        return entries
 
     def close(self) -> None:
         self._proc.communicate()  # closes stdin, which ends the process
@@ -238,26 +238,24 @@ def _list_tree(prefix: str, entries: list[tuple[int, bytes, str]], config: ScanC
 def materialize_commit(
     store: ObjectStore, sha: str, config: ScanConfig, previous: Mapping[tuple[str, str], TreeListing] = {}
 ) -> dict[tuple[str, str], TreeListing]:
-    """List one commit's eligible files from its tree objects: the listing
-    of every tree of the commit under its (path prefix, tree id).
-
-    The root tree (``<sha>^{tree}``) and the subtrees below it are read
-    through the store's ``cat-file --batch`` process. A subtree that
-    ``previous`` (the listings of the commit listed before) holds under the
-    same path and id is taken from there and not read again. Eligibility is
-    a scan's (``scan.is_eligible``) and names are reported as a scan reports
-    them (``scan.decode_path``). Gitlinks (submodules) are passed by: a
-    checkout holds no file of theirs. A missing or malformed commit or tree
-    raises GitError.
+    """List one commit's eligible files from its tree objects, read through
+    the store's ``cat-file --batch`` process: the listing of every tree of
+    the commit under (path prefix, the name it was read by), the root's
+    being ("", ``<sha>^{tree}``) and each subtree's its tree id. A subtree
+    that ``previous`` (the listings of the commit listed before) holds
+    under the same path and id is taken from there and not read again.
+    Eligibility is a scan's (``scan.is_eligible``) and names are reported
+    as a scan reports them (``scan.decode_path``). Gitlinks (submodules)
+    are passed by: a checkout holds no file of theirs. A missing or
+    malformed commit or tree raises GitError.
     """
-    root, root_entries = store.read_tree(f"{sha}^{{tree}}")
     trees: dict[tuple[str, str], TreeListing] = {}
-    pending = [("", root)]
+    pending = [("", f"{sha}^{{tree}}")]
     while pending:
         prefix, tree = key = pending.pop()
         listing = previous.get(key)
         if listing is None:
-            listing = _list_tree(prefix, store.read_tree(tree)[1] if prefix else root_entries, config)
+            listing = _list_tree(prefix, store.read_tree(tree), config)
         trees[key] = listing
         pending.extend(listing.subtrees)
     return trees
@@ -493,11 +491,9 @@ def measure_history(
                                   skipped=analysis.inventory.skipped)
             )
 
-    if not checkpoints:
-        return HistoryResult(checkpoints=[], summary=None, era=None, skipped_commits=tuple(skipped))
     return HistoryResult(
         checkpoints=checkpoints,
-        summary=trajectory_summary(checkpoints),
-        era=era_split(checkpoints, cutoff),
+        summary=trajectory_summary(checkpoints) if checkpoints else None,
+        era=era_split(checkpoints, cutoff) if checkpoints else None,
         skipped_commits=tuple(skipped),
     )

@@ -84,13 +84,9 @@ class Variant(NamedTuple):
     plans: tuple[tuple, ...]
 
 
-class CompiledPattern(NamedTuple):
-    variants: tuple[Variant, ...]
-
-
-def compile_pattern(pattern: str) -> CompiledPattern:
-    """Compile a metavariable pattern, expanding optional-metavariable
-    variants: the full form first, then each set of optionals left out. A
+def compile_pattern(pattern: str) -> tuple[Variant, ...]:
+    """Compile a metavariable pattern into its variants, expanding optional
+    metavariables: the full form first, then each set of optionals left out. A
     pattern nested too deeply to parse or to plan raises MemoryError or
     RecursionError."""
     optional = sorted({m[1] for m in _MV_TOKEN.finditer(pattern) if m[2]})
@@ -120,7 +116,7 @@ def compile_pattern(pattern: str) -> CompiledPattern:
         raise PatternError("; ".join(errors))
     if full_error:
         raise PatternError(full_error)
-    return CompiledPattern(tuple(variants))
+    return tuple(variants)
 
 
 def _placeholder_name(node: ast.AST) -> str | None:
@@ -223,15 +219,15 @@ def _keep(matches: dict, span: tuple, binds: list, segment) -> None:
 
 
 def find_matches(
-    compiled: CompiledPattern, index: TreeIndex, source: SourceText
+    variants: tuple[Variant, ...], index: TreeIndex, source: SourceText
 ) -> dict[tuple[int, int], dict[str, str]]:
-    """All matches of a compiled pattern in one indexed file, in the order
-    they are found: each span's (start, end) character offsets into the
-    text, the end just after the match, mapped to its metavariable
-    bindings. The first match found of each span is kept."""
+    """All matches of a compiled pattern (its variants) in one indexed
+    file, in the order they are found: each span's (start, end) character
+    offsets into the text, the end just after the match, mapped to its
+    metavariable bindings. The first match found of each span is kept."""
     matches: dict[tuple[int, int], dict[str, str]] = {}
     segment, offset = source.segment, source.offset
-    for variant in compiled.variants:
+    for variant in variants:
         plans = variant.plans
         root = plans[0]
         by_type = index.exprs_by_type if variant.kind == "expr" else index.windows_by_type

@@ -133,9 +133,15 @@ BAD_INPUTS = {
     "scalar-regex-flags": (["rules", "list", "--rules", "{scalar_regex_flags}"], EXIT_BAD_RULES),
     "empty-regex-flags": (["scan", "{tree}", "--rules", "{empty_regex_flags}"], EXIT_BAD_RULES),
     "string-regex-flags": (["rules", "list", "--rules", "{string_regex_flags}"], EXIT_BAD_RULES),
-    # Path("") is the working directory, which neither command was given.
+    # Path("") is the working directory, which no path argument names.
     "empty-root": (["scan", ""], EXIT_USAGE),
     "empty-repository": (["history", ""], EXIT_USAGE),
+    "empty-out": (["scan", "{tree}", "--out", ""], EXIT_USAGE),
+    "empty-emit-matches": (["scan", "{tree}", "--emit-matches", ""], EXIT_USAGE),
+    "empty-rules": (["scan", "{tree}", "--rules", ""], EXIT_USAGE),
+    "empty-config": (["history", "{repo}", "--config", ""], EXIT_USAGE),
+    "empty-panel-file": (["panel", ""], EXIT_USAGE),
+    "empty-rules-test-file": (["rules", "test", "self-equality", ""], EXIT_USAGE),
     "zero-min-window": (["scan", "{tree}", "--min-window", "0"], EXIT_USAGE),
     "negative-max-commits": (["history", "{repo}", "--max-commits", "-1"], EXIT_USAGE),
     "bogus-cutoff-date": (["history", "{repo}", "--cutoff-date", "bogus"], EXIT_USAGE),
@@ -815,6 +821,12 @@ class TestRulesEnv:
         code, out, _ = run_cli(capsys, "rules", "list", "--rules", str(flag_rules))
         assert code == EXIT_OK
         assert out.startswith("flag-rule")
+
+    def test_an_empty_env_variable_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv(RULES_ENV, "")
+        code, out, err = run_cli(capsys, "rules", "list")
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"slopscope: {RULES_ENV} is set but empty\n"
 
 
 def _outside_file(tmp_path):

@@ -481,6 +481,33 @@ def test_history_repo_matches_checkouts(history_repo, tmp_path, monkeypatch):
     _assert_history_matches_checkouts(history_repo, tmp_path, monkeypatch, ScanConfig(), 30, 0)
 
 
+def test_a_commit_that_restores_an_earlier_tree_reads_only_its_root(tmp_path, monkeypatch):
+    """A root is read by its commit's name, so the third commit, whose tree
+    is the first one's, reads its root again and takes every subtree from
+    the first commit's listings."""
+    first = {"main.py": MAIN_V1, "pkg/util.py": SLOP}
+    repo = build_history_repo(tmp_path / "repo", [(first, "2024-01-01T10:00:00+00:00"),
+                                                  ({**first, "main.py": MAIN_V1 + "x = 1\n"},
+                                                   "2024-02-01T10:00:00+00:00"),
+                                                  (first, "2024-03-01T10:00:00+00:00")])
+    (one, _), _, (three, _) = _assert_history_matches_checkouts(repo, tmp_path, monkeypatch, ScanConfig(), 30, 0)
+    assert (one.erosion, one.verbosity) == (three.erosion, three.verbosity)
+
+    shas = [c.sha for c in sample_commits(repo, 30)]
+    reads: list[str] = []
+    read_tree = history.ObjectStore.read_tree
+    monkeypatch.setattr(history.ObjectStore, "read_tree",
+                        lambda store, name: reads.append(name) or read_tree(store, name))
+    with history.ObjectStore(repo) as store:
+        listings = history.materialize_commit(store, shas[0], ScanConfig())
+        assert [prefix for prefix, _ in listings] == ["", "pkg/"]
+        reads.clear()
+        restored = history.materialize_commit(store, shas[2], ScanConfig(), listings)
+        assert reads == [f"{shas[2]}^{{tree}}"]
+        assert list(restored) == [("", f"{shas[2]}^{{tree}}"), *list(listings)[1:]]
+        assert list(restored.values()) == list(listings.values())
+
+
 def test_a_file_too_deep_for_the_parser_is_a_parse_skip(tmp_path, monkeypatch):
     """Python refuses such a file with MemoryError; it is skipped, and the
     commit that adds it is measured with the rest."""

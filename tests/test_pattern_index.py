@@ -26,8 +26,8 @@ from slopscope.adapters import SourceText
 from slopscope.patterns import (
     _IGNORED_FIELDS,
     _PLACEHOLDER_PREFIX,
-    CompiledPattern,
     TreeIndex,
+    Variant,
     _placeholder_name,
     _stmt_placeholder_name,
     compile_pattern,
@@ -112,12 +112,12 @@ def _span(offset, first: ast.AST, last: ast.AST) -> tuple[int, int]:
     return offset(first.lineno, first.col_offset), offset(last.end_lineno, last.end_col_offset)
 
 
-def find_matches_by_walk(compiled: CompiledPattern, tree: ast.AST, source: SourceText) -> dict:
+def find_matches_by_walk(variants: tuple[Variant, ...], tree: ast.AST, source: SourceText) -> dict:
     """All matches of a compiled pattern in one parsed file, as
     (start, end) character offsets -> captures, in the order found."""
     matches: dict[tuple[int, int], dict[str, str]] = {}
     offset = _char_offsets(source.text)
-    for variant in compiled.variants:
+    for variant in variants:
         if variant.kind == "expr":
             pat = variant.nodes[0]
             for node in ast.walk(tree):
@@ -217,7 +217,7 @@ def test_hand_written_patterns_match_as_by_walk(corpus):
 
 
 def test_variants_of_different_root_types():
-    roots = {p: {type(v.nodes[0]) for v in compile_pattern(p).variants} for p in ("($A?, $B)", "$A?\nreturn $B")}
+    roots = {p: {type(v.nodes[0]) for v in compile_pattern(p)} for p in ("($A?, $B)", "$A?\nreturn $B")}
     assert roots == {"($A?, $B)": {ast.Tuple, ast.Name}, "$A?\nreturn $B": {ast.Expr, ast.Return}}
     source = SourceText.from_text("def f(a, b):\n    a = (a, b)\n    return a\n")
     tree = ast.parse(source.text)

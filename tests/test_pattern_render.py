@@ -112,7 +112,7 @@ def compile_by_segments(pattern: str) -> list[tuple[str, str]]:
 def variants_of(pattern: str) -> list[tuple[str, str]]:
     return [
         (v.kind, ast.dump(v.nodes[0]) if v.kind == "expr" else "\n".join(map(ast.dump, v.nodes)))
-        for v in compile_pattern(pattern).variants
+        for v in compile_pattern(pattern)
     ]
 
 

@@ -76,6 +76,14 @@ class TestRuleLoading:
         with pytest.raises(RuleError, match="dup"):
             load_rules(path)
 
+    def test_two_rules_of_one_pattern_text_compile_apart(self, tmp_path):
+        """``perfbench`` labels each rule's matching time by the identity
+        of its compiled pattern, so no two pattern rules may share one."""
+        path = tmp_path / "rules.yaml"
+        path.write_text("- {id: one, pattern: '$X == $X'}\n- {id: two, pattern: '$X == $X'}\n")
+        for rules in (load_rules(path), load_starter_rules()):
+            assert len({id(rules.compiled(r)) for r in rules}) == len(rules)
+
     @pytest.mark.parametrize("flags", ["5", "", "im", "[i, 1]", "{i: true}"])
     def test_regex_flags_must_be_a_list_of_strings(self, tmp_path, flags):
         path = tmp_path / "rules.yaml"
@@ -155,7 +163,7 @@ class TestDeepRules:
         assert str(err.value) == f"{path}: invalid rules: deep: nested too deeply to compile"
 
     def test_match_plans_are_built_when_a_pattern_compiles(self):
-        for variant in compile_pattern("$F($A?, $B)").variants:
+        for variant in compile_pattern("$F($A?, $B)"):
             assert len(variant.plans) == len(variant.nodes) == 1 and variant.plans[0][1] is ast.Call
 
     def test_the_deepest_pattern_that_compiles_matches(self):
