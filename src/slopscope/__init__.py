@@ -16,16 +16,16 @@ _HOMES = {
     "erosion_score": "erosion",
     "erosion_sensitivity": "erosion",
     "measure_checkpoint": "history",
-    "CallableRecord": "model",
-    "FileRecord": "model",
-    "SourceInventory": "model",
     "QualityRule": "rules",
     "RuleMatch": "rules",
     "RuleSet": "rules",
     "load_rules": "rules",
     "load_starter_rules": "rules",
     "match_rules": "rules",
+    "CallableRecord": "scan",
+    "FileRecord": "scan",
     "ScanConfig": "scan",
+    "SourceInventory": "scan",
     "CheckpointMetrics": "trajectory",
     "EraShift": "trajectory",
     "TrajectorySummary": "trajectory",

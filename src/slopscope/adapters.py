@@ -14,14 +14,13 @@ import re
 from collections import deque
 from typing import NamedTuple
 
-from .model import CallableRecord
+from .scan import CallableRecord
 
 
-def is_source_line(line: str) -> bool:
-    """Non-blank, non-comment physical line. Docstrings count as source."""
-    stripped = line.strip()
-    return bool(stripped) and not stripped.startswith("#")
-
+# What a line starts with if it is source: whitespace short of its line
+# break, then a character that is neither whitespace nor "#". So a line that
+# is neither blank nor comment is source; docstrings count as source.
+_SOURCE_LINE = re.compile(r"[^\S\r\n]*[^\s#]")
 
 # The only line breaks Python's parser knows. ``str.splitlines`` also breaks
 # on form feeds, vertical tabs and Unicode separators, which would shift
@@ -44,9 +43,10 @@ class SourceText(NamedTuple):
     @classmethod
     def from_text(cls, text: str) -> SourceText:
         starts = (0, *(m.end() for m in _LINE_BREAK.finditer(text)))
-        lines = [text[a:b] for a, b in zip(starts, (*starts[1:], len(text))) if a < len(text)]
-        source_lines = frozenset(n for n, line in enumerate(lines, 1) if is_source_line(line))
-        return cls(text, starts, len(lines), source_lines)
+        line_count = len(starts) - (starts[-1] == len(text))  # a final break starts no line
+        match = _SOURCE_LINE.match
+        source_lines = frozenset(n for n, start in enumerate(starts[:line_count], 1) if match(text, start))
+        return cls(text, starts, line_count, source_lines)
 
     def sloc(self, start: int, end: int) -> int:
         """Source lines within a 1-based inclusive line span."""

@@ -19,9 +19,8 @@ from importlib import import_module
 from pathlib import Path
 from typing import NoReturn
 
-from .model import ScanError
 from .rules import RuleError, RuleSet, load_rules, load_starter_rules
-from .scan import ScanConfig, decode_path, is_python, load_scan_config, read_file
+from .scan import ScanConfig, ScanError, decode_path, is_python, load_scan_config, read_file
 
 # Each command imports the modules it runs (history, report, panel, erosion,
 # trajectory) inside itself, so ``rules list`` loads none of them. Three
@@ -284,7 +283,8 @@ def _add_common(parser: argparse.ArgumentParser, csv: bool = True) -> None:
     if csv:
         parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--out", type=_path, help="write the report to a file instead of stdout")
-    parser.add_argument("--deterministic", action="store_true", help="omit timestamps and absolute paths")
+    parser.add_argument("--deterministic", action="store_true",
+                        help="omit created_at and write the scanned root or repository as '.'")
     # None stands for clones.DEFAULT_MIN_WINDOW, which main fills in, so that
     # building the parser does not import the clone detector.
     parser.add_argument("--min-window", type=_positive_int, help="clone window size in normalized lines")

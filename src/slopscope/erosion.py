@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .model import CallableRecord, SourceInventory
+from .scan import CallableRecord, SourceInventory
 
 CC_CUTOFF = 10  # a callable counts as high-complexity above this cc
 SIZE_EXPONENT = 0.5  # a callable's mass is cc * sloc**SIZE_EXPONENT

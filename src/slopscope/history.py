@@ -14,10 +14,9 @@ from . import clones, verbosity
 from .adapters import ADAPTERS, SourceText, TreeIndex
 from .clones import DEFAULT_MIN_WINDOW, CloneRegion, NormalizedFile, detect_clones
 from .erosion import ErosionReport, erosion_score
-from .model import FileRecord, SourceInventory
 from .rules import RuleMatch, RuleSet, match_rules
-from .scan import (ALWAYS_SKIP_DIRS, MAX_FILE_BYTES, ScanConfig, _excluded, decode_path, is_eligible, is_python,
-                   read_tree)
+from .scan import (ALWAYS_SKIP_DIRS, MAX_FILE_BYTES, FileRecord, ScanConfig, SourceInventory, _excluded, decode_path,
+                   is_eligible, is_python, read_tree)
 from .trajectory import (
     DEFAULT_ERA_CUTOFF,
     CheckpointMetrics,

@@ -9,9 +9,8 @@ from typing import NamedTuple
 
 from .clones import DEFAULT_MIN_WINDOW
 from .history import DEFAULT_MAX_COMMITS, HistoryResult, measure_history
-from .model import ScanError, read_record, read_yaml
 from .rules import RuleSet
-from .scan import ScanConfig
+from .scan import ScanConfig, ScanError, read_record, read_yaml
 from .trajectory import CheckpointMetrics, EraShift, TrajectorySummary, median
 
 TIERS = ("Hobby", "Niche", "Established", "Major")
@@ -28,22 +27,14 @@ def star_tier(stars: int) -> str:
     return "Major"
 
 
-class _RepoFields(NamedTuple):
+class RepoSpec(NamedTuple):
+    """One panel repository."""
+
     repo_path: str
-    repo_id: str | None = None
+    repo_id: str
     stars: int = 0
     max_commits: int = DEFAULT_MAX_COMMITS
     seed: int = 0
-
-
-class RepoSpec(_RepoFields):
-    """One panel repository; an absent ``repo_id`` is the ``repo_path``."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        return self if self.repo_id is not None else self._replace(repo_id=self.repo_path)
 
 
 class RepoPanelEntry(NamedTuple):
@@ -78,7 +69,8 @@ class PanelReport(NamedTuple):
 
 
 def load_panel_config(path: str | Path) -> list[RepoSpec]:
-    """Panel config: a YAML/JSON list of ``RepoSpec`` mappings.
+    """Panel config: a YAML/JSON list of ``RepoSpec`` mappings. An entry
+    without a ``repo_id`` is named by its ``repo_path``.
 
     Raises ValueError if the file is not such a list, names no repository
     (an empty file, ``[]`` or ``{}``), holds an entry ``read_record``
@@ -92,6 +84,7 @@ def load_panel_config(path: str | Path) -> list[RepoSpec]:
     if not raw:
         raise ValueError(f"{path}: no repositories")
     kinds = {"repo_path": str, "repo_id": str, "stars": 0, "max_commits": 1, "seed": int}
+    raw = [{**e, "repo_id": e.get("repo_id", e.get("repo_path"))} if isinstance(e, dict) else e for e in raw]
     specs = [read_record(RepoSpec, entry, kinds, f"{path}: entry {i}", ValueError) for i, entry in enumerate(raw)]
     for i, spec in enumerate(specs):
         if not spec.repo_path:

@@ -8,8 +8,8 @@ from datetime import datetime, timezone
 from . import __version__
 from .erosion import ErosionReport
 from .history import CheckpointAnalysis, HistoryResult, measured_lines
-from .model import SourceInventory
 from .rules import RuleMatch
+from .scan import SourceInventory
 from .trajectory import CheckpointMetrics, EraShift
 from .verbosity import counted_lines
 

@@ -10,8 +10,8 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .adapters import SourceText, TreeIndex
-from .model import read_record, read_yaml
 from .patterns import PatternError, compile_pattern, find_matches
+from .scan import read_record, read_yaml
 
 _REGEX_FLAGS = {"i": re.IGNORECASE, "m": re.MULTILINE, "s": re.DOTALL}
 

@@ -6,8 +6,11 @@ from collections.abc import Iterable, Mapping
 from typing import NamedTuple
 
 from .clones import CloneRegion
-from .model import ConsistencyError
 from .rules import RuleMatch
+
+
+class ConsistencyError(Exception):
+    """Raised when inputs contradict each other (e.g. line past end of file)."""
 
 
 class VerbosityBreakdown(NamedTuple):

@@ -21,8 +21,8 @@ from slopscope.cli import main
 from slopscope.clones import DEFAULT_MIN_WINDOW, detect_clones
 from slopscope.erosion import erosion_score, erosion_sensitivity
 from slopscope.history import measure_checkpoint, measure_history
-from slopscope.model import CallableRecord, SourceInventory
 from slopscope.rules import RuleMatch, load_starter_rules
+from slopscope.scan import CallableRecord, SourceInventory
 from slopscope.trajectory import bin_phases, era_split, trajectory_summary
 from slopscope.verbosity import verbosity_score
 

@@ -375,6 +375,27 @@ class TestDeterminism:
         _, out, _ = run_cli(capsys, "scan", str(tmp_path))
         assert "created_at" in json.loads(out)
 
+    def test_deterministic_history_omits_timestamp_and_repo(self, capsys, history_repo):
+        report = json.loads(run_cli(capsys, "history", str(history_repo), "--deterministic")[1])
+        assert "created_at" not in report
+        assert report["payload"]["repo"] == "."
+
+    def test_deterministic_panel_omits_timestamp(self, capsys, tmp_path, history_repo):
+        config = tmp_path / "panel.yaml"
+        config.write_text(f"- {{repo_path: '{history_repo}'}}\n")
+        assert "created_at" in json.loads(run_cli(capsys, "panel", str(config))[1])
+        assert "created_at" not in json.loads(run_cli(capsys, "panel", str(config), "--deterministic")[1])
+
+    @pytest.mark.parametrize("command, key", [("scan", "root"), ("history", "repo")])
+    def test_without_the_flag_a_relative_path_is_written_as_given(self, capsys, tmp_path, monkeypatch,
+                                                                   history_repo, command, key):
+        """Not made absolute, nor normalized."""
+        target = write_tree(tmp_path / "tree", SIMPLE_TREE) if command == "scan" else history_repo
+        monkeypatch.chdir(target.parent)
+        code, out, err = run_cli(capsys, command, f"./{target.name}")
+        assert code == EXIT_OK, err
+        assert json.loads(out)["payload"][key] == f"./{target.name}"
+
     def test_history_byte_identical(self, capsys, history_repo):
         runs = set()
         for _ in range(2):

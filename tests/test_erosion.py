@@ -13,7 +13,7 @@ from slopscope.erosion import (
     erosion_score,
     erosion_sensitivity,
 )
-from slopscope.model import CallableRecord, SourceInventory
+from slopscope.scan import CallableRecord, SourceInventory
 
 
 def make_inventory(specs: list[tuple[int, int]]) -> SourceInventory:

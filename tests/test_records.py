@@ -15,10 +15,9 @@ import pytest
 
 from slopscope.cli import main
 from slopscope.history import DEFAULT_MAX_COMMITS
-from slopscope.model import read_record
 from slopscope.panel import RepoSpec, load_panel_config
 from slopscope.rules import QualityRule, RuleMatch, load_rules, load_starter_rules
-from slopscope.scan import ScanConfig, load_scan_config
+from slopscope.scan import ScanConfig, load_scan_config, read_record
 
 from conftest import FIXTURES
 
@@ -90,10 +89,10 @@ class TestDefaults:
         assert bare == RepoSpec("some/repo", "some/repo", 0, DEFAULT_MAX_COMMITS, 0)
         assert named == RepoSpec("other", "named", 0, DEFAULT_MAX_COMMITS, 4)
 
-    def test_repo_spec_without_an_id_is_named_by_its_path(self):
-        assert RepoSpec("p").repo_id == "p"
-        assert RepoSpec(repo_path="p", stars=3).repo_id == "p"
-        assert RepoSpec("p", "q").repo_id == "q"
+    def test_repo_spec_without_an_id_is_named_by_its_path(self, tmp_path):
+        path = tmp_path / "panel.json"
+        path.write_text('[{"repo_path": "p"}, {"repo_path": "r", "stars": 3}, {"repo_path": "p", "repo_id": "q"}]')
+        assert [spec.repo_id for spec in load_panel_config(path)] == ["p", "r", "q"]
 
 
 def report_digest(capsys, *argv: str) -> str:

@@ -11,9 +11,8 @@ import pytest
 
 from slopscope.adapters import PythonAdapter, SourceText, TreeIndex
 from slopscope.history import analyse_file, measure_checkpoint
-from slopscope.model import CallableRecord, FileRecord, ScanError
 from slopscope.rules import RuleSet, load_starter_rules
-from slopscope.scan import ScanConfig, load_scan_config, read_tree
+from slopscope.scan import CallableRecord, FileRecord, ScanConfig, ScanError, load_scan_config, read_tree
 
 from conftest import FIXTURES, write_tree
 

@@ -5,12 +5,15 @@ expression and statement node, and ``SourceText.position`` must equal the
 regex position loop that once lived in ``rules.py`` (copied below) on text
 whose only line break is ``\\n`` or ``\\r\\n``. Lone ``\\r`` and the breaks that
 only ``str.splitlines`` knows are where the table follows the parser instead.
+Its source lines must equal those of the rule that stripped each sliced line.
 """
 
 from __future__ import annotations
 
 import ast
 import bisect
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -98,6 +101,25 @@ def test_empty_and_unterminated_text():
     assert SourceText.from_text("").line_count == 0
     assert SourceText.from_text("x = 1").line_count == 1
     assert SourceText.from_text("x = 1\n\n").line_count == 2
+
+
+def _old_source_lines(text: str) -> tuple[int, frozenset[int]]:
+    """The line count and source lines as the line table once found them:
+    each line sliced out with its break, stripped, and kept if something
+    other than a comment is left."""
+    starts = (0, *(m.end() for m in re.finditer(r"\r\n|\r|\n", text)))
+    lines = [text[a:b].strip() for a, b in zip(starts, (*starts[1:], len(text))) if a < len(text)]
+    return len(lines), frozenset(n for n, line in enumerate(lines, 1) if line and not line.startswith("#"))
+
+
+def test_source_lines_equal_the_stripping_rule_on_every_code_point():
+    """Each code point alone, after a space, and before ``#`` and ``x``,
+    one per line, a block of 4,096 code points at a time."""
+    for block in range(0, sys.maxunicode + 1, 4096):
+        chars = [chr(c) for c in range(block, block + 4096)]
+        text = "\n".join([*chars, *(" " + c for c in chars), *(c + "#" for c in chars), *(c + "x" for c in chars)])
+        source = SourceText.from_text(text)
+        assert (source.line_count, source.source_lines) == _old_source_lines(text), hex(block)
 
 
 def test_lone_cr_puts_regex_match_on_the_parser_line():

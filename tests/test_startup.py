@@ -55,6 +55,13 @@ def test_rules_list_loads_no_parser_process_or_report_module():
     assert modules & unused == set()
 
 
+def test_rules_list_loads_exactly_the_modules_it_runs():
+    """A module added to start-up is paid for by every command."""
+    loaded = {name for name in loaded_modules("rules", "list") if name.split(".")[0] == "slopscope"}
+    assert loaded == {"slopscope", "slopscope.cli", "slopscope.rules", "slopscope.adapters", "slopscope.patterns",
+                      "slopscope.scan"}
+
+
 def test_scan_loads_no_parser_process_or_panel(tmp_path):
     modules = loaded_modules("scan", str(FIXTURES / "golden_tree"), "--out", str(tmp_path / "r.json"))
     assert "slopscope.history" in modules

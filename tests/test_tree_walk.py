@@ -18,7 +18,7 @@ import ast
 import pytest
 
 from slopscope.adapters import PythonAdapter, SourceText, TreeIndex
-from slopscope.model import CallableRecord
+from slopscope.scan import CallableRecord
 
 from conftest import CORPORA, DEEP_SUM
 

@@ -7,11 +7,10 @@ from hypothesis import given, strategies as st
 
 from slopscope.clones import CloneRegion, detect_clones
 from slopscope.erosion import erosion_score
-from slopscope.model import ConsistencyError
 from slopscope.history import measured_lines, scan_tree_with_sources
 from slopscope.rules import RuleMatch, load_starter_rules
 from slopscope.scan import ScanConfig, read_tree
-from slopscope.verbosity import verbosity_score
+from slopscope.verbosity import ConsistencyError, verbosity_score
 
 from conftest import all_source, write_tree
 
