@@ -8,7 +8,7 @@ that one walk of the tree builds. Python is the only language measured;
 
 from __future__ import annotations
 
-import ast
+import _ast
 import bisect
 import re
 from collections import deque
@@ -64,7 +64,7 @@ class SourceText(NamedTuple):
         start = self.starts[lineno - 1]
         return start + len(self.text[start : start + col].encode()[:col].decode())
 
-    def segment(self, node: ast.AST) -> str | None:
+    def segment(self, node: _ast.AST) -> str | None:
         """Exact source text of an expression or statement node."""
         if getattr(node, "end_col_offset", None) is None:
             return None
@@ -73,8 +73,8 @@ class SourceText(NamedTuple):
 
 
 # Node types that add one decision point to the callable that owns them.
-_ONE_POINT = frozenset({ast.If, ast.IfExp, ast.For, ast.AsyncFor, ast.While, ast.ExceptHandler})
-_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_ONE_POINT = frozenset({_ast.If, _ast.IfExp, _ast.For, _ast.AsyncFor, _ast.While, _ast.ExceptHandler})
+_DEFS = (_ast.FunctionDef, _ast.AsyncFunctionDef)
 # Fields that hold only names, comment strings, or context and operator
 # nodes (``Load``, ``Add``, ``Eq``, ...): nothing the index records or
 # counts, so the walk does not enter them.
@@ -94,12 +94,12 @@ class TreeIndex(NamedTuple):
     per ``def`` or ``async def``.
     """
 
-    exprs_by_type: dict[type, list[ast.expr]]
-    windows_by_type: dict[type, list[tuple[list[ast.stmt], int]]]
+    exprs_by_type: dict[type, list[_ast.expr]]
+    windows_by_type: dict[type, list[tuple[list[_ast.stmt], int]]]
     callables: list[list]
 
     @classmethod
-    def from_tree(cls, tree: ast.AST) -> TreeIndex:
+    def from_tree(cls, tree: _ast.AST) -> TreeIndex:
         """Walk ``tree`` breadth-first, in ``ast.walk`` order, without
         recursion, so nesting no deeper than the parser allows cannot
         exhaust the stack. Only leaf fields (``_LEAF_FIELDS``) are
@@ -115,7 +115,7 @@ class TreeIndex(NamedTuple):
         """
         index = cls({}, {}, [])
         exprs_by_type, windows_by_type, callables = index
-        AST, expr, stmt, one_point, defs, walked = ast.AST, ast.expr, ast.stmt, _ONE_POINT, _DEFS, _WALKED_FIELDS
+        AST, expr, stmt, one_point, defs, walked = _ast.AST, _ast.expr, _ast.stmt, _ONE_POINT, _DEFS, _WALKED_FIELDS
         queue = deque([(tree, None, ())])
         push, pop = queue.append, queue.popleft
         while queue:
@@ -124,17 +124,17 @@ class TreeIndex(NamedTuple):
             if owner is not None:
                 if kind in one_point:
                     owner[3] += 1
-                elif kind is ast.BoolOp:
+                elif kind is _ast.BoolOp:
                     owner[3] += len(node.values) - 1
-                elif kind is ast.comprehension:
+                elif kind is _ast.comprehension:
                     owner[3] += len(node.ifs)
-                elif kind is ast.Match:
+                elif kind is _ast.Match:
                     owner[3] += max(0, len(node.cases) - 1)
             if kind in defs:
                 scope = (*scope, node.name)
                 owner = [".".join(scope), node.lineno, node.end_lineno or node.lineno, 1]
                 callables.append(owner)
-            elif kind is ast.ClassDef:
+            elif kind is _ast.ClassDef:
                 owner, scope = None, (*scope, node.name)
             elif isinstance(node, expr):
                 same = exprs_by_type.get(kind)
@@ -169,9 +169,11 @@ class TreeIndex(NamedTuple):
 
 
 class PythonAdapter:
-    def parse(self, text: str) -> ast.Module:
-        """Parse source text; raises SyntaxError on failure."""
-        return ast.parse(text)
+    def parse(self, text: str) -> _ast.Module:
+        """Parse source text; raises SyntaxError on failure. This is the
+        call ``ast.parse(text)`` makes; ``dont_inherit`` keeps this module's
+        ``__future__`` imports out of it, as ``ast.py`` has none."""
+        return compile(text, "<unknown>", "exec", _ast.PyCF_ONLY_AST, dont_inherit=True)
 
     def enumerate_callables(self, path: str, source: SourceText, index: TreeIndex) -> list[CallableRecord]:
         """The file's named callables, from the index its one walk built."""

@@ -1,9 +1,10 @@
 """Command-line interface: scan, history, panel, rules.
 
 Exit codes: 0 success, 1 usage error (a bad flag value, an empty path
-argument, a bad --config or panel file, an unknown rule id, or a failed
-write of the report), 2 unreadable root / not a repository / skipped file,
-3 invalid rule file. Reports go to stdout (or --out); diagnostics go to
+argument, --emit-matches and --out naming one file, a bad --config or panel
+file, an unknown rule id, or a failed write of the report), 2 unreadable
+root / not a repository / a git that exited mid-run / skipped file, 3
+invalid rule file. Reports go to stdout (or --out); diagnostics go to
 stderr.
 """
 
@@ -81,7 +82,8 @@ def _iso_date(text: str):
     (3.11 also takes ``20240101`` and ``2024-W01-1``); imported here, as
     only ``history`` takes a date."""
     import re
-    from datetime import date
+
+    from .trajectory import date
 
     try:
         if re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", text):
@@ -144,6 +146,9 @@ def cmd_scan(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> in
 
     if args.sweep and args.format == "csv":
         return _fail("--sweep needs a JSON report; the CSV has no sweep table", EXIT_USAGE)
+    # The report would overwrite the matches.
+    if args.emit_matches and args.out and os.path.realpath(args.emit_matches) == os.path.realpath(args.out):
+        return _fail(f"--emit-matches and --out name one file: {args.out}", EXIT_USAGE)
     try:
         analysis = _this.measure_checkpoint(args.root, config, rules, min_window=args.min_window)
     except ScanError as exc:

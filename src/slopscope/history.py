@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import codecs
+import os
 import re
 import stat
 from collections.abc import Iterable, Mapping
-from datetime import date, datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
 
@@ -23,7 +23,10 @@ from .trajectory import (
     EraShift,
     TrajectorySummary,
     bin_phases,
+    date,
+    datetime,
     era_split,
+    timezone,
     trajectory_summary,
 )
 from .verbosity import VerbosityBreakdown
@@ -44,6 +47,11 @@ _LINE_BREAK = re.compile(rb"\r\n|\r|\n")
 
 class GitError(Exception):
     """Raised when a path is not a usable git repository."""
+
+
+class GitExited(GitError):
+    """Raised when the ``cat-file`` process has ended mid-run: no later
+    object can be read, so the run ends, not one commit."""
 
 
 class CommitRef(NamedTuple):
@@ -123,36 +131,60 @@ def sample_commits(
     return commits
 
 
+def _unnamed_file():
+    """A file with no name, deleted when closed: in memory where the system
+    has ``memfd_create`` (Linux), else from ``tempfile``, whose import loads
+    ``shutil``, ``bz2`` and ``lzma`` (0.6 MiB of peak RSS and 4 ms in a
+    ``python -S`` 3.11 process that has loaded ``history``)."""
+    try:
+        return open(os.memfd_create("git-stderr"), "w+b")
+    except (AttributeError, OSError):
+        import tempfile
+
+        return tempfile.TemporaryFile()
+
+
 class ObjectStore:
     """Reads the objects of one repository through one long-lived
     ``git cat-file --batch`` process.
 
     Requests go one at a time: one object is named and its whole reply read
-    before the next, so neither side can block on a full pipe. ``close``
-    (or leaving a ``with`` block) ends the process.
+    before the next, so neither side can block on a full pipe. Git's stderr
+    goes to a file, not a pipe, so no amount of it can block git either;
+    it is read only once the process has exited. ``close`` (or leaving a
+    ``with`` block) ends the process.
     """
 
     def __init__(self, repo: str | Path) -> None:
         import subprocess
 
-        self._proc = subprocess.Popen(
-            ["git", "-C", str(repo), "cat-file", "--batch"],
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
-        )
+        self._stderr = _unnamed_file()
+        try:
+            self._proc = subprocess.Popen(
+                ["git", "-C", str(repo), "cat-file", "--batch"],
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                stderr=self._stderr,
+            )
+        except BaseException:
+            self._stderr.close()
+            raise
 
     def _read(self, kind: str, name: str, cap: float = float("inf")) -> tuple[str, bytes | None]:
         """The id and content of the object ``name`` names (an id, or any
         revision git resolves); GitError if it is missing or not a ``kind``.
         The content of more than ``cap`` bytes is read off the pipe a chunk
-        at a time and dropped: it comes back as None."""
+        at a time and dropped: it comes back as None. A request or reply
+        cut off by the process's exit raises GitExited."""
         stdin, stdout = self._proc.stdin, self._proc.stdout
         try:
             stdin.write(name.encode() + b"\n")
             stdin.flush()
-            header = stdout.readline().split()
-            if len(header) != 3:  # "<name> missing", or the process died
+            line = stdout.readline()
+            if not line.endswith(b"\n"):  # the process has closed its end
+                raise self._exited()
+            header = line.split()
+            if len(header) != 3:  # "<name> missing", or "<name> ambiguous"
                 raise GitError(f"{kind} {name} {header[-1].decode(errors='replace') if header else 'unreadable'}")
             size = int(header[2])
             left = size + 1  # the content and a newline
@@ -163,10 +195,10 @@ class ObjectStore:
             else:
                 data = stdout.read(left)
                 left -= len(data)
-        except OSError as exc:
-            raise GitError(f"{kind} {name} unreadable: {exc}") from exc
-        if left:
-            raise GitError(f"{kind} {name} unreadable: reply cut short")
+        except OSError as exc:  # a broken pipe: the process has exited
+            raise self._exited() from exc
+        if left:  # the reply was cut short
+            raise self._exited()
         if header[1] != kind.encode():
             raise GitError(f"{kind} {name} is a {header[1].decode(errors='replace')}")
         return header[0].decode(), None if data is None else data[:size]
@@ -199,8 +231,20 @@ class ObjectStore:
             entries.append((int(entry[1], 8), entry[2], data[entry.end() : pos].hex()))
         return entries
 
+    def _exited(self) -> GitExited:
+        """The error for a process that has ended mid-run, once it has:
+        git's last stderr line, or else its exit status."""
+        self._proc.communicate()  # reaps the process
+        self._stderr.seek(0)
+        err = self._stderr.read().decode("utf-8", "replace").strip()
+        last = err.rsplit("\n", 1)[-1].strip()
+        code = self._proc.returncode
+        status = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+        return GitExited(f"git cat-file exited mid-run: {last or status}")
+
     def close(self) -> None:
         self._proc.communicate()  # closes stdin, which ends the process
+        self._stderr.close()
 
     def __enter__(self) -> ObjectStore:
         return self
@@ -457,7 +501,7 @@ def measure_history(
     path and tree the previous checkpoint also held is not read again, and
     a file whose path and blob it held is not analysed again. A commit that
     cannot be listed or read is reported in ``skipped_commits``, not
-    measured.
+    measured; a ``cat-file`` process that ends mid-run raises GitExited.
     """
     if not (Path(repo) / ".git").exists() and not (Path(repo) / "HEAD").exists():
         raise GitError(f"not a git repository: {repo}")
@@ -479,6 +523,8 @@ def measure_history(
             try:
                 trees = materialize_commit(store, commit.sha, config, previous)
                 analysis = measure_checkpoint(_read_commit(store, trees.values(), reuse), config, rules, min_window)
+            except GitExited:
+                raise  # no later commit can be read either
             except GitError as err:
                 skipped.append((commit.sha, str(err)))
                 continue  # unreadable commit: reported, not imputed

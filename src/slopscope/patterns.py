@@ -27,12 +27,13 @@ no match or capture.
 
 from __future__ import annotations
 
-import ast
+import _ast
 import itertools
 import re
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .adapters import SourceText, TreeIndex
+if TYPE_CHECKING:  # annotations only: compiling a rule loads no file index
+    from .adapters import SourceText, TreeIndex
 
 _PLACEHOLDER_PREFIX = "_slopscope_mv_"
 # A pattern's tokens: ``$$``, a metavariable (name, "?" if optional), or a
@@ -80,7 +81,7 @@ class Variant(NamedTuple):
     window, and the match plan of each node."""
 
     kind: str  # "expr" or "stmts"
-    nodes: tuple[ast.AST, ...]
+    nodes: tuple[_ast.AST, ...]
     plans: tuple[tuple, ...]
 
 
@@ -97,7 +98,8 @@ def compile_pattern(pattern: str) -> tuple[Variant, ...]:
         for omit in itertools.combinations(optional, r):
             text = _render(pattern, frozenset(omit))
             try:
-                module = ast.parse(text)
+                # ``ast.parse(text)``, without this module's ``__future__`` imports
+                module = compile(text, "<unknown>", "exec", _ast.PyCF_ONLY_AST, dont_inherit=True)
             except SyntaxError as exc:
                 errors.append(f"{text!r}: {exc.msg}")
                 if not omit:
@@ -106,7 +108,7 @@ def compile_pattern(pattern: str) -> tuple[Variant, ...]:
             if not module.body:
                 errors.append(f"{text!r}: empty pattern")
                 continue
-            if len(module.body) == 1 and isinstance(module.body[0], ast.Expr):
+            if len(module.body) == 1 and isinstance(module.body[0], _ast.Expr):
                 kind, nodes = "expr", (module.body[0].value,)
             else:
                 kind, nodes = "stmts", tuple(module.body)
@@ -119,14 +121,14 @@ def compile_pattern(pattern: str) -> tuple[Variant, ...]:
     return tuple(variants)
 
 
-def _placeholder_name(node: ast.AST) -> str | None:
-    if isinstance(node, ast.Name) and node.id.startswith(_PLACEHOLDER_PREFIX):
+def _placeholder_name(node: _ast.AST) -> str | None:
+    if isinstance(node, _ast.Name) and node.id.startswith(_PLACEHOLDER_PREFIX):
         return node.id[len(_PLACEHOLDER_PREFIX) :]
     return None
 
 
-def _stmt_placeholder_name(node: ast.AST) -> str | None:
-    if isinstance(node, ast.Expr):
+def _stmt_placeholder_name(node: _ast.AST) -> str | None:
+    if isinstance(node, _ast.Expr):
         return _placeholder_name(node.value)
     return None
 
@@ -152,13 +154,13 @@ def _plan(pat: object, depth: int = 1) -> tuple:
     built once per variant."""
     if depth > _MAX_PLAN_DEPTH:
         raise RecursionError(f"pattern nested more than {_MAX_PLAN_DEPTH} levels deep")
-    if isinstance(pat, ast.AST):
+    if isinstance(pat, _ast.AST):
         name = _placeholder_name(pat)
         if name is not None:
-            return (_BIND, ast.expr, name)
+            return (_BIND, _ast.expr, name)
         name = _stmt_placeholder_name(pat)
         if name is not None:
-            return (_BIND, ast.stmt, name)
+            return (_BIND, _ast.stmt, name)
         fields = tuple((f, _plan(getattr(pat, f, None), depth + 1)) for f in pat._fields if f not in _IGNORED_FIELDS)
         return (_NODE, type(pat), fields)
     if isinstance(pat, list):

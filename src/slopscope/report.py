@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import json
-from datetime import datetime, timezone
 
 from . import __version__
 from .erosion import ErosionReport
 from .history import CheckpointAnalysis, HistoryResult, measured_lines
 from .rules import RuleMatch
 from .scan import SourceInventory
-from .trajectory import CheckpointMetrics, EraShift
+from .trajectory import CheckpointMetrics, EraShift, datetime, timezone
 from .verbosity import counted_lines
 
 # SHA-256 from CPython's built-in module, as ``random`` takes SHA-512, so a

@@ -7,11 +7,13 @@ import re
 from collections.abc import Mapping
 from pathlib import Path
 from types import MappingProxyType
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .adapters import SourceText, TreeIndex
 from .patterns import PatternError, compile_pattern, find_matches
 from .scan import read_record, read_yaml
+
+if TYPE_CHECKING:  # annotations only: ``rules list`` matches no file
+    from .adapters import SourceText, TreeIndex
 
 _REGEX_FLAGS = {"i": re.IGNORECASE, "m": re.MULTILINE, "s": re.DOTALL}
 

@@ -3,8 +3,15 @@
 from __future__ import annotations
 
 from collections.abc import Iterable
-from datetime import date, datetime, timezone
 from typing import NamedTuple
+
+# The C module defines the three classes ``datetime`` re-exports, without
+# loading ``datetime.py``; ``history``, ``report`` and ``cli`` import them
+# from here.
+try:
+    from _datetime import date, datetime, timezone
+except ImportError:  # a Python built without it
+    from datetime import date, datetime, timezone
 
 from .erosion import ErosionReport
 from .verbosity import VerbosityBreakdown

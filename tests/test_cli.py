@@ -149,6 +149,9 @@ BAD_INPUTS = {
     "basic-format-cutoff-date": (["history", "{repo}", "--cutoff-date", "20240101"], EXIT_USAGE),
     "week-date-cutoff-date": (["history", "{repo}", "--cutoff-date", "2024-W01-1"], EXIT_USAGE),
     "sweep-in-csv": (["scan", "{tree}", "--sweep", "--format", "csv"], EXIT_USAGE),
+    # Both name <tmp>/out once "." and ".." are resolved.
+    "emit-matches-is-out": (["scan", "{tree}", "--emit-matches", "{tree}/../out", "--out", "{tree}/./../out"],
+                            EXIT_USAGE),
     "malformed-panel": (["panel", "{malformed}"], EXIT_USAGE),
     "scalar-panel": (["panel", "{scalar}"], EXIT_USAGE),
     "empty-list-panel": (["panel", "{empty_list}"], EXIT_USAGE),
@@ -277,6 +280,16 @@ class TestScanReport:
         assert code == EXIT_OK
         lines = out_file.read_text().splitlines()
         assert lines and all(json.loads(line)["file"] == "app.py" for line in lines)
+
+    def test_emit_matches_and_out_through_a_link_to_one_file_write_nothing(self, capsys, tmp_path):
+        write_tree(tmp_path / "tree", SIMPLE_TREE)
+        (tmp_path / "report.json").write_text("kept\n")
+        (tmp_path / "link.json").symlink_to("report.json")
+        code, out, err = run_cli(capsys, "scan", str(tmp_path / "tree"), "--emit-matches", str(tmp_path / "link.json"),
+                                 "--out", str(tmp_path / "report.json"))
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"slopscope: --emit-matches and --out name one file: {tmp_path / 'report.json'}\n"
+        assert (tmp_path / "report.json").read_text() == "kept\n"
 
     def test_a_name_that_is_not_utf8_is_reported_escaped(self, capsys, tmp_path):
         write_tree(tmp_path / "tree", SIMPLE_TREE)

@@ -257,6 +257,42 @@ def test_a_commit_with_a_missing_blob_is_reported_and_the_rest_measured(tmp_path
     assert payload["summary"]["missing_checkpoints"] == [2, 3]
 
 
+def test_a_cat_file_killed_mid_run_ends_the_run(history_repo, tmp_path, monkeypatch, capsys):
+    """Every later object is unreadable, so no commit is skipped with a
+    made-up reason: the run exits 2 with one line and writes no report."""
+    reads = []
+    read = history.ObjectStore.read
+
+    def kill_at_the_fifth_read(store, blob):
+        reads.append(blob)
+        if len(reads) == 5:
+            store._proc.kill()
+            store._proc.wait()
+        return read(store, blob)
+
+    monkeypatch.setattr(history.ObjectStore, "read", kill_at_the_fifth_read)
+    out = tmp_path / "report.json"
+    code = main(["history", str(history_repo), "--deterministic", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and not out.exists()
+    assert captured.err == "slopscope: git cat-file exited mid-run: killed by signal 9\n"
+    assert len(reads) == 5
+
+
+@pytest.mark.parametrize("memfd", [True, False], ids=["memfd", "tempfile"])
+def test_a_cat_file_that_exits_gives_its_last_error_line(tmp_path, monkeypatch, memfd):
+    """Git exits at once when it cannot enter the repository; the store
+    reports git's own reason, kept in memory or in a temporary file, and
+    closing it afterwards is harmless."""
+    if not memfd:
+        monkeypatch.delattr(os, "memfd_create", raising=False)
+    store = history.ObjectStore(tmp_path / "nowhere")
+    with store, pytest.raises(history.GitExited, match="^git cat-file exited mid-run: fatal: cannot change to "):
+        store.read_tree("HEAD^{tree}")
+    assert store._proc.returncode == 128
+
+
 def _tree_object(repo: Path, data: bytes) -> str:
     """Write ``data`` as a tree object, well-formed or not; return its id."""
     return subprocess.run(["git", "-C", str(repo), "hash-object", "-t", "tree", "--literally", "-w", "--stdin"],

@@ -22,11 +22,10 @@ from pathlib import Path
 import pytest
 
 import slopscope.rules
-from slopscope.adapters import SourceText
+from slopscope.adapters import SourceText, TreeIndex
 from slopscope.patterns import (
     _IGNORED_FIELDS,
     _PLACEHOLDER_PREFIX,
-    TreeIndex,
     Variant,
     _placeholder_name,
     _stmt_placeholder_name,

@@ -6,8 +6,8 @@ import re
 
 import pytest
 
-from slopscope.adapters import SourceText
-from slopscope.patterns import PatternError, TreeIndex, compile_pattern, find_matches
+from slopscope.adapters import SourceText, TreeIndex
+from slopscope.patterns import PatternError, compile_pattern, find_matches
 from slopscope.rules import (
     STARTER_RULES,
     RuleError,

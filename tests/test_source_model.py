@@ -9,12 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from slopscope.adapters import PythonAdapter, SourceText, TreeIndex
+from slopscope import patterns
+from slopscope.adapters import ADAPTERS, PythonAdapter, SourceText, TreeIndex
 from slopscope.history import analyse_file, measure_checkpoint
 from slopscope.rules import RuleSet, load_starter_rules
 from slopscope.scan import CallableRecord, FileRecord, ScanConfig, ScanError, load_scan_config, read_tree
 
-from conftest import FIXTURES, write_tree
+from conftest import CORPORA, DEEP_SUM, FIXTURES, TOO_DEEP, write_tree
 
 TREE_FILES = {
     "pkg/alpha.py": """\
@@ -324,3 +325,71 @@ def test_bom_and_cookie_files_measure_as_plain_utf8():
                           NEVER_MINIFIED, rules)
     assert [c.qualified_name for c in cookie.inventory.callables] == ["greet"]
     assert (cookie.inventory, cookie.matches) == (plain.inventory, plain.matches)
+
+
+def _walk_dump(tree: ast.AST) -> list:
+    """What ``ast.dump(tree, include_attributes=True)`` shows, without its
+    recursion: each node's type, fields and positions, in ``ast.walk``
+    order (children in field order, so equal lists are equal trees)."""
+    def shown(value):
+        if isinstance(value, ast.AST):
+            return type(value).__name__
+        if isinstance(value, list):
+            return [shown(item) for item in value]
+        return value
+
+    return [(type(node).__name__, [(f, shown(v)) for f, v in ast.iter_fields(node)],
+             [getattr(node, a, None) for a in node._attributes]) for node in ast.walk(tree)]
+
+
+class TestParseOracle:
+    """The adapter and the pattern compiler parse with ``compile`` from
+    ``_ast``; ``ast.parse`` is the reference."""
+
+    @pytest.mark.parametrize("path", [p for paths in CORPORA.values() for p in paths],
+                             ids=lambda p: f"{p.parent.name}/{p.name}")
+    def test_the_adapter_builds_the_tree_ast_parse_builds(self, path):
+        text = path.read_text(encoding="utf-8")
+        assert ast.dump(ADAPTERS["python"].parse(text), include_attributes=True) == ast.dump(
+            ast.parse(text), include_attributes=True)
+
+    def test_deep_nesting_parses_alike_and_too_deep_fails_alike(self):
+        """``TestDeepNesting`` in ``test_cli.py`` checks that one file is
+        measured and the other a ``parse`` skip."""
+        assert _walk_dump(ADAPTERS["python"].parse(DEEP_SUM)) == _walk_dump(ast.parse(DEEP_SUM))
+        for parse in (ast.parse, ADAPTERS["python"].parse):
+            with pytest.raises(MemoryError):
+                parse(TOO_DEEP)
+
+    @pytest.mark.parametrize("text", ["def f(:\n", "x = (1,\n", "  x = 1\n", "if x:\npass\n", "f(**)\n",
+                                      "s = 'open\n", "x = 1 +\n", "a = 1\0\n", "print 'py2'\n"])
+    def test_broken_source_raises_what_ast_parse_raises(self, text):
+        with pytest.raises((SyntaxError, ValueError)) as expected:
+            ast.parse(text)
+        with pytest.raises(expected.type) as got:
+            ADAPTERS["python"].parse(text)
+        assert type(got.value) is expected.type
+        if isinstance(expected.value, SyntaxError):
+            want, have = expected.value, got.value
+            assert (have.msg, have.lineno, have.offset) == (want.msg, want.lineno, want.offset)
+        else:  # null bytes: ValueError before 3.12
+            assert got.value.args == expected.value.args
+
+    def test_each_starter_pattern_variant_is_a_tree_ast_parse_builds(self, monkeypatch):
+        parsed = []
+
+        def recording_compile(text, *args, **kwargs):
+            module = compile(text, *args, **kwargs)
+            parsed.append((text, module))
+            return module
+
+        monkeypatch.setattr(patterns, "compile", recording_compile, raising=False)
+        rules = load_starter_rules()
+        assert parsed
+        for text, module in parsed:
+            assert ast.dump(module, include_attributes=True) == ast.dump(ast.parse(text), include_attributes=True)
+        roots = {id(node) for _, module in parsed for stmt in module.body
+                 for node in (stmt, *([stmt.value] if isinstance(stmt, ast.Expr) else []))}
+        nodes = [node for rule in rules if rule.kind == "pattern" for variant in rules.compiled(rule)
+                 for node in variant.nodes]
+        assert nodes and all(id(node) in roots for node in nodes)

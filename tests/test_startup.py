@@ -50,16 +50,31 @@ def loaded_modules(*args: str) -> set[str]:
 
 def test_rules_list_loads_no_parser_process_or_report_module():
     modules = loaded_modules("rules", "list")
-    unused = {"yaml", "subprocess", "slopscope.history", "slopscope.report", "slopscope.panel",
-              "slopscope.trajectory", "slopscope.erosion"}
+    # Patterns are parsed through ``_ast``; ``slopscope.adapters`` holds
+    # what only matching a file needs.
+    unused = {"yaml", "subprocess", "ast", "slopscope.adapters", "slopscope.history", "slopscope.report",
+              "slopscope.panel", "slopscope.trajectory", "slopscope.erosion"}
     assert modules & unused == set()
 
 
 def test_rules_list_loads_exactly_the_modules_it_runs():
     """A module added to start-up is paid for by every command."""
     loaded = {name for name in loaded_modules("rules", "list") if name.split(".")[0] == "slopscope"}
-    assert loaded == {"slopscope", "slopscope.cli", "slopscope.rules", "slopscope.adapters", "slopscope.patterns",
-                      "slopscope.scan"}
+    assert loaded == {"slopscope", "slopscope.cli", "slopscope.rules", "slopscope.patterns", "slopscope.scan"}
+
+
+def test_scan_and_history_load_neither_ast_nor_datetime(tmp_path, history_repo):
+    """Both parse through ``_ast`` and take their dates and times from
+    ``_datetime``: the Python layers of the two are never run."""
+    tree = str(FIXTURES / "golden_tree")
+    runs = {
+        "scan": loaded_modules("scan", tree, "--out", str(tmp_path / "r.json")),
+        "scan-csv": loaded_modules("scan", tree, "--format", "csv", "--out", str(tmp_path / "r.csv")),
+        "history": loaded_modules("history", str(history_repo), "--cutoff-date", "2024-01-01",
+                                  "--out", str(tmp_path / "h.json")),
+    }
+    assert {name: modules & {"ast", "datetime"} for name, modules in runs.items()} == {name: set() for name in runs}
+    assert all({"_ast", "_datetime"} <= modules for modules in runs.values())
 
 
 def test_scan_loads_no_parser_process_or_panel(tmp_path):
@@ -148,6 +163,26 @@ def test_without_builtin_sha_modules_the_digests_come_from_hashlib(tmp_path, his
     assert run_child(NO_BUILTIN_SHA, *history, str(tmp_path / "fallback.json"))["code"] == 0
     assert run_child(PROBE, *history, str(tmp_path / "builtin.json"))["code"] == 0
     assert (tmp_path / "fallback.json").read_bytes() == (tmp_path / "builtin.json").read_bytes()
+
+
+# Hides the C module of ``datetime``, as on a Python built without it:
+# ``datetime`` then defines the classes itself.
+NO_C_DATETIME = 'import sys\nsys.modules["_datetime"] = None\n'
+SAME_CLASSES = """
+import datetime, json
+from slopscope import trajectory
+print(json.dumps([trajectory.date is datetime.date, trajectory.datetime is datetime.datetime,
+                  trajectory.timezone is datetime.timezone]))
+"""
+
+
+def test_without_the_c_datetime_module_history_writes_the_same_report(tmp_path, history_repo):
+    history = ["history", str(history_repo), "--deterministic", "--cutoff-date", "2024-01-01", "--out"]
+    fallback = run_child(NO_C_DATETIME + PROBE, *history, str(tmp_path / "fallback.json"))
+    assert fallback["code"] == 0 and "datetime" in fallback["modules"]
+    assert run_child(PROBE, *history, str(tmp_path / "builtin.json"))["code"] == 0
+    assert (tmp_path / "fallback.json").read_bytes() == (tmp_path / "builtin.json").read_bytes()
+    assert run_child(SAME_CLASSES) == run_child(NO_C_DATETIME + SAME_CLASSES) == [True, True, True]
 
 
 def test_no_module_imports_dataclasses():
