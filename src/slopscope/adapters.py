@@ -14,6 +14,7 @@ import re
 from collections import deque
 from typing import NamedTuple
 
+from . import patterns
 from .scan import CallableRecord
 
 
@@ -170,10 +171,8 @@ class TreeIndex(NamedTuple):
 
 class PythonAdapter:
     def parse(self, text: str) -> _ast.Module:
-        """Parse source text; raises SyntaxError on failure. This is the
-        call ``ast.parse(text)`` makes; ``dont_inherit`` keeps this module's
-        ``__future__`` imports out of it, as ``ast.py`` has none."""
-        return compile(text, "<unknown>", "exec", _ast.PyCF_ONLY_AST, dont_inherit=True)
+        """Parse source text; raises SyntaxError on failure."""
+        return patterns.parse(text)
 
     def enumerate_callables(self, path: str, source: SourceText, index: TreeIndex) -> list[CallableRecord]:
         """The file's named callables, from the index its one walk built."""

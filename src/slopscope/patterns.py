@@ -48,6 +48,13 @@ class PatternError(ValueError):
     """Raised when a pattern cannot be compiled."""
 
 
+def parse(text: str) -> _ast.Module:
+    """Parse source text; raises SyntaxError on failure. This is the call
+    ``ast.parse(text)`` makes; ``dont_inherit`` keeps this module's
+    ``__future__`` imports out of it, as ``ast.py`` has none."""
+    return compile(text, "<unknown>", "exec", _ast.PyCF_ONLY_AST, dont_inherit=True)
+
+
 def _render(pattern: str, omit: frozenset[str]) -> str:
     """Render pattern text with placeholders, omitting the given optionals.
 
@@ -98,8 +105,7 @@ def compile_pattern(pattern: str) -> tuple[Variant, ...]:
         for omit in itertools.combinations(optional, r):
             text = _render(pattern, frozenset(omit))
             try:
-                # ``ast.parse(text)``, without this module's ``__future__`` imports
-                module = compile(text, "<unknown>", "exec", _ast.PyCF_ONLY_AST, dont_inherit=True)
+                module = parse(text)
             except SyntaxError as exc:
                 errors.append(f"{text!r}: {exc.msg}")
                 if not omit:

@@ -280,13 +280,10 @@ def test_a_cat_file_killed_mid_run_ends_the_run(history_repo, tmp_path, monkeypa
     assert len(reads) == 5
 
 
-@pytest.mark.parametrize("memfd", [True, False], ids=["memfd", "tempfile"])
-def test_a_cat_file_that_exits_gives_its_last_error_line(tmp_path, monkeypatch, memfd):
+def test_a_cat_file_that_exits_gives_its_last_error_line(tmp_path):
     """Git exits at once when it cannot enter the repository; the store
-    reports git's own reason, kept in memory or in a temporary file, and
-    closing it afterwards is harmless."""
-    if not memfd:
-        monkeypatch.delattr(os, "memfd_create", raising=False)
+    reports git's own reason, kept in a temporary file, and closing it
+    afterwards is harmless."""
     store = history.ObjectStore(tmp_path / "nowhere")
     with store, pytest.raises(history.GitExited, match="^git cat-file exited mid-run: fatal: cannot change to "):
         store.read_tree("HEAD^{tree}")
