@@ -1,18 +1,19 @@
 """Command-line interface: scan, history, panel, rules.
 
 Exit codes: 0 success, 1 usage error (a bad flag value, an empty path
-argument, --emit-matches and --out naming one file, a bad --config or panel
-file, an unknown rule id, or a failed write of the report), 2 unreadable
+argument, an output (--out, --emit-matches) that names another output or an
+input (the rule, --config or panel file), a bad --config or panel file, an
+unknown rule id, or a failed write of the report), 2 unreadable
 root / not a repository / a git that exited mid-run / skipped file, 3
 invalid rule file. Reports go to stdout (or --out); diagnostics go to
-stderr.
+stderr. This module parses the arguments, runs a command and writes
+what ``report.py`` makes of its result.
 """
 
 from __future__ import annotations
 
 import argparse
 import atexit
-import json
 import math
 import os
 import sys
@@ -98,28 +99,16 @@ def _fail(message: object, code: int) -> int:
     return code
 
 
-def _emit(args, rules: RuleSet, config: ScanConfig, payload_type: str, payload: dict,
-          settings: dict, to_csv=None) -> int:
-    """Write one report: CSV rows, or the JSON envelope whose config digest
-    covers the scan config, the rule definitions, --min-window and the
-    command's own ``settings``.
-    """
-    if to_csv is not None and args.format == "csv":
-        text = to_csv(payload)
-    else:
-        from .report import envelope, sha256
+def _emit(args, rules: RuleSet, config: ScanConfig, report) -> int:
+    """Write one report: CSV text as it is, or a ``report.Report`` as its
+    JSON envelope."""
+    if not isinstance(report, str):
+        from .report import envelope
 
-        rule_defs = json.dumps([rule._asdict() for rule in rules], sort_keys=True).encode()
-        digested = {
-            **config._asdict(),
-            "rules": sha256(rule_defs).hexdigest(),
-            "min_window": args.min_window,
-            **settings,
-        }
-        text = _this.canonical_json(envelope(payload_type, payload, digested, args.deterministic))
+        report = _this.canonical_json(envelope(report, config, rules, args.min_window, args.deterministic))
     if not args.out:
-        return _write_stdout(text)
-    return _write(args.out, text)
+        return _write_stdout(report)
+    return _write(args.out, report)
 
 
 def _write_stdout(text: str) -> int:
@@ -142,44 +131,27 @@ def _write(path: str, text: str) -> int:
 
 
 def cmd_scan(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> int:
-    from .report import erosion_to_dict, inventory_to_dict, match_to_dict, matches_to_jsonl, scan_report_csv
+    from .report import matches_to_jsonl, scan_report, scan_report_csv
 
     if args.sweep and args.format == "csv":
         return _fail("--sweep needs a JSON report; the CSV has no sweep table", EXIT_USAGE)
-    # The report would overwrite the matches.
-    if args.emit_matches and args.out and os.path.realpath(args.emit_matches) == os.path.realpath(args.out):
-        return _fail(f"--emit-matches and --out name one file: {args.out}", EXIT_USAGE)
     try:
         analysis = _this.measure_checkpoint(args.root, config, rules, min_window=args.min_window)
     except ScanError as exc:
         return _fail(exc, EXIT_UNREADABLE)
-
-    payload = {
-        "root": "." if args.deterministic else decode_path(os.fsencode(args.root)),
-        "inventory": inventory_to_dict(analysis.inventory),
-        "callables": [c._asdict() for c in analysis.inventory.callables],
-        "erosion": erosion_to_dict(analysis.erosion),
-        "verbosity": analysis.verbosity._asdict(),
-        "matches": [match_to_dict(m) for m in analysis.matches],
-        "clones": [r._asdict() for r in analysis.clones],
-    }
-    if args.sweep:
-        from .erosion import erosion_sensitivity
-
-        payload["sweep"] = [
-            {"cc_cutoff": cutoff, "size_exponent": exponent, "score": score}
-            for cutoff, exponent, score in erosion_sensitivity(analysis.inventory)
-        ]
-    if args.emit_matches:
-        if _write(args.emit_matches, matches_to_jsonl(analysis.matches)) != EXIT_OK:
-            return EXIT_USAGE  # before the report, so a bad path writes nothing
-    return _emit(args, rules, config, "ScanReport", payload, {},
-                 lambda _payload: scan_report_csv(analysis))
+    if args.emit_matches and _write(args.emit_matches, matches_to_jsonl(analysis.matches)) != EXIT_OK:
+        return EXIT_USAGE  # before the report, so a bad path writes nothing
+    if args.format == "csv":
+        report = scan_report_csv(analysis)
+    else:
+        report = scan_report(analysis, args.root, args.deterministic, args.sweep)
+    del analysis  # the per-file analyses go before the report is serialised
+    return _emit(args, rules, config, report)
 
 
 def cmd_history(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> int:
     from .history import DEFAULT_MAX_COMMITS, GitError
-    from .report import history_report_csv, history_to_dict
+    from .report import history_report, history_report_csv
     from .trajectory import DEFAULT_ERA_CUTOFF
 
     max_commits = DEFAULT_MAX_COMMITS if args.max_commits is None else args.max_commits
@@ -202,19 +174,14 @@ def cmd_history(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) ->
     elif not result.checkpoints:
         print("slopscope: no source-modifying commits found", file=sys.stderr)
 
-    payload = {**history_to_dict(result), "repo": "." if args.deterministic else decode_path(os.fsencode(args.repo))}
-    settings = {
-        "max_commits": max_commits,
-        "seed": args.seed,
-        "cutoff_date": cutoff.isoformat(),
-        "exclude_tests": args.exclude_tests,
-    }
-    return _emit(args, rules, config, "HistoryReport", payload, settings, history_report_csv)
+    report = history_report(result, args.repo, args.deterministic, max_commits, args.seed, cutoff, args.exclude_tests)
+    return _emit(args, rules, config, history_report_csv(report.payload) if args.format == "csv" else report)
 
 
 def cmd_panel(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> int:
     from .history import GitError
     from .panel import build_panel_entry, load_panel_config, panel_aggregate
+    from .report import panel_report
 
     try:
         specs = load_panel_config(args.panel_config)
@@ -232,33 +199,9 @@ def cmd_panel(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> i
     if not entries:
         return _fail("every panel repository failed", EXIT_UNREADABLE)
 
-    report = panel_aggregate(
-        entries,
-        reference_mean_verbosity=args.reference_mean_verbosity,
-        reference_mean_erosion=args.reference_mean_erosion,
-        failed=tuple(failed),
-    )
-    payload = {
-        **report._asdict(),
-        "overall": report.overall._asdict(),
-        "tiers": {tier: stats._asdict() for tier, stats in report.tiers.items()},
-        "failed_count": len(failed),
-        "entries": [
-            {
-                "repo_id": e.repo_id,
-                "star_tier": e.star_tier,
-                "head_verbosity": e.head_metrics.verbosity.score,
-                "head_erosion": e.head_metrics.erosion.score,
-            }
-            for e in sorted(entries, key=lambda e: e.repo_id)
-        ],
-    }
-    settings = {
-        "repos": [(s.repo_id, s.stars, s.max_commits, s.seed) for s in specs],
-        "reference_mean_verbosity": args.reference_mean_verbosity,
-        "reference_mean_erosion": args.reference_mean_erosion,
-    }
-    return _emit(args, rules, config, "PanelReport", payload, settings)
+    references = (args.reference_mean_verbosity, args.reference_mean_erosion)
+    aggregate = panel_aggregate(entries, *references, failed=tuple(failed))
+    return _emit(args, rules, config, panel_report(aggregate, entries, specs, *references))
 
 
 def cmd_rules(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> int:
@@ -347,11 +290,19 @@ def main(argv: list[str] | None = None) -> int:
     rules_path = args.rules if args.rules is not None else os.environ.get(RULES_ENV)
     if rules_path == "":
         return _fail(f"{RULES_ENV} is set but empty", EXIT_USAGE)
+    config_path = getattr(args, "config", None)
+    # Writing an output that names an input or the other output would destroy that file.
+    outputs = [("--emit-matches", getattr(args, "emit_matches", None)), ("--out", getattr(args, "out", None))]
+    named = [*outputs, ("--rules" if args.rules is not None else f"${RULES_ENV}", rules_path),
+             ("--config", config_path), ("the panel file", getattr(args, "panel_config", None))]
+    for i, (output, out_path) in enumerate(outputs):
+        for other, path in named[i + 1 :]:
+            if out_path and path and os.path.realpath(out_path) == os.path.realpath(path):
+                return _fail(f"{output} and {other} name one file: {path}", EXIT_USAGE)
     try:
         rules = load_starter_rules() if rules_path is None else load_rules(rules_path)
     except (RuleError, OSError) as exc:
         return _fail(exc, EXIT_BAD_RULES)
-    config_path = getattr(args, "config", None)
     try:
         config = ScanConfig() if config_path is None else load_scan_config(config_path)
     except ScanError as exc:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import codecs
+import os
 import re
 import stat
 from collections.abc import Iterable, Mapping
@@ -137,8 +138,8 @@ class ObjectStore:
     Requests go one at a time: one object is named and its whole reply read
     before the next, so neither side can block on a full pipe. Git's stderr
     goes to a file, not a pipe, so no amount of it can block git either;
-    it is read only once the process has exited. ``close`` (or leaving a
-    ``with`` block) ends the process.
+    it is read when an object cannot be read or the process has exited.
+    ``close`` (or leaving a ``with`` block) ends the process.
     """
 
     def __init__(self, repo: str | Path) -> None:
@@ -146,6 +147,7 @@ class ObjectStore:
         import tempfile
 
         self._stderr = tempfile.TemporaryFile()
+        self._quoted = 0  # the bytes of git's stderr already put in an error
         try:
             self._proc = subprocess.Popen(
                 ["git", "-C", str(repo), "cat-file", "--batch"],
@@ -172,7 +174,8 @@ class ObjectStore:
                 raise self._exited()
             header = line.split()
             if len(header) != 3:  # "<name> missing", or "<name> ambiguous"
-                raise GitError(f"{kind} {name} {header[-1].decode(errors='replace') if header else 'unreadable'}")
+                reply = header[-1].decode(errors="replace") if header else "unreadable"
+                raise GitError(f"{kind} {name} {reply}{self._git_said()}")
             size = int(header[2])
             left = size + 1  # the content and a newline
             if size > cap:
@@ -217,6 +220,21 @@ class ObjectStore:
             pos = entry.end() + size
             entries.append((int(entry[1], 8), entry[2], data[entry.end() : pos].hex()))
         return entries
+
+    def _git_said(self) -> str:
+        """What git has written to stderr since an error last quoted it, as
+        ``: line; line``, or "" if nothing: a corrupt object is replied to
+        as ``missing``, and only git's error lines tell it from an absent
+        one. Git writes to stderr when a request fails, so these are the
+        lines of the request that just failed. Git's fd 2 shares this
+        file's offset, so they are read with ``os.pread``, which leaves
+        that offset where git writes next."""
+        fd = self._stderr.fileno()
+        end = os.lseek(fd, 0, os.SEEK_CUR)
+        text = os.pread(fd, end - self._quoted, self._quoted).decode("utf-8", "replace")
+        self._quoted = end
+        lines = [line.strip() for line in text.splitlines() if line.strip()]
+        return f": {'; '.join(lines)}" if lines else ""
 
     def _exited(self) -> GitExited:
         """The error for a process that has ended mid-run, once it has:

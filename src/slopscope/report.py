@@ -1,16 +1,24 @@
-"""Report envelopes and bit-exact serialization (canonical JSON, CSV)."""
+"""Reports: every command's payload and config digest inputs (a ``Report``),
+the envelope, the one place the digest is built, and bit-exact
+serialization (canonical JSON, CSV)."""
 
 from __future__ import annotations
 
 import json
+import os
+from itertools import islice
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
-from .erosion import ErosionReport
+from .erosion import ErosionReport, erosion_sensitivity
 from .history import CheckpointAnalysis, HistoryResult, measured_lines
-from .rules import RuleMatch
-from .scan import SourceInventory
-from .trajectory import CheckpointMetrics, EraShift, datetime, timezone
+from .rules import RuleMatch, RuleSet
+from .scan import ScanConfig, decode_path
+from .trajectory import CheckpointMetrics, date, datetime, timezone
 from .verbosity import counted_lines
+
+if TYPE_CHECKING:
+    from .panel import PanelReport, RepoPanelEntry, RepoSpec
 
 # SHA-256 from CPython's built-in module, as ``random`` takes SHA-512, so a
 # report loads no ``hashlib`` and no OpenSSL; the digest is the same bytes.
@@ -22,50 +30,39 @@ except ImportError:
     except ImportError:  # a Python built without either
         from hashlib import sha256
 
-SCAN_CSV_HEADER = [
-    "file",
-    "loc",
-    "line_count",
-    "callables",
-    "max_cc",
-    "flagged_lines",
-    "clone_lines",
-]
-HISTORY_CSV_HEADER = [
-    "index",
-    "label",
-    "timestamp",
-    "phase",
-    "loc",
-    "erosion",
-    "verbosity",
-    "high_cc_count",
-    "max_cc",
-]
+SCAN_CSV_HEADER = ["file", "loc", "line_count", "callables", "max_cc", "flagged_lines", "clone_lines"]
+HISTORY_CSV_HEADER = ["index", "label", "timestamp", "phase", "loc", "erosion", "verbosity", "high_cc_count", "max_cc"]
+
+
+class Report(NamedTuple):
+    """One command's report before it is written: the payload, and the
+    command's own settings, which the config digest covers."""
+
+    payload_type: str
+    payload: dict
+    settings: dict
 
 
 def canonical_json(obj) -> str:
-    """Keys sorted lexicographically, stable float formatting, one newline."""
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """Keys sorted lexicographically, stable float formatting, one newline.
+
+    The indenting encoder yields a small string per token. Joined all at
+    once they would hold about seven times the report's size, so they are
+    joined 1024 at a time."""
+    chunks = json.JSONEncoder(sort_keys=True, indent=2, ensure_ascii=False).iterencode(obj)
+    parts = []
+    while part := "".join(islice(chunks, 1024)):
+        parts.append(part)
+    parts.append("\n")
+    return "".join(parts)
 
 
 def erosion_to_dict(report: ErosionReport) -> dict:
     """The report's fields; a hotspot is its callable, without ``end_line``,
     and its mass."""
-    return {
-        **report._asdict(),
-        "hotspots": [
-            {
-                "qualified_name": c.qualified_name,
-                "file": c.file,
-                "start_line": c.start_line,
-                "cc": c.cc,
-                "sloc": c.sloc,
-                "mass": mass,
-            }
-            for c, mass in report.hotspots
-        ],
-    }
+    hotspots = [{"qualified_name": c.qualified_name, "file": c.file, "start_line": c.start_line, "cc": c.cc,
+                 "sloc": c.sloc, "mass": mass} for c, mass in report.hotspots]
+    return {**report._asdict(), "hotspots": hotspots}
 
 
 def match_to_dict(match: RuleMatch) -> dict:
@@ -85,16 +82,6 @@ def matches_to_jsonl(matches) -> str:
     return "".join(json.dumps(match_to_dict(m), sort_keys=True) + "\n" for m in matches)
 
 
-def inventory_to_dict(inventory: SourceInventory) -> dict:
-    return {
-        "n_files": len(inventory.files),
-        "n_callables": len(inventory.callables),
-        "total_loc": inventory.total_loc,
-        "files": [f._asdict() for f in inventory.files],
-        "skipped": [{"path": p, "reason": r} for p, r in inventory.skipped],
-    }
-
-
 def checkpoint_to_dict(cm: CheckpointMetrics) -> dict:
     return {
         "index": cm.index,
@@ -110,32 +97,94 @@ def checkpoint_to_dict(cm: CheckpointMetrics) -> dict:
     }
 
 
-def era_to_dict(era: EraShift) -> dict:
-    return {**era._asdict(), "cutoff_date": era.cutoff_date.isoformat()}
-
-
 def history_to_dict(result: HistoryResult) -> dict:
+    era = result.era
     return {
         "checkpoints": [checkpoint_to_dict(c) for c in result.checkpoints],
         "summary": result.summary._asdict() if result.summary else None,
-        "era": era_to_dict(result.era) if result.era else None,
+        "era": {**era._asdict(), "cutoff_date": era.cutoff_date.isoformat()} if era else None,
         "skipped_commits": [{"sha": sha, "reason": reason} for sha, reason in result.skipped_commits],
     }
 
 
-def envelope(payload_type: str, payload: dict, config: dict, deterministic: bool) -> dict:
-    digest = sha256(
-        json.dumps(config, sort_keys=True, ensure_ascii=False).encode()
-    ).hexdigest()
+def _label(path: str, deterministic: bool) -> str:
+    """The scanned root or the repository as a report names it."""
+    return "." if deterministic else decode_path(os.fsencode(path))
+
+
+def scan_report(analysis: CheckpointAnalysis, root: str, deterministic: bool, sweep: bool) -> Report:
+    """The ``scan`` payload, with the 3x3 erosion sensitivity table if
+    ``sweep``. Nothing in it keeps a part of ``analysis`` alive."""
+    inventory = analysis.inventory
+    payload = {
+        "root": _label(root, deterministic),
+        "inventory": {"n_files": len(inventory.files), "n_callables": len(inventory.callables),
+                      "total_loc": inventory.total_loc, "files": [f._asdict() for f in inventory.files],
+                      "skipped": [{"path": p, "reason": r} for p, r in inventory.skipped]},
+        "callables": [c._asdict() for c in inventory.callables],
+        "erosion": erosion_to_dict(analysis.erosion),
+        "verbosity": analysis.verbosity._asdict(),
+        "matches": [match_to_dict(m) for m in analysis.matches],
+        "clones": [r._asdict() for r in analysis.clones],
+    }
+    if sweep:
+        payload["sweep"] = [{"cc_cutoff": cutoff, "size_exponent": exponent, "score": score}
+                            for cutoff, exponent, score in erosion_sensitivity(inventory)]
+    return Report("ScanReport", payload, {})
+
+
+def history_report(result: HistoryResult, repo: str, deterministic: bool, max_commits: int, seed: int,
+                   cutoff: date, exclude_tests: bool) -> Report:
+    settings = {"max_commits": max_commits, "seed": seed, "cutoff_date": cutoff.isoformat(),
+                "exclude_tests": exclude_tests}
+    return Report("HistoryReport", {**history_to_dict(result), "repo": _label(repo, deterministic)}, settings)
+
+
+def panel_report(report: PanelReport, entries: list[RepoPanelEntry], specs: list[RepoSpec],
+                 reference_mean_verbosity: float | None, reference_mean_erosion: float | None) -> Report:
+    payload = {
+        **report._asdict(),
+        "overall": report.overall._asdict(),
+        "tiers": {tier: stats._asdict() for tier, stats in report.tiers.items()},
+        "failed_count": len(report.failed),
+        "entries": [{"repo_id": e.repo_id, "star_tier": e.star_tier, "head_verbosity": e.head_metrics.verbosity.score,
+                     "head_erosion": e.head_metrics.erosion.score} for e in sorted(entries, key=lambda e: e.repo_id)],
+    }
+    settings = {
+        "repos": [(s.repo_id, s.stars, s.max_commits, s.seed) for s in specs],
+        "reference_mean_verbosity": reference_mean_verbosity,
+        "reference_mean_erosion": reference_mean_erosion,
+    }
+    return Report("PanelReport", payload, settings)
+
+
+def envelope(report: Report, config: ScanConfig, rules: RuleSet, min_window: int, deterministic: bool) -> dict:
+    """The JSON report: the payload under a config digest of the scan
+    config, the rule definitions, ``min_window`` and the command's own
+    settings, and, unless ``deterministic``, the time it was made."""
+    rule_defs = json.dumps([rule._asdict() for rule in rules], sort_keys=True).encode()
+    digested = {**config._asdict(), "rules": sha256(rule_defs).hexdigest(), "min_window": min_window,
+                **report.settings}
     out = {
         "tool_version": __version__,
-        "config_digest": digest,
-        "payload_type": payload_type,
-        "payload": payload,
+        "config_digest": sha256(json.dumps(digested, sort_keys=True, ensure_ascii=False).encode()).hexdigest(),
+        "payload_type": report.payload_type,
+        "payload": report.payload,
     }
     if not deterministic:
         out["created_at"] = datetime.now(timezone.utc).isoformat()
     return out
+
+
+def _csv(header: list[str], rows) -> str:
+    import csv  # here, not with the module: a JSON report writes no CSV
+    import io
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def scan_report_csv(analysis: CheckpointAnalysis) -> str:
@@ -145,61 +194,20 @@ def scan_report_csv(analysis: CheckpointAnalysis) -> str:
     counts (``verbosity.counted_lines``), so the file rows add up to the
     TOTAL row.
     """
-    import csv  # here, not with the module: a JSON report writes no CSV
-    import io
-
     counted = counted_lines(measured_lines(analysis.files), analysis.matches, analysis.clones)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SCAN_CSV_HEADER)
-    for f in analysis.files.values():
-        for record in f.inventory.files:  # none for a skipped file
-            flagged, cloned = counted[record.path]
-            writer.writerow(
-                [
-                    record.path,
-                    record.loc,
-                    record.line_count,
-                    len(f.inventory.callables),
-                    max((c.cc for c in f.inventory.callables), default=0),
-                    len(flagged),
-                    len(cloned),
-                ]
-            )
-    inventory = analysis.inventory
-    writer.writerow(
-        [
-            "TOTAL",
-            inventory.total_loc,
-            sum(record.line_count for record in inventory.files),
-            len(inventory.callables),
-            analysis.erosion.max_cc,
-            analysis.verbosity.flagged_lines,
-            analysis.verbosity.clone_lines,
-        ]
-    )
-    return buf.getvalue()
+    rows = [
+        [record.path, record.loc, record.line_count, len(f.inventory.callables),
+         max((c.cc for c in f.inventory.callables), default=0), *map(len, counted[record.path])]
+        for f in analysis.files.values()
+        for record in f.inventory.files  # none for a skipped file
+    ]
+    inventory, verbosity = analysis.inventory, analysis.verbosity
+    rows.append(["TOTAL", inventory.total_loc, sum(record.line_count for record in inventory.files),
+                 len(inventory.callables), analysis.erosion.max_cc, verbosity.flagged_lines, verbosity.clone_lines])
+    return _csv(SCAN_CSV_HEADER, rows)
 
 
 def history_report_csv(payload: dict) -> str:
-    import csv
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(HISTORY_CSV_HEADER)
-    for cp in payload["checkpoints"]:
-        writer.writerow(
-            [
-                cp["index"],
-                cp["label"],
-                cp["timestamp"],
-                cp["phase"],
-                cp["loc"],
-                repr(cp["erosion"]["score"]),
-                repr(cp["verbosity"]["score"]),
-                cp["high_cc_count"],
-                cp["max_cc"],
-            ]
-        )
-    return buf.getvalue()
+    return _csv(HISTORY_CSV_HEADER, ([cp["index"], cp["label"], cp["timestamp"], cp["phase"], cp["loc"],
+                                      repr(cp["erosion"]["score"]), repr(cp["verbosity"]["score"]),
+                                      cp["high_cc_count"], cp["max_cc"]] for cp in payload["checkpoints"]))

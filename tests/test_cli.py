@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import errno
+import gc
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import slopscope
+from slopscope import cli, clones, history
 from slopscope.cli import (
     EXIT_BAD_RULES,
     EXIT_OK,
@@ -18,6 +20,7 @@ from slopscope.cli import (
     RULES_ENV,
     main,
 )
+from slopscope.report import canonical_json
 from slopscope.rules import load_starter_rules
 from slopscope.scan import MAX_FILE_BYTES, ScanConfig, read_file, read_tree
 
@@ -188,6 +191,16 @@ BAD_INPUTS = {
     "mixed-key-types-config": (["scan", "{tree}", "--config", "{mixed_keys}"], EXIT_USAGE),
     "unwritable-out": (["scan", "{tree}", "--out", "{tree}/no/such/dir/r.json"], EXIT_USAGE),
     "unwritable-emit-matches": (["scan", "{tree}", "--emit-matches", "{tree}/no/such/dir/m.jsonl"], EXIT_USAGE),
+    # An output that names an input would overwrite it before it is read again.
+    "out-is-rules": (["scan", "{tree}", "--rules", "{rules}", "--out", "{rules}"], EXIT_USAGE),
+    "emit-matches-is-rules": (["scan", "{tree}", "--rules", "{rules}", "--emit-matches", "{tree}/../rules.yaml"],
+                              EXIT_USAGE),
+    "emit-matches-is-config": (["scan", "{tree}", "--config", "{config}", "--emit-matches", "{config}"], EXIT_USAGE),
+    "history-out-is-rules": (["history", "{repo}", "--rules", "{rules}", "--out", "{rules}"], EXIT_USAGE),
+    "history-out-is-config": (["history", "{repo}", "--config", "{config}", "--out", "{tree}/./../config.yaml"],
+                              EXIT_USAGE),
+    "panel-out-is-panel-file": (["panel", "{panel}", "--out", "{panel}"], EXIT_USAGE),
+    "panel-out-is-config": (["panel", "{panel}", "--config", "{config}", "--out", "{config}"], EXIT_USAGE),
 }
 BAD_FILES = {
     "malformed.yaml": b"exclude: [a\n",
@@ -235,6 +248,8 @@ BAD_FILES = {
     "null_rule_id.yaml": b"- {id: ~, kind: pattern, pattern: '$X == $X'}\n",
     "list_pattern.yaml": b"- {id: r, kind: regex, pattern: [a, b]}\n",
     "mixed_keys.yaml": b"1: a\nb: c\n",
+    "rules.yaml": b"- {id: r, kind: regex, pattern: TODO}\n",
+    "config.yaml": b"exclude: []\n",
 }
 
 
@@ -248,6 +263,7 @@ def test_bad_input_exits_with_one_line(name, capsys, tmp_path, history_repo):
     code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
     assert code == expected
     assert out == "" and "Traceback" not in err
+    assert all((tmp_path / filename).read_bytes() == data for filename, data in BAD_FILES.items())
     lines = err.splitlines()
     errors = [line for line in lines if line.startswith("slopscope")]
     assert len(errors) == 1 and errors[0] == lines[-1]
@@ -270,6 +286,31 @@ class TestScanReport:
         payload = json.loads(out)["payload"]
         rule_ids = {m["rule_id"] for m in payload["matches"]}
         assert "identity-comprehension" in rule_ids
+
+    @pytest.mark.parametrize("flags", [[], ["--sweep", "--emit-matches", "{tmp}/m.jsonl"]],
+                             ids=["json", "sweep-emit-matches"])
+    def test_the_analyses_are_freed_before_the_report_is_serialised(self, capsys, tmp_path, monkeypatch, flags):
+        """Only the payload outlives the measurement: when serialisation
+        starts, no checkpoint, file analysis or normalised file of the scan
+        is alive (objects alive before the run are not counted)."""
+        kinds = (history.CheckpointAnalysis, history.FileAnalysis, clones.NormalizedFile)
+        gc.collect()
+        before = [o for o in gc.get_objects() if isinstance(o, kinds)]  # held, so no id is reused
+        alive_at_serialisation = []  # one list per call
+        serialise = cli.canonical_json
+
+        def checked(obj):
+            known = {id(o) for o in before}
+            alive_at_serialisation.append(sorted(type(o).__name__ for o in gc.get_objects()
+                                                 if isinstance(o, kinds) and id(o) not in known))
+            return serialise(obj)
+
+        monkeypatch.setattr(cli, "canonical_json", checked)
+        code, out, err = run_cli(capsys, "scan", GOLDEN_TREE, "--deterministic",
+                                 *(flag.format(tmp=tmp_path) for flag in flags))
+        assert code == EXIT_OK, err
+        assert json.loads(out)["payload"]["inventory"]["n_files"] > 0
+        assert alive_at_serialisation == [[]]
 
     def test_emit_matches_jsonl(self, capsys, tmp_path):
         write_tree(tmp_path / "tree", SIMPLE_TREE)
@@ -467,6 +508,12 @@ class TestDeterminism:
         _, out, _ = run_cli(capsys, "scan", str(tmp_path), "--deterministic")
         parsed = json.loads(out)
         assert out == json.dumps(parsed, sort_keys=True, indent=2) + "\n"
+
+    def test_canonical_json_joined_in_parts_is_json_dumps(self):
+        """A report of some ten thousand tokens is joined in parts; its text
+        is still ``json.dumps``'s, non-ASCII names included."""
+        report = {"files": [{"path": f"pkg/módulo_{i}.py", "loc": i, "score": i / 7} for i in range(800)]}
+        assert canonical_json(report) == json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 class TestHistoryCommand:
@@ -855,6 +902,18 @@ class TestRulesEnv:
         code, out, _ = run_cli(capsys, "rules", "list", "--rules", str(flag_rules))
         assert code == EXIT_OK
         assert out.startswith("flag-rule")
+
+    @pytest.mark.parametrize("flag", ["--out", "--emit-matches"])
+    def test_an_output_that_names_the_env_rule_file_writes_nothing(self, capsys, tmp_path, monkeypatch, flag):
+        rules = tmp_path / "rules.yaml"
+        rules.write_text("- {id: only-rule, kind: regex, pattern: 'TODO'}\n")
+        write_tree(tmp_path / "tree", SIMPLE_TREE)
+        monkeypatch.setenv(RULES_ENV, str(rules))
+        code, out, err = run_cli(capsys, "scan", str(tmp_path / "tree"), flag,
+                                 str(tmp_path / "tree" / ".." / "rules.yaml"))
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"slopscope: {flag} and ${RULES_ENV} name one file: {rules}\n"
+        assert rules.read_text() == "- {id: only-rule, kind: regex, pattern: 'TODO'}\n"
 
     def test_an_empty_env_variable_is_a_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv(RULES_ENV, "")

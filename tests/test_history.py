@@ -257,6 +257,28 @@ def test_a_commit_with_a_missing_blob_is_reported_and_the_rest_measured(tmp_path
     assert payload["summary"]["missing_checkpoints"] == [2, 3]
 
 
+def test_a_corrupt_blob_is_reported_with_gits_error(tmp_path, capsys):
+    """git replies ``missing`` for a loose object that does not inflate;
+    the reason quotes what git wrote to stderr for it, and a request after
+    it for a blob that is really absent reads ``missing`` alone."""
+    repo = build_history_repo(tmp_path / "repo", commits=HISTORY_COMMITS[:1])
+    sha = list_source_commits(repo)[0].sha
+    blob = drop_blob(repo, f"{sha}:main.py")
+    (repo / ".git" / "objects" / blob[:2] / blob[2:]).write_bytes(b"not a zlib stream")
+    out = tmp_path / "report.json"
+    code = main(["history", str(repo), "--deterministic", "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().err == "slopscope: no sampled commit could be read\n"
+    [skipped] = json.loads(out.read_text())["payload"]["skipped_commits"]
+    assert skipped["sha"] == sha
+    assert skipped["reason"].startswith(f"blob {blob} missing: error: inflate: ")
+    with history.ObjectStore(repo) as store:
+        with pytest.raises(GitError, match="^blob .* missing: error: inflate: "):
+            store.read(blob)
+        with pytest.raises(GitError, match=f"^blob {'0' * 40} missing$"):
+            store.read("0" * 40)
+
+
 def test_a_cat_file_killed_mid_run_ends_the_run(history_repo, tmp_path, monkeypatch, capsys):
     """Every later object is unreadable, so no commit is skipped with a
     made-up reason: the run exits 2 with one line and writes no report."""
