@@ -1,14 +1,21 @@
-"""Git history mining: commit sampling, snapshot measurement, trajectories."""
+"""Git history mining: listing and sampling the commits, listing each
+sampled commit's files, and measuring each snapshot into a trajectory.
+
+The snapshot pipeline (``analyse_file`` to ``measure_checkpoint``) is the
+one ``scan`` runs too, which is why ``scan`` loads this module. Every git
+process is started and read by ``git.py``, which this module imports only
+inside ``list_source_commits`` and ``measure_history``, so ``scan`` loads
+none of it.
+"""
 
 from __future__ import annotations
 
 import codecs
-import os
 import re
 import stat
 from collections.abc import Iterable, Mapping
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import clones, verbosity
 from .adapters import ADAPTERS, SourceText, TreeIndex
@@ -31,13 +38,12 @@ from .trajectory import (
 )
 from .verbosity import VerbosityBreakdown
 
+if TYPE_CHECKING:
+    from .git import ObjectStore
+
 DEFAULT_MAX_COMMITS = 30
 TEST_PATH_GLOBS = ("test_*.py", "*_test.py", "tests/*", "*/tests/*", "test/*", "*/test/*")
 
-# One entry of a tree object, up to its raw object id: octal mode, name. A
-# name holds no "/" and is not "." or "..", or a path built from it would
-# leave the commit's tree; git never writes such an entry.
-_TREE_ENTRY = re.compile(rb"([0-7]+) (?!\.\.?\0)([^\0/]+)\0")
 _S_IFGITLINK = 0o160000  # the mode git gives a submodule's commit
 # A PEP 263 coding comment, a line that may come before one, and the parser's line breaks.
 _CODING_COOKIE = re.compile(rb"[ \t\f]*#.*?coding[:=][ \t]*([-\w.]+)", re.ASCII)
@@ -50,25 +56,14 @@ class GitError(Exception):
 
 
 class GitExited(GitError):
-    """Raised when the ``cat-file`` process has ended mid-run: no later
-    object can be read, so the run ends, not one commit."""
+    """Raised when the ``cat-file`` process has ended mid-run other than
+    on one object's content (killed, say, or refused a fetch): the fault is
+    not one object's, so the run ends, not one commit."""
 
 
 class CommitRef(NamedTuple):
     sha: str
     committed_at: datetime  # committer date, UTC
-
-
-def _git(repo: str | Path, *args: str) -> bytes:
-    import subprocess  # here, not with the module: ``scan`` starts no process
-
-    try:
-        proc = subprocess.run(["git", "-C", str(repo), *args], capture_output=True, check=False)
-    except OSError as exc:  # no git on PATH, say
-        raise GitError(f"cannot run git: {exc.strerror or exc}") from exc
-    if proc.returncode != 0:
-        raise GitError(proc.stderr.decode("utf-8", "replace").strip() or f"git {' '.join(args)} failed")
-    return proc.stdout
 
 
 def list_source_commits(repo: str | Path, exclude_tests: bool = False) -> list[CommitRef]:
@@ -81,8 +76,10 @@ def list_source_commits(repo: str | Path, exclude_tests: bool = False) -> list[C
     ``--root`` and ``--no-renames`` keep the user's git config from hiding
     the root commit's files or a renamed file's old path.
     """
+    from . import git  # here, not with the module: ``scan`` runs no git
+
     try:
-        raw = _git(repo, "log", "-z", "--root", "--no-renames", "--pretty=format:%H %ct", "--name-only")
+        raw = git.run(repo, "log", "-z", "--root", "--no-renames", "--pretty=format:%H %ct", "--name-only")
     except GitError as err:
         if "does not have any commits" in str(err):
             return []
@@ -129,133 +126,6 @@ def sample_commits(
         picked = random.Random(seed).sample(range(len(commits)), max_commits)
         commits = [commits[i] for i in sorted(picked)]
     return commits
-
-
-class ObjectStore:
-    """Reads the objects of one repository through one long-lived
-    ``git cat-file --batch`` process.
-
-    Requests go one at a time: one object is named and its whole reply read
-    before the next, so neither side can block on a full pipe. Git's stderr
-    goes to a file, not a pipe, so no amount of it can block git either;
-    it is read when an object cannot be read or the process has exited.
-    ``close`` (or leaving a ``with`` block) ends the process.
-    """
-
-    def __init__(self, repo: str | Path) -> None:
-        import subprocess
-        import tempfile
-
-        self._stderr = tempfile.TemporaryFile()
-        self._quoted = 0  # the bytes of git's stderr already put in an error
-        try:
-            self._proc = subprocess.Popen(
-                ["git", "-C", str(repo), "cat-file", "--batch"],
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                stderr=self._stderr,
-            )
-        except BaseException:
-            self._stderr.close()
-            raise
-
-    def _read(self, kind: str, name: str, cap: float = float("inf")) -> tuple[str, bytes | None]:
-        """The id and content of the object ``name`` names (an id, or any
-        revision git resolves); GitError if it is missing or not a ``kind``.
-        The content of more than ``cap`` bytes is read off the pipe a chunk
-        at a time and dropped: it comes back as None. A request or reply
-        cut off by the process's exit raises GitExited."""
-        stdin, stdout = self._proc.stdin, self._proc.stdout
-        try:
-            stdin.write(name.encode() + b"\n")
-            stdin.flush()
-            line = stdout.readline()
-            if not line.endswith(b"\n"):  # the process has closed its end
-                raise self._exited()
-            header = line.split()
-            if len(header) != 3:  # "<name> missing", or "<name> ambiguous"
-                reply = header[-1].decode(errors="replace") if header else "unreadable"
-                raise GitError(f"{kind} {name} {reply}{self._git_said()}")
-            size = int(header[2])
-            left = size + 1  # the content and a newline
-            if size > cap:
-                data = None
-                while left and (chunk := stdout.read(min(left, 1 << 16))):
-                    left -= len(chunk)
-            else:
-                data = stdout.read(left)
-                left -= len(data)
-        except OSError as exc:  # a broken pipe: the process has exited
-            raise self._exited() from exc
-        if left:  # the reply was cut short
-            raise self._exited()
-        if header[1] != kind.encode():
-            raise GitError(f"{kind} {name} is a {header[1].decode(errors='replace')}")
-        return header[0].decode(), None if data is None else data[:size]
-
-    def read(self, blob: str) -> bytes | str:
-        """The bytes of one blob, or ``large`` for a blob of more than
-        ``scan.MAX_FILE_BYTES``, which is never held whole; GitError if the
-        repository lacks it."""
-        data = self._read("blob", blob, MAX_FILE_BYTES)[1]
-        return "large" if data is None else data
-
-    def read_tree(self, name: str) -> list[tuple[int, bytes, str]]:
-        """The entries of the tree ``name`` names, in git's order: each
-        one's mode, raw name and object id. GitError if the tree is missing
-        or malformed.
-
-        A tree object is a run of ``<octal mode> <name>\\0<raw id>``
-        entries. A raw id is as long as the id in the reply header: 20
-        bytes in a SHA-1 repository, 32 in a SHA-256 one.
-        """
-        tree, data = self._read("tree", name)
-        size = len(tree) // 2
-        entries: list[tuple[int, bytes, str]] = []
-        pos = 0
-        while pos < len(data):
-            entry = _TREE_ENTRY.match(data, pos)
-            if entry is None or entry.end() + size > len(data):
-                raise GitError(f"tree {tree} malformed")
-            pos = entry.end() + size
-            entries.append((int(entry[1], 8), entry[2], data[entry.end() : pos].hex()))
-        return entries
-
-    def _git_said(self) -> str:
-        """What git has written to stderr since an error last quoted it, as
-        ``: line; line``, or "" if nothing: a corrupt object is replied to
-        as ``missing``, and only git's error lines tell it from an absent
-        one. Git writes to stderr when a request fails, so these are the
-        lines of the request that just failed. Git's fd 2 shares this
-        file's offset, so they are read with ``os.pread``, which leaves
-        that offset where git writes next."""
-        fd = self._stderr.fileno()
-        end = os.lseek(fd, 0, os.SEEK_CUR)
-        text = os.pread(fd, end - self._quoted, self._quoted).decode("utf-8", "replace")
-        self._quoted = end
-        lines = [line.strip() for line in text.splitlines() if line.strip()]
-        return f": {'; '.join(lines)}" if lines else ""
-
-    def _exited(self) -> GitExited:
-        """The error for a process that has ended mid-run, once it has:
-        git's last stderr line, or else its exit status."""
-        self._proc.communicate()  # reaps the process
-        self._stderr.seek(0)
-        err = self._stderr.read().decode("utf-8", "replace").strip()
-        last = err.rsplit("\n", 1)[-1].strip()
-        code = self._proc.returncode
-        status = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-        return GitExited(f"git cat-file exited mid-run: {last or status}")
-
-    def close(self) -> None:
-        self._proc.communicate()  # closes stdin, which ends the process
-        self._stderr.close()
-
-    def __enter__(self) -> ObjectStore:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 class TreeListing(NamedTuple):
@@ -510,6 +380,8 @@ def measure_history(
     """
     if not (Path(repo) / ".git").exists() and not (Path(repo) / "HEAD").exists():
         raise GitError(f"not a git repository: {repo}")
+    from .git import ObjectStore  # here, not with the module: ``scan`` runs no git
+
     commits = sample_commits(repo, max_commits, seed, exclude_tests=exclude_tests)
     if not commits:
         return HistoryResult(checkpoints=[], summary=None, era=None)

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 import tarfile
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from slopscope import erosion, history
+from slopscope import erosion, git, history
 from slopscope.adapters import ADAPTERS
 from slopscope.cli import main
 from slopscope.history import (
@@ -272,7 +273,7 @@ def test_a_corrupt_blob_is_reported_with_gits_error(tmp_path, capsys):
     [skipped] = json.loads(out.read_text())["payload"]["skipped_commits"]
     assert skipped["sha"] == sha
     assert skipped["reason"].startswith(f"blob {blob} missing: error: inflate: ")
-    with history.ObjectStore(repo) as store:
+    with git.ObjectStore(repo) as store:
         with pytest.raises(GitError, match="^blob .* missing: error: inflate: "):
             store.read(blob)
         with pytest.raises(GitError, match=f"^blob {'0' * 40} missing$"):
@@ -283,16 +284,15 @@ def test_a_cat_file_killed_mid_run_ends_the_run(history_repo, tmp_path, monkeypa
     """Every later object is unreadable, so no commit is skipped with a
     made-up reason: the run exits 2 with one line and writes no report."""
     reads = []
-    read = history.ObjectStore.read
+    read = git.ObjectStore.read
 
     def kill_at_the_fifth_read(store, blob):
         reads.append(blob)
         if len(reads) == 5:
-            store._proc.kill()
-            store._proc.wait()
+            os.kill(store.pid, signal.SIGKILL)  # it dies before it can read the request
         return read(store, blob)
 
-    monkeypatch.setattr(history.ObjectStore, "read", kill_at_the_fifth_read)
+    monkeypatch.setattr(git.ObjectStore, "read", kill_at_the_fifth_read)
     out = tmp_path / "report.json"
     code = main(["history", str(history_repo), "--deterministic", "--out", str(out)])
     captured = capsys.readouterr()
@@ -306,10 +306,10 @@ def test_a_cat_file_that_exits_gives_its_last_error_line(tmp_path):
     """Git exits at once when it cannot enter the repository; the store
     reports git's own reason, kept in a temporary file, and closing it
     afterwards is harmless."""
-    store = history.ObjectStore(tmp_path / "nowhere")
+    store = git.ObjectStore(tmp_path / "nowhere")
     with store, pytest.raises(history.GitExited, match="^git cat-file exited mid-run: fatal: cannot change to "):
         store.read_tree("HEAD^{tree}")
-    assert store._proc.returncode == 128
+    assert store.returncode == 128
 
 
 def _tree_object(repo: Path, data: bytes) -> str:
@@ -334,7 +334,7 @@ def test_a_malformed_tree_is_a_git_error(tmp_path, damage):
     blob = subprocess.run(["git", "-C", str(repo), "rev-parse", "HEAD:main.py"],
                           capture_output=True, text=True, check=True).stdout.strip()
     listing = history.TreeListing(files=(("main.py", blob),), subtrees=())
-    with history.ObjectStore(repo) as store:
+    with git.ObjectStore(repo) as store:
         assert list(history.materialize_commit(store, "HEAD", ScanConfig()).values()) == [listing]
         with pytest.raises(GitError, match=f"^tree {bad} malformed$"):
             history.materialize_commit(store, commit, ScanConfig())
@@ -550,10 +550,10 @@ def test_a_commit_that_restores_an_earlier_tree_reads_only_its_root(tmp_path, mo
 
     shas = [c.sha for c in sample_commits(repo, 30)]
     reads: list[str] = []
-    read_tree = history.ObjectStore.read_tree
-    monkeypatch.setattr(history.ObjectStore, "read_tree",
+    read_tree = git.ObjectStore.read_tree
+    monkeypatch.setattr(git.ObjectStore, "read_tree",
                         lambda store, name: reads.append(name) or read_tree(store, name))
-    with history.ObjectStore(repo) as store:
+    with git.ObjectStore(repo) as store:
         listings = history.materialize_commit(store, shas[0], ScanConfig())
         assert [prefix for prefix, _ in listings] == ["", "pkg/"]
         reads.clear()
@@ -611,13 +611,13 @@ def test_an_oversized_blob_is_dropped_unheld_and_reported(tmp_path):
             self.sizes.append(n)
             return self.pipe.read(n)
 
-    with history.ObjectStore(repo) as store:
-        store._proc.stdout = reads = Reads(store._proc.stdout)
+    with git.ObjectStore(repo) as store:
+        store._stdout = reads = Reads(store._stdout)
         assert store.read(blobs[0]) == "large"
         assert max(reads.sizes) <= 1 << 16
         assert store.read(blobs[1]) == MAIN_V1.encode()
         assert store.read(blobs[0]) == "large"
-        store._proc.stdout = reads.pipe
+        store._stdout = reads.pipe
 
     out = tmp_path / "report.json"
     assert main(["history", str(repo), "--deterministic", "--out", str(out)]) == 0
@@ -691,8 +691,13 @@ def test_sha256_repo_matches_checkouts(generated_sha256_repo, tmp_path, monkeypa
 @pytest.mark.parametrize("max_commits", [3, 100])
 def test_a_run_starts_two_git_processes(generated_repo, monkeypatch, max_commits):
     started = []
-    popen = subprocess.Popen  # subprocess.run starts its process through Popen too
-    monkeypatch.setattr(subprocess, "Popen", lambda argv, *a, **k: started.append(argv) or popen(argv, *a, **k))
+    spawn = os.posix_spawnp
+
+    def record(file, argv, *args, **kwargs):
+        started.append(argv)
+        return spawn(file, argv, *args, **kwargs)
+
+    monkeypatch.setattr(os, "posix_spawnp", record)
     result = measure_history(generated_repo, max_commits=max_commits, config=EXCLUDE_VENDOR)
     monkeypatch.undo()
     assert len(result.checkpoints) == min(max_commits, 56)
@@ -705,7 +710,7 @@ def test_each_unchanged_subtree_is_read_once(generated_repo, monkeypatch):
     parent at the same path, less those in ``__pycache__`` or ``.hg``,
     which are never read."""
     reads: list[list[str]] = []
-    read_tree = history.ObjectStore.read_tree
+    read_tree = git.ObjectStore.read_tree
 
     def record(store, name):
         if name.endswith("^{tree}"):
@@ -714,7 +719,7 @@ def test_each_unchanged_subtree_is_read_once(generated_repo, monkeypatch):
             reads[-1].append(name)
         return read_tree(store, name)
 
-    monkeypatch.setattr(history.ObjectStore, "read_tree", record)
+    monkeypatch.setattr(git.ObjectStore, "read_tree", record)
     result = measure_history(generated_repo, max_commits=100, config=EXCLUDE_VENDOR)
     monkeypatch.undo()
 

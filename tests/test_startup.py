@@ -83,6 +83,18 @@ def test_scan_loads_no_parser_process_or_panel(tmp_path):
     assert modules & {"yaml", "subprocess", "slopscope.panel"} == set()
 
 
+def test_only_history_loads_the_git_layer_and_no_command_loads_subprocess(tmp_path, history_repo):
+    """``history`` starts git through ``os.posix_spawnp``: ``subprocess``
+    would load ``selectors`` and ``signal``."""
+    tree = str(FIXTURES / "golden_tree")
+    scans = [loaded_modules("scan", tree, "--out", str(tmp_path / "r.json")),
+             loaded_modules("scan", tree, "--format", "csv", "--out", str(tmp_path / "r.csv"))]
+    assert [modules & {"slopscope.git", "subprocess"} for modules in scans] == [set(), set()]
+    history = loaded_modules("history", str(history_repo), "--out", str(tmp_path / "h.json"))
+    assert "slopscope.git" in history
+    assert history & {"subprocess", "selectors", "signal"} == set()
+
+
 def test_scan_with_a_yaml_config_loads_the_parser(tmp_path):
     config = tmp_path / "cfg.yaml"
     config.write_text("exclude: [nothing]\n")
