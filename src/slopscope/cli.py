@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import errno
 import math
 import os
 import sys
@@ -94,8 +95,13 @@ def _iso_date(text: str):
     raise argparse.ArgumentTypeError(f"expected an ISO date (YYYY-MM-DD), got {text!r}")
 
 
+def _say(message: object) -> None:
+    if sys.stderr is not None:  # None: started with fd 2 closed; print(file=None) would write to stdout
+        print(f"slopscope: {message}", file=sys.stderr)
+
+
 def _fail(message: object, code: int) -> int:
-    print(f"slopscope: {message}", file=sys.stderr)
+    _say(message)
     return code
 
 
@@ -112,8 +118,10 @@ def _emit(args, rules: RuleSet, config: ScanConfig, report) -> int:
 
 
 def _write_stdout(text: str) -> int:
-    """Every write to stdout: a failed write or flush is one line and exit 1,
-    as a failed ``--out`` write is."""
+    """Every write to stdout: a failed write or flush, or no stdout at all,
+    is one line and exit 1, as a failed ``--out`` write is."""
+    if sys.stdout is None:  # started with fd 1 closed
+        return _fail(f"cannot write <stdout>: {os.strerror(errno.EBADF)}", EXIT_USAGE)
     try:
         sys.stdout.write(text)
         sys.stdout.flush()
@@ -150,7 +158,8 @@ def cmd_scan(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> in
 
 
 def cmd_history(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> int:
-    from .history import DEFAULT_MAX_COMMITS, GitError
+    from .git import GitError
+    from .history import DEFAULT_MAX_COMMITS
     from .report import history_report, history_report_csv
     from .trajectory import DEFAULT_ERA_CUTOFF
 
@@ -170,16 +179,16 @@ def cmd_history(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) ->
     except GitError as exc:
         return _fail(exc, EXIT_UNREADABLE)
     if result.skipped_commits and not result.checkpoints:
-        print("slopscope: no sampled commit could be read", file=sys.stderr)
+        _say("no sampled commit could be read")
     elif not result.checkpoints:
-        print("slopscope: no source-modifying commits found", file=sys.stderr)
+        _say("no source-modifying commits found")
 
     report = history_report(result, args.repo, args.deterministic, max_commits, args.seed, cutoff, args.exclude_tests)
     return _emit(args, rules, config, history_report_csv(report.payload) if args.format == "csv" else report)
 
 
 def cmd_panel(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> int:
-    from .history import GitError
+    from .git import GitError
     from .panel import build_panel_entry, load_panel_config, panel_aggregate
     from .report import panel_report
 
@@ -194,7 +203,7 @@ def cmd_panel(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> i
         try:
             entries.append(build_panel_entry(spec, config, rules, args.min_window))
         except (GitError, ScanError, OSError) as exc:
-            print(f"slopscope: {spec.repo_id}: {exc}", file=sys.stderr)
+            _say(f"{spec.repo_id}: {exc}")
             failed.append({"repo_id": spec.repo_id, "reason": str(exc)})
     if not entries:
         return _fail("every panel repository failed", EXIT_UNREADABLE)
@@ -323,11 +332,11 @@ def run() -> NoReturn:
     """
     code = main()
     atexit._run_exitfuncs()
-    # A failed command has reported already. A failed write's bytes may still
-    # be buffered, and reporting the flush of them would say it twice.
-    if code == EXIT_OK:
+    # A failed command has reported already (a failed write's unflushed bytes
+    # would be reported twice); one that succeeded with no stdout used --out.
+    if code == EXIT_OK and sys.stdout is not None:
         code = _write_stdout("")
-    for stream in (sys.stdout, sys.stderr):
+    for stream in filter(None, (sys.stdout, sys.stderr)):  # None: started closed
         try:
             stream.flush()
         except OSError:

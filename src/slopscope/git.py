@@ -1,29 +1,61 @@
-"""The git process layer: every line that starts a git process or talks to
-one. ``history`` imports it inside the two functions that run git, so a
+"""The git layer: every line that knows git. It starts git's processes and
+talks to them, reads the formats they print (the commit listing and tree
+objects) and defines git's errors. ``history`` imports it inside the two
+functions that run git (``sample_commits`` and ``measure_history``), so a
 command that runs none (``scan``, ``rules``) neither loads nor compiles it.
 
 A ``history`` run starts two processes: ``git log``, which lists the
-commits (``run``), and then ``git cat-file --batch``, which reads every
-object (``ObjectStore``). Both start through ``os.posix_spawnp``:
-``subprocess`` would load ``selectors``, ``signal``, ``fcntl`` and
-``select`` to do the same.
+commits (``list_source_commits``), and then ``git cat-file --batch``, which
+reads every object (``ObjectStore``). Both start through
+``os.posix_spawnp``: ``subprocess`` would load ``selectors``, ``signal``,
+``fcntl`` and ``select`` to do the same.
 """
 
 from __future__ import annotations
 
 import os
 import re
+import stat
 import tempfile
 from _signal import SIGPIPE, SIGXFSZ  # built in and loaded at start-up, unlike ``signal``
 from pathlib import Path
+from typing import NamedTuple
 
-from .history import GitError, GitExited
-from .scan import MAX_FILE_BYTES
+from .scan import ALWAYS_SKIP_DIRS, MAX_FILE_BYTES, ScanConfig, _excluded, decode_path, is_eligible, is_python
+from .trajectory import datetime, timezone
+
+TEST_PATH_GLOBS = ("test_*.py", "*_test.py", "tests/*", "*/tests/*", "test/*", "*/test/*")
 
 # One entry of a tree object, up to its raw object id: octal mode, name. A
 # name holds no "/" and is not "." or "..", or a path built from it would
 # leave the commit's tree; git never writes such an entry.
 _TREE_ENTRY = re.compile(rb"([0-7]+) (?!\.\.?\0)([^\0/]+)\0")
+_S_IFGITLINK = 0o160000  # the mode git gives a submodule's commit
+
+
+class GitError(Exception):
+    """Raised when a path is not a usable git repository."""
+
+
+class GitExited(GitError):
+    """Raised when the ``cat-file`` process has ended mid-run other than
+    on one object's content (killed, say, or refused a fetch): the fault is
+    not one object's, so the run ends, not one commit."""
+
+
+class CommitRef(NamedTuple):
+    sha: str
+    committed_at: datetime | None  # committer date, UTC; None if git's cannot be read as one
+
+
+class TreeListing(NamedTuple):
+    """What one tree object adds to a commit's files: its eligible files as
+    (path, blob id), a symbolic link's blob being None as it is skipped
+    unread, and the subtrees below it that a scan would enter, as
+    (path prefix, tree id)."""
+
+    files: tuple[tuple[str, str | None], ...]
+    subtrees: tuple[tuple[str, str], ...]
 
 
 def spawn(argv: list[str], stdin: int | None, stdout: int, stderr: int) -> int:
@@ -52,10 +84,20 @@ def spawn(argv: list[str], stdin: int | None, stdout: int, stderr: int) -> int:
         raise GitError(f"cannot run git: {exc.strerror or exc}") from exc
 
 
-def run(repo: str | Path, *args: str) -> bytes:
-    """The output of ``git -C <repo> <args>``; GitError with git's stderr,
-    which goes to a temporary file, if git fails."""
-    with tempfile.TemporaryFile() as err:
+def list_source_commits(repo: str | Path, exclude_tests: bool = False) -> list[CommitRef]:
+    """All commits that modify at least one Python file, oldest first.
+
+    The log is read NUL-separated, so git never quotes a path. A commit's
+    header ends in a newline when file names follow it, and its file list
+    ends in an empty name. Merge commits carry no file list in plain
+    ``git log`` output and are therefore never counted as source-modifying.
+    ``--root`` and ``--no-renames`` keep the user's git config from hiding
+    the root commit's files or a renamed file's old path.
+    """
+    if not (Path(repo) / ".git").exists() and not (Path(repo) / "HEAD").exists():
+        raise GitError(f"not a git repository: {repo}")
+    args = ["log", "-z", "--root", "--no-renames", "--pretty=format:%H %ct", "--name-only"]
+    with tempfile.TemporaryFile() as err:  # git's stderr
         stdout, child_out = os.pipe()
         try:
             pid = spawn(["git", "-C", str(repo), *args], None, child_out, err.fileno())
@@ -66,13 +108,39 @@ def run(repo: str | Path, *args: str) -> bytes:
             os.close(child_out)
         try:
             with open(stdout, "rb") as out:
-                data = out.read()
+                raw = out.read()
         finally:  # an early close of the pipe ends git by SIGPIPE
             status = os.waitpid(pid, 0)[1]
         if os.waitstatus_to_exitcode(status):
             err.seek(0)
-            raise GitError(err.read().decode("utf-8", "replace").strip() or f"git {' '.join(args)} failed")
-    return data
+            said = err.read().decode("utf-8", "replace").strip()
+            if "does not have any commits" in said:
+                return []
+            raise GitError(said or f"git {' '.join(args)} failed")
+    logged: list[tuple[str, str, list[str]]] = []  # newest first
+    in_header = True
+    for token in raw.split(b"\0"):
+        if in_header:
+            if token:
+                header, newline, first = token.partition(b"\n")
+                sha, _, epoch = header.decode().partition(" ")
+                logged.append((sha, epoch, [decode_path(first)] if newline else []))
+                in_header = not newline
+        elif token:
+            logged[-1][2].append(decode_path(token))
+        else:
+            in_header = True
+    commits: list[CommitRef] = []
+    for sha, epoch, paths in reversed(logged):
+        if exclude_tests:
+            paths = [p for p in paths if not _excluded(p, TEST_PATH_GLOBS)]
+        if any(is_python(p) for p in paths):
+            try:
+                committed_at = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
+            except (ValueError, OverflowError, OSError):  # empty, or out of range: listed, undated
+                committed_at = None
+            commits.append(CommitRef(sha, committed_at))
+    return commits
 
 
 class ObjectStore:
@@ -165,26 +233,35 @@ class ObjectStore:
         data = self._read("blob", blob, MAX_FILE_BYTES)[1]
         return "large" if data is None else data
 
-    def read_tree(self, name: str) -> list[tuple[int, bytes, str]]:
-        """The entries of the tree ``name`` names, in git's order: each
-        one's mode, raw name and object id. GitError if the tree is missing
-        or malformed.
-
-        A tree object is a run of ``<octal mode> <name>\\0<raw id>``
-        entries. A raw id is as long as the id in the reply header: 20
-        bytes in a SHA-1 repository, 32 in a SHA-256 one.
-        """
+    def read_tree(self, name: str, prefix: str, config: ScanConfig) -> TreeListing:
+        """The listing of the tree ``name`` names, at ``prefix`` ("" or a
+        path ending in "/") of its commit; GitError if it is missing or
+        malformed. A tree object is a run of ``<octal mode> <name>\\0<raw
+        id>`` entries, a raw id as long as the reply header's (20 bytes
+        under SHA-1, 32 under SHA-256). Eligibility and names are a scan's
+        (``scan.is_eligible``, ``scan.decode_path``); a subtree in
+        ``scan.ALWAYS_SKIP_DIRS`` is not entered, a gitlink (submodule) is
+        passed by, as a checkout holds no file of its, and a link is listed
+        with no blob."""
         tree, data = self._read("tree", name)
         size = len(tree) // 2
-        entries: list[tuple[int, bytes, str]] = []
+        files: list[tuple[str, str | None]] = []
+        subtrees: list[tuple[str, str]] = []
         pos = 0
         while pos < len(data):
             entry = _TREE_ENTRY.match(data, pos)
             if entry is None or entry.end() + size > len(data):
                 raise GitError(f"tree {tree} malformed")
-            pos = entry.end() + size
-            entries.append((int(entry[1], 8), entry[2], data[entry.end() : pos].hex()))
-        return entries
+            start, pos = entry.end(), entry.end() + size
+            kind = int(entry[1], 8) & 0o170000  # stat.S_IFMT, for a mode of any size
+            base = decode_path(entry[2])
+            path = prefix + base
+            if kind == stat.S_IFDIR:
+                if base not in ALWAYS_SKIP_DIRS:
+                    subtrees.append((path + "/", data[start:pos].hex()))
+            elif kind != _S_IFGITLINK and is_eligible(path, config):
+                files.append((path, None if kind == stat.S_IFLNK else data[start:pos].hex()))
+        return TreeListing(tuple(files), tuple(subtrees))
 
     def _git_said(self) -> list[str]:
         """The lines git has written to stderr since an error last quoted

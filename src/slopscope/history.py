@@ -1,18 +1,18 @@
-"""Git history mining: listing and sampling the commits, listing each
-sampled commit's files, and measuring each snapshot into a trajectory.
+"""Git history mining: sampling the commits, listing each sampled commit's
+files and measuring each snapshot into a trajectory, the layers that
+perfbench hooks by their names in this module.
 
 The snapshot pipeline (``analyse_file`` to ``measure_checkpoint``) is the
-one ``scan`` runs too, which is why ``scan`` loads this module. Every git
-process is started and read by ``git.py``, which this module imports only
-inside ``list_source_commits`` and ``measure_history``, so ``scan`` loads
-none of it.
+one ``scan`` runs too, which is why ``scan`` loads this module. Everything
+that knows git (its processes, the commit listing, the tree format and its
+errors) is in ``git.py``, which this module imports only inside
+``sample_commits`` and ``measure_history``, so ``scan`` loads none of it.
 """
 
 from __future__ import annotations
 
 import codecs
 import re
-import stat
 from collections.abc import Iterable, Mapping
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
@@ -22,8 +22,7 @@ from .adapters import ADAPTERS, SourceText, TreeIndex
 from .clones import DEFAULT_MIN_WINDOW, CloneRegion, NormalizedFile, detect_clones
 from .erosion import ErosionReport, erosion_score
 from .rules import RuleMatch, RuleSet, match_rules
-from .scan import (ALWAYS_SKIP_DIRS, MAX_FILE_BYTES, FileRecord, ScanConfig, SourceInventory, _excluded, decode_path,
-                   is_eligible, is_python, read_tree)
+from .scan import MAX_FILE_BYTES, FileRecord, ScanConfig, SourceInventory, read_tree
 from .trajectory import (
     DEFAULT_ERA_CUTOFF,
     CheckpointMetrics,
@@ -31,79 +30,20 @@ from .trajectory import (
     TrajectorySummary,
     bin_phases,
     date,
-    datetime,
     era_split,
-    timezone,
     trajectory_summary,
 )
 from .verbosity import VerbosityBreakdown
 
 if TYPE_CHECKING:
-    from .git import ObjectStore
+    from .git import CommitRef, ObjectStore, TreeListing
 
 DEFAULT_MAX_COMMITS = 30
-TEST_PATH_GLOBS = ("test_*.py", "*_test.py", "tests/*", "*/tests/*", "test/*", "*/test/*")
 
-_S_IFGITLINK = 0o160000  # the mode git gives a submodule's commit
 # A PEP 263 coding comment, a line that may come before one, and the parser's line breaks.
 _CODING_COOKIE = re.compile(rb"[ \t\f]*#.*?coding[:=][ \t]*([-\w.]+)", re.ASCII)
 _BLANK_LINE = re.compile(rb"[ \t\f]*(?:#|$)")
 _LINE_BREAK = re.compile(rb"\r\n|\r|\n")
-
-
-class GitError(Exception):
-    """Raised when a path is not a usable git repository."""
-
-
-class GitExited(GitError):
-    """Raised when the ``cat-file`` process has ended mid-run other than
-    on one object's content (killed, say, or refused a fetch): the fault is
-    not one object's, so the run ends, not one commit."""
-
-
-class CommitRef(NamedTuple):
-    sha: str
-    committed_at: datetime  # committer date, UTC
-
-
-def list_source_commits(repo: str | Path, exclude_tests: bool = False) -> list[CommitRef]:
-    """All commits that modify at least one Python file, oldest first.
-
-    The log is read NUL-separated, so git never quotes a path. A commit's
-    header ends in a newline when file names follow it, and its file list
-    ends in an empty name. Merge commits carry no file list in plain
-    ``git log`` output and are therefore never counted as source-modifying.
-    ``--root`` and ``--no-renames`` keep the user's git config from hiding
-    the root commit's files or a renamed file's old path.
-    """
-    from . import git  # here, not with the module: ``scan`` runs no git
-
-    try:
-        raw = git.run(repo, "log", "-z", "--root", "--no-renames", "--pretty=format:%H %ct", "--name-only")
-    except GitError as err:
-        if "does not have any commits" in str(err):
-            return []
-        raise
-    logged: list[tuple[str, str, list[str]]] = []  # newest first
-    in_header = True
-    for token in raw.split(b"\0"):
-        if in_header:
-            if token:
-                header, newline, first = token.partition(b"\n")
-                sha, epoch = header.decode().split()
-                logged.append((sha, epoch, [decode_path(first)] if newline else []))
-                in_header = not newline
-        elif token:
-            logged[-1][2].append(decode_path(token))
-        else:
-            in_header = True
-    commits: list[CommitRef] = []
-    for sha, epoch, paths in reversed(logged):
-        if exclude_tests:
-            paths = [p for p in paths if not _excluded(p, TEST_PATH_GLOBS)]
-        if any(is_python(p) for p in paths):
-            commits.append(CommitRef(sha, datetime.fromtimestamp(int(epoch), tz=timezone.utc)))
-    return commits
 
 
 def sample_commits(
@@ -121,36 +61,13 @@ def sample_commits(
     """
     import random
 
+    from .git import list_source_commits  # here, not with the module: ``scan`` runs no git
+
     commits = list_source_commits(repo, exclude_tests)
     if len(commits) > max_commits:
         picked = random.Random(seed).sample(range(len(commits)), max_commits)
         commits = [commits[i] for i in sorted(picked)]
     return commits
-
-
-class TreeListing(NamedTuple):
-    """What one tree object adds to a commit's files: its eligible files as
-    (path, blob id), a symbolic link's blob being None as it is skipped
-    unread, and the subtrees below it that a scan would enter, as
-    (path prefix, tree id)."""
-
-    files: tuple[tuple[str, str | None], ...]
-    subtrees: tuple[tuple[str, str], ...]
-
-
-def _list_tree(prefix: str, entries: list[tuple[int, bytes, str]], config: ScanConfig) -> TreeListing:
-    files: list[tuple[str, str | None]] = []
-    subtrees: list[tuple[str, str]] = []
-    for mode, raw, oid in entries:
-        name = decode_path(raw)
-        path = prefix + name
-        kind = mode & 0o170000  # stat.S_IFMT, for a mode of any size
-        if kind == stat.S_IFDIR:
-            if name not in ALWAYS_SKIP_DIRS:  # never source: a scan does not enter it either
-                subtrees.append((path + "/", oid))
-        elif kind != _S_IFGITLINK and is_eligible(path, config):
-            files.append((path, None if kind == stat.S_IFLNK else oid))
-    return TreeListing(tuple(files), tuple(subtrees))
 
 
 def materialize_commit(
@@ -161,20 +78,15 @@ def materialize_commit(
     the commit under (path prefix, the name it was read by), the root's
     being ("", ``<sha>^{tree}``) and each subtree's its tree id. A subtree
     that ``previous`` (the listings of the commit listed before) holds
-    under the same path and id is taken from there and not read again.
-    Eligibility is a scan's (``scan.is_eligible``) and names are reported
-    as a scan reports them (``scan.decode_path``). Gitlinks (submodules)
-    are passed by: a checkout holds no file of theirs. A missing or
-    malformed commit or tree raises GitError.
+    under the same path and id is taken from there and not read again;
+    ``ObjectStore.read_tree`` lists the rest. A missing or malformed commit
+    or tree raises GitError.
     """
     trees: dict[tuple[str, str], TreeListing] = {}
     pending = [("", f"{sha}^{{tree}}")]
     while pending:
         prefix, tree = key = pending.pop()
-        listing = previous.get(key)
-        if listing is None:
-            listing = _list_tree(prefix, store.read_tree(tree), config)
-        trees[key] = listing
+        trees[key] = listing = previous[key] if key in previous else store.read_tree(tree, prefix, config)
         pending.extend(listing.subtrees)
     return trees
 
@@ -375,12 +287,10 @@ def measure_history(
     Trees and files are read from git's object store: a directory whose
     path and tree the previous checkpoint also held is not read again, and
     a file whose path and blob it held is not analysed again. A commit that
-    cannot be listed or read is reported in ``skipped_commits``, not
+    cannot be dated, listed or read is reported in ``skipped_commits``, not
     measured; a ``cat-file`` process that ends mid-run raises GitExited.
     """
-    if not (Path(repo) / ".git").exists() and not (Path(repo) / "HEAD").exists():
-        raise GitError(f"not a git repository: {repo}")
-    from .git import ObjectStore  # here, not with the module: ``scan`` runs no git
+    from .git import GitError, GitExited, ObjectStore  # here, not with the module: ``scan`` runs no git
 
     commits = sample_commits(repo, max_commits, seed, exclude_tests=exclude_tests)
     if not commits:
@@ -397,6 +307,9 @@ def measure_history(
     previous: dict[tuple[str, str], TreeListing] = {}
     with ObjectStore(repo) as store:
         for i, commit in enumerate(commits):
+            if commit.committed_at is None:
+                skipped.append((commit.sha, "committer date unreadable"))
+                continue
             try:
                 trees = materialize_commit(store, commit.sha, config, previous)
                 analysis = measure_checkpoint(_read_commit(store, trees.values(), reuse), config, rules, min_window)

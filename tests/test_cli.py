@@ -60,14 +60,19 @@ def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
-def run_module(*argv: str, stdout=subprocess.PIPE, code: str | None = None) -> subprocess.CompletedProcess:
+def run_module(*argv: str, stdout=subprocess.PIPE, code: str | None = None,
+               closing: str = "") -> subprocess.CompletedProcess:
     """``python -m slopscope.cli argv`` in a child process (or ``python -c
-    code argv``), with the bundled rules and a 60 s timeout."""
+    code argv``), with the bundled rules and a 60 s timeout. ``closing``
+    is a shell redirection, such as ``<&- 2>&-``, that ``sh -c`` applies
+    to the child, to start it with those fds closed."""
     env = {**os.environ, "PYTHONPATH": str(Path(slopscope.__file__).parents[1])}
     env.pop(RULES_ENV, None)
     head = ["-m", "slopscope.cli"] if code is None else ["-c", code]
-    return subprocess.run([sys.executable, *head, *argv], stdout=stdout, stderr=subprocess.PIPE,
-                          timeout=60, env=env)
+    command = [sys.executable, *head, *argv]
+    if closing:
+        command = ["sh", "-c", f'exec "$@" {closing}', "sh", *command]
+    return subprocess.run(command, stdout=stdout, stderr=subprocess.PIPE, timeout=60, env=env)
 
 
 class TestExitCodes:
@@ -1036,6 +1041,24 @@ class TestProcessEntry:
         assert done.returncode == EXIT_OK and done.stdout.startswith(b"usage: slopscope")
         done = run_module("scan")
         assert done.returncode == EXIT_USAGE and b"error: the following arguments are required" in done.stderr
+
+    def test_a_closed_standard_stream(self, tmp_path):
+        """Python sets a stream that the process starts without to None. A
+        report written whole exits 0 with stdin and stderr closed; a failure
+        with no stderr to report to keeps its exit code; a report with no
+        stdout to go to is one failed write, and one sent to --out is none."""
+        done = run_module("scan", GOLDEN_TREE, "--deterministic", "--sweep", closing="<&- 2>&-")
+        assert done.returncode == EXIT_OK
+        assert done.stdout == (FIXTURES / "golden_scan.json").read_bytes()
+        done = run_module("scan", str(tmp_path / "nonexistent"), closing="2>&-")
+        assert (done.returncode, done.stdout) == (EXIT_UNREADABLE, b"")
+        done = run_module("scan", GOLDEN_TREE, "--deterministic", closing=">&-")
+        assert done.returncode == EXIT_USAGE
+        assert done.stderr.decode().splitlines() == [f"slopscope: cannot write <stdout>: {os.strerror(errno.EBADF)}"]
+        out = tmp_path / "report.json"
+        done = run_module("scan", GOLDEN_TREE, "--deterministic", "--sweep", "--out", str(out), closing=">&-")
+        assert (done.returncode, done.stderr) == (EXIT_OK, b"")
+        assert out.read_bytes() == (FIXTURES / "golden_scan.json").read_bytes()
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
     @pytest.mark.parametrize("argv", [["scan", GOLDEN_TREE, "--deterministic"], ["rules", "list"]])

@@ -16,7 +16,9 @@ import pytest
 
 from slopscope import git
 from slopscope.cli import main
-from slopscope.history import GitExited, list_source_commits, measure_history
+from slopscope.git import GitExited, list_source_commits
+from slopscope.history import measure_history
+from slopscope.scan import ScanConfig
 
 from conftest import HISTORY_COMMITS, build_history_repo
 
@@ -166,7 +168,7 @@ def test_a_store_reads_on_after_an_object_it_died_on(tmp_path):
         with pytest.raises(git.GitError, match=f"^blob {blob} unreadable: fatal: unable to stream {blob} to stdout$"):
             store.read(blob)
         assert store.returncode == 128
-        assert store.read_tree(f"{shas[1]}^{{tree}}")[0][1] == b"main.py"
+        assert store.read_tree(f"{shas[1]}^{{tree}}", "", ScanConfig()).files[0][0] == "main.py"
         assert store.pid != first and store.returncode is None
         with pytest.raises(git.GitError, match=f"^blob {'0' * 40} missing$"):
             store.read("0" * 40)

@@ -18,13 +18,8 @@ import pytest
 from slopscope import erosion, git, history
 from slopscope.adapters import ADAPTERS
 from slopscope.cli import main
-from slopscope.history import (
-    GitError,
-    list_source_commits,
-    measure_checkpoint,
-    measure_history,
-    sample_commits,
-)
+from slopscope.git import GitError, list_source_commits
+from slopscope.history import measure_checkpoint, measure_history, sample_commits
 from slopscope.report import canonical_json, history_to_dict
 from slopscope.rules import load_starter_rules
 from slopscope.scan import ALWAYS_SKIP_DIRS, MAX_FILE_BYTES, ScanConfig, decode_path
@@ -258,6 +253,72 @@ def test_a_commit_with_a_missing_blob_is_reported_and_the_rest_measured(tmp_path
     assert payload["summary"]["missing_checkpoints"] == [2, 3]
 
 
+# Committer times no datetime holds. Git 2.39.5 prints the first two as
+# written for %ct and the third as nothing; a newer git may print another
+# value, so the tests read %ct to know what each commit holds.
+UNREADABLE_TIMES = ("999999999999999", "18446744073709551615", "-99999999999999")
+
+
+def _repo_with_unreadable_dates(dest: Path) -> tuple[Path, list[tuple[str, str]]]:
+    """Seven commits, each changing ``main.py``, whose second, fourth and
+    sixth are written again with an ``UNREADABLE_TIMES`` committer time:
+    the repo, and each commit's sha and ``%ct``, oldest first."""
+    repo = build_history_repo(dest, [({"main.py": MAIN_V1 + f"x = {k}\n"}, f"2024-0{k + 1}-01T10:00:00+00:00")
+                                     for k in range(7)])
+
+    def git_out(*args: str, data: bytes | None = None) -> str:
+        return subprocess.run(["git", "-C", str(repo), *args], input=data, capture_output=True,
+                              check=True).stdout.decode()
+
+    parent = None
+    for k, sha in enumerate(git_out("log", "--reverse", "--format=%H").split()):
+        head, _, message = git_out("cat-file", "commit", sha).partition("\n\n")
+        lines = [line for line in head.splitlines() if not line.startswith("parent ")]
+        if parent:
+            lines.insert(1, f"parent {parent}")
+        if k % 2:
+            lines = [line.rsplit(" ", 2)[0] + f" {UNREADABLE_TIMES[k // 2]} +0000" if line.startswith("committer ")
+                     else line for line in lines]
+        data = ("\n".join(lines) + "\n\n" + message).encode()
+        parent = git_out("hash-object", "-t", "commit", "--literally", "-w", "--stdin", data=data).strip()
+    git_out("update-ref", "refs/heads/main", parent)
+    return repo, [tuple(line.split(" ")) for line in git_out("log", "--reverse", "--format=%H %ct").splitlines()]
+
+
+def _readable(ct: str) -> bool:
+    try:
+        datetime.fromtimestamp(int(ct), tz=timezone.utc)
+    except (ValueError, OverflowError, OSError):
+        return False
+    return True
+
+
+def test_a_commit_whose_date_cannot_be_read_is_skipped(tmp_path):
+    """Such a commit stays in the listing, so the sample is the same, and is
+    reported as skipped; the run measures the others and exits 0."""
+    repo, logged = _repo_with_unreadable_dates(tmp_path / "repo")
+    assert len(logged) == 7 and all(_readable(ct) for _, ct in logged[::2])
+    assert [c.sha for c in list_source_commits(repo)] == [sha for sha, _ in logged]
+    out = tmp_path / "report.json"
+    assert main(["history", str(repo), "--deterministic", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())["payload"]
+    assert payload["skipped_commits"] == [{"sha": sha, "reason": "committer date unreadable"}
+                                          for sha, ct in logged if not _readable(ct)]
+    measured = [(k, sha, datetime.fromtimestamp(int(ct), tz=timezone.utc).isoformat())
+                for k, (sha, ct) in enumerate(logged) if _readable(ct)]
+    assert [(cp["index"], cp["label"], cp["timestamp"]) for cp in payload["checkpoints"]] == measured
+
+
+def test_a_commit_whose_date_cannot_be_read_costs_a_panel_nothing(tmp_path, history_repo, capsys):
+    repo, _ = _repo_with_unreadable_dates(tmp_path / "repo")
+    config = tmp_path / "panel.yaml"
+    config.write_text(f"- {{repo_path: '{repo}', repo_id: dated}}\n- {{repo_path: '{history_repo}', repo_id: good}}\n")
+    assert main(["panel", str(config), "--deterministic"]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["failed_count"] == 0
+    assert [entry["repo_id"] for entry in payload["entries"]] == ["dated", "good"]
+
+
 def test_a_corrupt_blob_is_reported_with_gits_error(tmp_path, capsys):
     """git replies ``missing`` for a loose object that does not inflate;
     the reason quotes what git wrote to stderr for it, and a request after
@@ -307,8 +368,8 @@ def test_a_cat_file_that_exits_gives_its_last_error_line(tmp_path):
     reports git's own reason, kept in a temporary file, and closing it
     afterwards is harmless."""
     store = git.ObjectStore(tmp_path / "nowhere")
-    with store, pytest.raises(history.GitExited, match="^git cat-file exited mid-run: fatal: cannot change to "):
-        store.read_tree("HEAD^{tree}")
+    with store, pytest.raises(git.GitExited, match="^git cat-file exited mid-run: fatal: cannot change to "):
+        store.read_tree("HEAD^{tree}", "", ScanConfig())
     assert store.returncode == 128
 
 
@@ -333,7 +394,7 @@ def test_a_malformed_tree_is_a_git_error(tmp_path, damage):
                             capture_output=True, text=True, check=True).stdout.strip()
     blob = subprocess.run(["git", "-C", str(repo), "rev-parse", "HEAD:main.py"],
                           capture_output=True, text=True, check=True).stdout.strip()
-    listing = history.TreeListing(files=(("main.py", blob),), subtrees=())
+    listing = git.TreeListing(files=(("main.py", blob),), subtrees=())
     with git.ObjectStore(repo) as store:
         assert list(history.materialize_commit(store, "HEAD", ScanConfig()).values()) == [listing]
         with pytest.raises(GitError, match=f"^tree {bad} malformed$"):
@@ -551,8 +612,8 @@ def test_a_commit_that_restores_an_earlier_tree_reads_only_its_root(tmp_path, mo
     shas = [c.sha for c in sample_commits(repo, 30)]
     reads: list[str] = []
     read_tree = git.ObjectStore.read_tree
-    monkeypatch.setattr(git.ObjectStore, "read_tree",
-                        lambda store, name: reads.append(name) or read_tree(store, name))
+    monkeypatch.setattr(git.ObjectStore, "read_tree", lambda store, name, prefix, config:
+                        reads.append(name) or read_tree(store, name, prefix, config))
     with git.ObjectStore(repo) as store:
         listings = history.materialize_commit(store, shas[0], ScanConfig())
         assert [prefix for prefix, _ in listings] == ["", "pkg/"]
@@ -712,12 +773,12 @@ def test_each_unchanged_subtree_is_read_once(generated_repo, monkeypatch):
     reads: list[list[str]] = []
     read_tree = git.ObjectStore.read_tree
 
-    def record(store, name):
+    def record(store, name, prefix, config):
         if name.endswith("^{tree}"):
             reads.append([])  # a commit's root: its listing begins
         else:
             reads[-1].append(name)
-        return read_tree(store, name)
+        return read_tree(store, name, prefix, config)
 
     monkeypatch.setattr(git.ObjectStore, "read_tree", record)
     result = measure_history(generated_repo, max_commits=100, config=EXCLUDE_VENDOR)

@@ -95,6 +95,49 @@ def test_only_history_loads_the_git_layer_and_no_command_loads_subprocess(tmp_pa
     assert history & {"subprocess", "selectors", "signal"} == set()
 
 
+def _relative_imports(tree: ast.AST) -> set[str]:
+    """The package modules a module's ``from . import`` statements name, at
+    any depth, less those in an ``if TYPE_CHECKING:`` block, which never run."""
+    found: set[str] = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING":
+            found |= set().union(*map(_relative_imports, node.orelse))
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module.split(".")[0]} if node.module else {alias.name for alias in node.names}
+        else:
+            found |= _relative_imports(node)
+    return found
+
+
+def test_the_package_has_no_import_cycle():
+    """A module that imports another, even inside a function, must not be
+    imported back: each layer sits on the ones below it."""
+    graph = {path.stem: _relative_imports(ast.parse(path.read_text(encoding="utf-8")))
+             for path in PACKAGE.glob("*.py")}
+    assert "git" in graph["history"]  # imported only inside functions: the walk sees their bodies
+    done: set[str] = set()
+
+    def cycle_from(module: str, path: list[str]) -> list[str]:
+        if module in path:
+            return path[path.index(module):] + [module]
+        if module in done:
+            return []
+        for imported in sorted(graph.get(module, ())):
+            cycle = cycle_from(imported, [*path, module])
+            if cycle:
+                return cycle
+        done.add(module)
+        return []
+
+    cycles = {tuple(sorted(set(cycle))) for module in sorted(graph) if (cycle := cycle_from(module, []))}
+    assert cycles == set()  # each as the modules in it
+
+
+def test_the_git_layer_loads_no_history():
+    result = run_child("import json, sys\nimport slopscope.git\nprint(json.dumps(sorted(sys.modules)))\n")
+    assert "slopscope.git" in result and "slopscope.history" not in result
+
+
 def test_scan_with_a_yaml_config_loads_the_parser(tmp_path):
     config = tmp_path / "cfg.yaml"
     config.write_text("exclude: [nothing]\n")
