@@ -18,12 +18,12 @@ _HOMES = {
     "measure_checkpoint": "history",
     "QualityRule": "rules",
     "RuleMatch": "rules",
-    "RuleSet": "rules",
     "load_rules": "rules",
     "load_starter_rules": "rules",
     "match_rules": "rules",
     "CallableRecord": "scan",
     "FileRecord": "scan",
+    "RuleSet": "scan",
     "ScanConfig": "scan",
     "SourceInventory": "scan",
     "CheckpointMetrics": "trajectory",

@@ -22,7 +22,7 @@ from importlib import import_module
 from pathlib import Path
 from typing import NoReturn
 
-from .rules import RuleError, RuleSet, load_rules, load_starter_rules
+from .rules import RuleError, load_rules, load_starter_rules
 from .scan import ScanConfig, ScanError, decode_path, is_python, load_scan_config, read_file
 
 # Each command imports the modules it runs (history, report, panel, erosion,
@@ -105,13 +105,13 @@ def _fail(message: object, code: int) -> int:
     return code
 
 
-def _emit(args, rules: RuleSet, config: ScanConfig, report) -> int:
+def _emit(args, config: ScanConfig, report) -> int:
     """Write one report: CSV text as it is, or a ``report.Report`` as its
     JSON envelope."""
     if not isinstance(report, str):
         from .report import envelope
 
-        report = _this.canonical_json(envelope(report, config, rules, args.min_window, args.deterministic))
+        report = _this.canonical_json(envelope(report, config, args.deterministic))
     if not args.out:
         return _write_stdout(report)
     return _write(args.out, report)
@@ -138,13 +138,13 @@ def _write(path: str, text: str) -> int:
     return EXIT_OK
 
 
-def cmd_scan(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> int:
+def cmd_scan(args: argparse.Namespace, config: ScanConfig) -> int:
     from .report import matches_to_jsonl, scan_report, scan_report_csv
 
     if args.sweep and args.format == "csv":
         return _fail("--sweep needs a JSON report; the CSV has no sweep table", EXIT_USAGE)
     try:
-        analysis = _this.measure_checkpoint(args.root, config, rules, min_window=args.min_window)
+        analysis = _this.measure_checkpoint(args.root, config)
     except ScanError as exc:
         return _fail(exc, EXIT_UNREADABLE)
     if args.emit_matches and _write(args.emit_matches, matches_to_jsonl(analysis.matches)) != EXIT_OK:
@@ -154,10 +154,10 @@ def cmd_scan(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> in
     else:
         report = scan_report(analysis, args.root, args.deterministic, args.sweep)
     del analysis  # the per-file analyses go before the report is serialised
-    return _emit(args, rules, config, report)
+    return _emit(args, config, report)
 
 
-def cmd_history(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> int:
+def cmd_history(args: argparse.Namespace, config: ScanConfig) -> int:
     from .git import GitError
     from .history import DEFAULT_MAX_COMMITS
     from .report import history_report, history_report_csv
@@ -172,8 +172,6 @@ def cmd_history(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) ->
             seed=args.seed,
             cutoff=cutoff,
             config=config,
-            rules=rules,
-            min_window=args.min_window,
             exclude_tests=args.exclude_tests,
         )
     except GitError as exc:
@@ -184,10 +182,10 @@ def cmd_history(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) ->
         _say("no source-modifying commits found")
 
     report = history_report(result, args.repo, args.deterministic, max_commits, args.seed, cutoff, args.exclude_tests)
-    return _emit(args, rules, config, history_report_csv(report.payload) if args.format == "csv" else report)
+    return _emit(args, config, history_report_csv(report.payload) if args.format == "csv" else report)
 
 
-def cmd_panel(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> int:
+def cmd_panel(args: argparse.Namespace, config: ScanConfig) -> int:
     from .git import GitError
     from .panel import build_panel_entry, load_panel_config, panel_aggregate
     from .report import panel_report
@@ -201,7 +199,7 @@ def cmd_panel(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> i
     failed = []
     for spec in specs:
         try:
-            entries.append(build_panel_entry(spec, config, rules, args.min_window))
+            entries.append(build_panel_entry(spec, config))
         except (GitError, ScanError, OSError) as exc:
             _say(f"{spec.repo_id}: {exc}")
             failed.append({"repo_id": spec.repo_id, "reason": str(exc)})
@@ -210,25 +208,25 @@ def cmd_panel(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> i
 
     references = (args.reference_mean_verbosity, args.reference_mean_erosion)
     aggregate = panel_aggregate(entries, *references, failed=tuple(failed))
-    return _emit(args, rules, config, panel_report(aggregate, entries, specs, *references))
+    return _emit(args, config, panel_report(aggregate, entries, specs, *references))
 
 
-def cmd_rules(args: argparse.Namespace, rules: RuleSet, config: ScanConfig) -> int:
+def cmd_rules(args: argparse.Namespace, config: ScanConfig) -> int:
     if args.rules_command == "list":
-        return _write_stdout("".join(f"{rule.id}\t{rule.kind}\t{rule.category}\n" for rule in rules))
+        return _write_stdout("".join(f"{rule.id}\t{rule.kind}\t{rule.category}\n" for rule in config.rules))
 
     from .history import scan_tree_with_sources
     from .report import matches_to_jsonl
 
-    selected = rules.subset({args.rule_id})
-    if not selected:
+    selected = config._replace(rules=config.rules.subset({args.rule_id}))
+    if not selected.rules:
         return _fail(f"unknown rule id: {args.rule_id}", EXIT_USAGE)
     path = Path(args.file)
     if not is_python(path.name):
         return _fail(f"{path}: not a Python (.py) file", EXIT_USAGE)
     name = decode_path(os.fsencode(path.name))
     file = [(name, read_file(path.parent, path.name))]
-    analysis = scan_tree_with_sources(file, config, selected)[1][name]
+    analysis = scan_tree_with_sources(file, selected)[1][name]
     if analysis.inventory.skipped:
         return _fail(f"{path}: skipped ({analysis.inventory.skipped[0][1]})", EXIT_UNREADABLE)
     return _write_stdout(matches_to_jsonl(analysis.matches))
@@ -242,8 +240,6 @@ def _add_common(parser: argparse.ArgumentParser, csv: bool = True) -> None:
     parser.add_argument("--out", type=_path, help="write the report to a file instead of stdout")
     parser.add_argument("--deterministic", action="store_true",
                         help="omit created_at and write the scanned root or repository as '.'")
-    # None stands for clones.DEFAULT_MIN_WINDOW, which main fills in, so that
-    # building the parser does not import the clone detector.
     parser.add_argument("--min-window", type=_positive_int, help="clone window size in normalized lines")
 
 
@@ -292,10 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "min_window", 0) is None:  # scan, history or panel, without --min-window
-        from .clones import DEFAULT_MIN_WINDOW
-
-        args.min_window = DEFAULT_MIN_WINDOW
     rules_path = args.rules if args.rules is not None else os.environ.get(RULES_ENV)
     if rules_path == "":
         return _fail(f"{RULES_ENV} is set but empty", EXIT_USAGE)
@@ -316,7 +308,8 @@ def main(argv: list[str] | None = None) -> int:
         config = ScanConfig() if config_path is None else load_scan_config(config_path)
     except ScanError as exc:
         return _fail(f"bad config: {exc}", EXIT_USAGE)
-    return args.func(args, rules, config)
+    min_window = getattr(args, "min_window", None) or config.min_window  # None: not given, or no such flag
+    return args.func(args, config._replace(rules=rules, min_window=min_window))
 
 
 def run() -> NoReturn:
@@ -330,6 +323,13 @@ def run() -> NoReturn:
     from ``main()`` (argparse's ``--help`` and usage errors) propagates and
     exits as usual.
     """
+    # A closed fd 0-2 is held on the null device. Left free, the next file
+    # opened (git's stderr file) would take it and git's outputs would mix.
+    for fd in range(3):
+        try:
+            os.fstat(fd)
+        except OSError:
+            os.open(os.devnull, os.O_RDWR)  # the lowest free fd: this one
     code = main()
     atexit._run_exitfuncs()
     # A failed command has reported already (a failed write's unflushed bytes

@@ -15,6 +15,9 @@ at most ``min_window`` normalized lines after another) are merged into
 maximal regions. Regions linked through a shared window fingerprint form
 one clone class.
 
+``min_window`` comes from the caller (``scan.DEFAULT_MIN_WINDOW`` unless set):
+this module imports nothing from the package, so it loads on its own.
+
 Region fingerprints are SHA-1 hex digests from CPython's built-in ``_sha1``
 module, so clone detection does not load ``hashlib`` and OpenSSL with it;
 ``hashlib`` gives the same digest where that module is missing.
@@ -31,8 +34,6 @@ try:
     from _sha1 import sha1
 except ImportError:  # a Python built without it
     from hashlib import sha1
-
-DEFAULT_MIN_WINDOW = 6
 
 
 class CloneRegion(NamedTuple):
@@ -120,9 +121,7 @@ def normalize_file(path: str, text: str) -> NormalizedFile:
     return NormalizedFile(path, tuple(" ".join(line) for _, line in kept), tuple(n for n, _ in kept))
 
 
-def detect_clones_normalized(
-    files: list[NormalizedFile], min_window: int = DEFAULT_MIN_WINDOW
-) -> list[CloneRegion]:
+def detect_clones_normalized(files: list[NormalizedFile], min_window: int) -> list[CloneRegion]:
     if min_window < 1:
         raise ValueError("min_window must be positive")
 
@@ -173,7 +172,7 @@ def detect_clones_normalized(
     return out
 
 
-def detect_clones(files: Iterable[NormalizedFile], min_window: int = DEFAULT_MIN_WINDOW) -> list[CloneRegion]:
+def detect_clones(files: Iterable[NormalizedFile], min_window: int) -> list[CloneRegion]:
     """Detect type-2 clones across a set of files, each as ``normalize_file``
     gives it, taken in path order."""
     return detect_clones_normalized(sorted(files, key=lambda nf: nf.path), min_window)

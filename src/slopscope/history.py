@@ -19,9 +19,9 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import clones, verbosity
 from .adapters import ADAPTERS, SourceText, TreeIndex
-from .clones import DEFAULT_MIN_WINDOW, CloneRegion, NormalizedFile, detect_clones
+from .clones import CloneRegion, NormalizedFile, detect_clones
 from .erosion import ErosionReport, erosion_score
-from .rules import RuleMatch, RuleSet, match_rules
+from .rules import RuleMatch, match_rules
 from .scan import MAX_FILE_BYTES, FileRecord, ScanConfig, SourceInventory, read_tree
 from .trajectory import (
     DEFAULT_ERA_CUTOFF,
@@ -147,7 +147,7 @@ def _source_encoding(data: bytes) -> str:
     return "utf-8-sig" if bom else "utf-8"
 
 
-def analyse_file(relpath: str, data: bytes, config: ScanConfig, rules: RuleSet) -> FileAnalysis:
+def analyse_file(relpath: str, data: bytes, config: ScanConfig) -> FileAnalysis:
     """Measure the bytes of one Python file.
 
     A file of more than ``scan.MAX_FILE_BYTES`` is a ``large`` skip, before
@@ -179,14 +179,14 @@ def analyse_file(relpath: str, data: bytes, config: ScanConfig, rules: RuleSet) 
     callables = adapter.enumerate_callables(relpath, source, index)
     return FileAnalysis(
         inventory=SourceInventory(files=(record,), callables=tuple(callables)),
-        matches=tuple(match_rules(relpath, source, index, rules)),
+        matches=tuple(match_rules(relpath, source, index, config.rules)),
         source_lines=source.source_lines,
         normalized=clones.normalize_file(relpath, text),
     )
 
 
 def scan_tree_with_sources(
-    files: Iterable[tuple[str, bytes | str | FileAnalysis]], config: ScanConfig, rules: RuleSet
+    files: Iterable[tuple[str, bytes | str | FileAnalysis]], config: ScanConfig
 ) -> tuple[SourceInventory, dict[str, FileAnalysis]]:
     """Analyse one snapshot, one file at a time.
 
@@ -199,7 +199,7 @@ def scan_tree_with_sources(
     analyses: dict[str, FileAnalysis] = {}
     for path, item in files:
         if isinstance(item, bytes):
-            analyses[path] = analyse_file(path, item, config, rules)
+            analyses[path] = analyse_file(path, item, config)
         elif isinstance(item, str):
             analyses[path] = _skipped(path, item)
         else:
@@ -238,16 +238,13 @@ class CheckpointAnalysis(NamedTuple):
 
 
 def measure_checkpoint(
-    workspace: str | Path | Iterable[tuple[str, bytes | str | FileAnalysis]],
-    config: ScanConfig = ScanConfig(),
-    rules: RuleSet = RuleSet(()),
-    min_window: int = DEFAULT_MIN_WINDOW,
+    workspace: str | Path | Iterable[tuple[str, bytes | str | FileAnalysis]], config: ScanConfig = ScanConfig()
 ) -> CheckpointAnalysis:
     """Measure a snapshot: a directory, or the files of one as
     ``scan_tree_with_sources`` takes them. Either streams through one loop,
     one file at a time.
 
-    ``rules`` defaults to an empty rule set, which flags no line. Clones,
+    The default config's rule set is empty and flags no line. Clones,
     erosion and verbosity are always computed over every file, verbosity
     from each measured file's line count and source lines. A snapshot's
     place in a history (index, commit, time and phase) is not its own:
@@ -255,10 +252,10 @@ def measure_checkpoint(
     """
     if isinstance(workspace, (str, Path)):
         workspace = read_tree(workspace, config)
-    inventory, files = scan_tree_with_sources(workspace, config, rules)
+    inventory, files = scan_tree_with_sources(workspace, config)
     erosion = erosion_score(inventory)
     matches = [m for f in files.values() for m in f.matches]
-    regions = detect_clones([f.normalized for f in files.values() if f.normalized is not None], min_window)
+    regions = detect_clones([f.normalized for f in files.values() if f.normalized is not None], config.min_window)
     breakdown = verbosity.verbosity_score(measured_lines(files), matches, regions)
     return CheckpointAnalysis(
         erosion=erosion, verbosity=breakdown, inventory=inventory, matches=matches, clones=regions, files=files
@@ -278,8 +275,6 @@ def measure_history(
     seed: int = 0,
     cutoff: date = DEFAULT_ERA_CUTOFF,
     config: ScanConfig = ScanConfig(),
-    rules: RuleSet = RuleSet(()),
-    min_window: int = DEFAULT_MIN_WINDOW,
     exclude_tests: bool = False,
 ) -> HistoryResult:
     """Sample a repository's commits and measure each snapshot.
@@ -312,7 +307,7 @@ def measure_history(
                 continue
             try:
                 trees = materialize_commit(store, commit.sha, config, previous)
-                analysis = measure_checkpoint(_read_commit(store, trees.values(), reuse), config, rules, min_window)
+                analysis = measure_checkpoint(_read_commit(store, trees.values(), reuse), config)
             except GitExited:
                 raise  # no later commit can be read either
             except GitError as err:

@@ -7,9 +7,7 @@ from collections import Counter
 from pathlib import Path
 from typing import NamedTuple
 
-from .clones import DEFAULT_MIN_WINDOW
 from .history import DEFAULT_MAX_COMMITS, HistoryResult, measure_history
-from .rules import RuleSet
 from .scan import ScanConfig, ScanError, read_record, read_yaml
 from .trajectory import CheckpointMetrics, EraShift, TrajectorySummary, median
 
@@ -95,20 +93,8 @@ def load_panel_config(path: str | Path) -> list[RepoSpec]:
     return specs
 
 
-def build_panel_entry(
-    spec: RepoSpec,
-    config: ScanConfig = ScanConfig(),
-    rules: RuleSet = RuleSet(()),
-    min_window: int = DEFAULT_MIN_WINDOW,
-) -> RepoPanelEntry:
-    result: HistoryResult = measure_history(
-        spec.repo_path,
-        max_commits=spec.max_commits,
-        seed=spec.seed,
-        config=config,
-        rules=rules,
-        min_window=min_window,
-    )
+def build_panel_entry(spec: RepoSpec, config: ScanConfig = ScanConfig()) -> RepoPanelEntry:
+    result: HistoryResult = measure_history(spec.repo_path, max_commits=spec.max_commits, seed=spec.seed, config=config)
     if not result.checkpoints:
         raise ScanError("no measurable checkpoints")
     return RepoPanelEntry(

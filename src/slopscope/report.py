@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from . import __version__
 from .erosion import ErosionReport, erosion_sensitivity
 from .history import CheckpointAnalysis, HistoryResult, measured_lines
-from .rules import RuleMatch, RuleSet
+from .rules import RuleMatch
 from .scan import ScanConfig, decode_path
 from .trajectory import CheckpointMetrics, date, datetime, timezone
 from .verbosity import counted_lines
@@ -158,13 +158,12 @@ def panel_report(report: PanelReport, entries: list[RepoPanelEntry], specs: list
     return Report("PanelReport", payload, settings)
 
 
-def envelope(report: Report, config: ScanConfig, rules: RuleSet, min_window: int, deterministic: bool) -> dict:
-    """The JSON report: the payload under a config digest of the scan
-    config, the rule definitions, ``min_window`` and the command's own
+def envelope(report: Report, config: ScanConfig, deterministic: bool) -> dict:
+    """The JSON report: the payload under a config digest of the whole scan
+    config (its rule set as the rule definitions) and the command's own
     settings, and, unless ``deterministic``, the time it was made."""
-    rule_defs = json.dumps([rule._asdict() for rule in rules], sort_keys=True).encode()
-    digested = {**config._asdict(), "rules": sha256(rule_defs).hexdigest(), "min_window": min_window,
-                **report.settings}
+    rule_defs = json.dumps([rule._asdict() for rule in config.rules], sort_keys=True).encode()
+    digested = {**config._asdict(), "rules": sha256(rule_defs).hexdigest(), **report.settings}
     out = {
         "tool_version": __version__,
         "config_digest": sha256(json.dumps(digested, sort_keys=True, ensure_ascii=False).encode()).hexdigest(),

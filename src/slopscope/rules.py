@@ -10,7 +10,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, NamedTuple
 
 from .patterns import PatternError, compile_pattern, find_matches
-from .scan import read_record, read_yaml
+from .scan import RuleSet, read_record, read_yaml
 
 if TYPE_CHECKING:  # annotations only: ``rules list`` matches no file
     from .adapters import SourceText, TreeIndex
@@ -43,30 +43,6 @@ class RuleMatch(NamedTuple):
     # Metavariable name -> bound source text; the default is read-only, so
     # no two matches share a mutable mapping.
     captures: Mapping[str, str] = MappingProxyType({})
-
-
-class RuleSet:
-    """Rules in file order, each with its compiled pattern or regex.
-    Iterating a rule set gives its rules."""
-
-    __slots__ = ("rules", "_compiled")
-
-    def __init__(self, rules: tuple[QualityRule, ...], compiled: dict[str, object] | None = None) -> None:
-        self.rules = rules
-        self._compiled = {} if compiled is None else compiled
-
-    def __len__(self) -> int:
-        return len(self.rules)
-
-    def __iter__(self):
-        return iter(self.rules)
-
-    def compiled(self, rule: QualityRule):
-        return self._compiled[rule.id]
-
-    def subset(self, rule_ids: set[str]) -> RuleSet:
-        kept = tuple(r for r in self.rules if r.id in rule_ids)
-        return RuleSet(kept, {r.id: self._compiled[r.id] for r in kept})
 
 
 STARTER_RULES = Path(__file__).parent / "data" / "rules" / "starter.json"

@@ -1,4 +1,5 @@
-"""Snapshot records, input files, scan configuration and the tree walk.
+"""Snapshot records, input files, the tree walk and ``ScanConfig``, the one
+record of what a snapshot is measured with, rule set and clone window included.
 
 Records throughout the package are ``typing.NamedTuple`` classes, which
 cost next to nothing to define at import. A record that checks its values
@@ -12,7 +13,10 @@ import os
 import stat
 from collections.abc import Iterator
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:  # annotations only: ``rules`` imports this module
+    from .rules import QualityRule
 
 
 class ScanError(Exception):
@@ -151,10 +155,42 @@ ALWAYS_SKIP_DIRS = {".git", ".hg", ".svn", "__pycache__"}
 # memory. No score of a smaller file depends on it.
 MAX_FILE_BYTES = 1 << 20
 
+# The clone window in normalized lines, unless ``--min-window`` sets it.
+DEFAULT_MIN_WINDOW = 6
+
+
+class RuleSet:
+    """Rules in file order, each with its compiled pattern or regex.
+    Iterating a rule set gives its rules."""
+
+    __slots__ = ("rules", "_compiled")
+
+    def __init__(self, rules: tuple[QualityRule, ...], compiled: dict[str, object] | None = None) -> None:
+        self.rules = rules
+        self._compiled = {} if compiled is None else compiled
+
+    def __len__(self) -> int:
+        return len(self.rules)
+
+    def __iter__(self):
+        return iter(self.rules)
+
+    def compiled(self, rule: QualityRule):
+        return self._compiled[rule.id]
+
+    def subset(self, rule_ids: set[str]) -> RuleSet:
+        kept = tuple(r for r in self.rules if r.id in rule_ids)
+        return RuleSet(kept, {r.id: self._compiled[r.id] for r in kept})
+
 
 class ScanConfig(NamedTuple):
+    """Everything a snapshot is measured with, each field in the config
+    digest. A config file sets the first two; the command line the rest."""
+
     exclude: tuple[str, ...] = ()
     minified_line_threshold: int = 500
+    min_window: int = DEFAULT_MIN_WINDOW
+    rules: RuleSet = RuleSet(())
 
 
 def load_scan_config(path: str | Path) -> ScanConfig:

@@ -18,11 +18,11 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from slopscope.cli import main
-from slopscope.clones import DEFAULT_MIN_WINDOW, detect_clones
+from slopscope.clones import detect_clones
 from slopscope.erosion import erosion_score, erosion_sensitivity
 from slopscope.history import measure_checkpoint, measure_history
 from slopscope.rules import RuleMatch, load_starter_rules
-from slopscope.scan import CallableRecord, SourceInventory
+from slopscope.scan import DEFAULT_MIN_WINDOW, CallableRecord, ScanConfig, SourceInventory
 from slopscope.trajectory import bin_phases, era_split, trajectory_summary
 from slopscope.verbosity import verbosity_score
 
@@ -129,9 +129,9 @@ def test_criterion_04_verbosity_random_cases():
 def test_criterion_05_clone_oracle_and_examples():
     # A verbatim 12-line duplicate and its identifier-renamed twin.
     assert len(VERBATIM_BLOCK.splitlines()) >= 8
-    verbatim = detect_clones(normalized({"a.py": VERBATIM_BLOCK, "b.py": VERBATIM_BLOCK}))
+    verbatim = detect_clones(normalized({"a.py": VERBATIM_BLOCK, "b.py": VERBATIM_BLOCK}), DEFAULT_MIN_WINDOW)
     assert {r.file for r in verbatim} == {"a.py", "b.py"}
-    renamed = detect_clones(normalized({"a.py": VERBATIM_BLOCK, "b.py": RENAMED_BLOCK}))
+    renamed = detect_clones(normalized({"a.py": VERBATIM_BLOCK, "b.py": RENAMED_BLOCK}), DEFAULT_MIN_WINDOW)
     assert {r.file for r in renamed} == {"a.py", "b.py"}
 
     rng = random.Random(505)
@@ -156,7 +156,7 @@ def test_criterion_05_clone_oracle_and_examples():
                     cut = rng.randrange(len(donor) - DEFAULT_MIN_WINDOW + 1)
                     body += "\n".join(donor[cut : cut + DEFAULT_MIN_WINDOW + 2]) + "\n"
             texts[f"f{fi}.py"] = body
-        assert covered_lines(detect_clones(normalized(texts))) == brute_force_clone_lines(texts)
+        assert covered_lines(detect_clones(normalized(texts), DEFAULT_MIN_WINDOW)) == brute_force_clone_lines(texts)
 
 
 # Each shape spans at least the clone window, so a verbatim file copy is
@@ -199,7 +199,7 @@ FUNCTION_SHAPES = [
 
 
 def _measure_tree(root):
-    analysis = measure_checkpoint(root, rules=load_starter_rules())
+    analysis = measure_checkpoint(root, ScanConfig(rules=load_starter_rules()))
     return analysis.erosion.score, analysis.verbosity.score
 
 
@@ -314,7 +314,7 @@ def test_criterion_12_full_pipeline_within_budget(tmp_path):
     write_tree(tmp_path, large_tree_files())
 
     started = time.monotonic()
-    analysis = measure_checkpoint(tmp_path, rules=load_starter_rules())
+    analysis = measure_checkpoint(tmp_path, ScanConfig(rules=load_starter_rules()))
     elapsed = time.monotonic() - started
     assert analysis.inventory.total_loc >= 100_000
     assert elapsed < 30.0, f"measure_checkpoint took {elapsed:.1f}s"

@@ -137,6 +137,9 @@ BAD_INPUTS = {
     "unknown-encoding": (["history", "{repo}", "--config", "{unknown_encoding}"], EXIT_USAGE),
     "non-text-encoding": (["scan", "{tree}", "--config", "{rot13_encoding}"], EXIT_USAGE),
     "languages-config": (["scan", "{tree}", "--config", "{languages_config}"], EXIT_USAGE),
+    # The rule set and the clone window are set on the command line only.
+    "min-window-config": (["scan", "{tree}", "--config", "{min_window_config}"], EXIT_USAGE),
+    "rules-config": (["scan", "{tree}", "--config", "{rules_config}"], EXIT_USAGE),
     "languages-rules": (["scan", "{tree}", "--rules", "{languages_rules}"], EXIT_BAD_RULES),
     "scalar-regex-flags": (["rules", "list", "--rules", "{scalar_regex_flags}"], EXIT_BAD_RULES),
     "empty-regex-flags": (["scan", "{tree}", "--rules", "{empty_regex_flags}"], EXIT_BAD_RULES),
@@ -215,6 +218,8 @@ BAD_FILES = {
     "unknown_encoding.yaml": b"encoding: nope\n",
     "rot13_encoding.yaml": b"encoding: rot13\n",
     "languages_config.yaml": b"languages: [python]\n",
+    "min_window_config.yaml": b"min_window: 3\n",
+    "rules_config.yaml": b"rules: []\n",
     "languages_rules.yaml": b"- {id: r, kind: pattern, pattern: '$X == $X', languages: [python]}\n",
     "scalar_regex_flags.yaml": b"- {id: r, kind: regex, pattern: x, regex_flags: 5}\n",
     "empty_regex_flags.yaml": b"- id: r\n  kind: regex\n  pattern: x\n  regex_flags:\n",
@@ -1059,6 +1064,39 @@ class TestProcessEntry:
         done = run_module("scan", GOLDEN_TREE, "--deterministic", "--sweep", "--out", str(out), closing=">&-")
         assert (done.returncode, done.stderr) == (EXIT_OK, b"")
         assert out.read_bytes() == (FIXTURES / "golden_scan.json").read_bytes()
+
+    def test_a_history_started_without_stdout_lists_an_empty_repository(self, tmp_path):
+        """A standard fd the process starts without is held open, so git's
+        stderr file does not take fd 1 and git's two outputs stay apart."""
+        empty = tmp_path / "empty"
+        subprocess.run(["git", "init", "-q", str(empty)], check=True)
+        done = run_module("history", str(empty), "--out", str(tmp_path / "empty.json"), closing=">&-")
+        assert done.returncode == EXIT_OK
+        assert done.stderr.decode().splitlines() == ["slopscope: no source-modifying commits found"]
+
+    def test_a_history_started_without_stdout_reads_each_commit_as_with_it(self, tmp_path):
+        """One unreadable blob skips its commit alone, with git's reason,
+        whether or not fd 1 was open."""
+        repo = build_history_repo(tmp_path / "repo")
+        git = ["git", "-C", str(repo)]
+        first = subprocess.run([*git, "rev-list", "--max-parents=0", "HEAD"], capture_output=True, text=True,
+                               check=True).stdout.strip()
+        blob = subprocess.run([*git, "rev-parse", f"{first}:main.py"], capture_output=True, text=True,
+                              check=True).stdout.strip()
+        loose = repo / ".git" / "objects" / blob[:2] / blob[2:]
+        loose.unlink()  # git writes loose objects read-only
+        loose.write_bytes(b"not a zlib stream")
+        reports = []
+        for closing in ("", ">&-"):
+            out = tmp_path / f"history{len(reports)}.json"
+            done = run_module("history", str(repo), "--deterministic", "--out", str(out), closing=closing)
+            assert (done.returncode, done.stderr) == (EXIT_OK, b"")
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        payload = json.loads(reports[0])["payload"]
+        assert len(payload["checkpoints"]) == len(HISTORY_COMMITS) - 1
+        ((skipped, reason),) = [(s["sha"], s["reason"]) for s in payload["skipped_commits"]]
+        assert skipped == first and reason.startswith(f"blob {blob} missing: ")
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
     @pytest.mark.parametrize("argv", [["scan", GOLDEN_TREE, "--deterministic"], ["rules", "list"]])

@@ -16,7 +16,8 @@ import random
 import pytest
 
 from slopscope import clones
-from slopscope.clones import DEFAULT_MIN_WINDOW, CloneRegion, NormalizedFile, normalize_file
+from slopscope.clones import CloneRegion, NormalizedFile, normalize_file
+from slopscope.scan import DEFAULT_MIN_WINDOW
 
 from conftest import CORPORA
 

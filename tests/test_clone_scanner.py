@@ -31,6 +31,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import slopscope.clones
 from slopscope.clones import NormalizedFile, detect_clones, normalize_file
+from slopscope.scan import DEFAULT_MIN_WINDOW
 
 from conftest import CORPORA, large_tree_files, normalized
 
@@ -300,7 +301,7 @@ def test_same_lines_on_every_local_python():
 def test_text_that_does_not_tokenize_is_scanned_in_one_pass(text):
     started = time.monotonic()
     files = normalized({"a.py": text, "b.py": text})
-    regions = detect_clones(files)
+    regions = detect_clones(files, DEFAULT_MIN_WINDOW)
     assert time.monotonic() - started < 5.0
     assert all(isinstance(line, str) for line in files[0].lines)
     assert list(files[0].physical) == sorted(set(files[0].physical))

@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import random
 
-from slopscope.clones import DEFAULT_MIN_WINDOW, NormalizedFile, detect_clones, normalize_file
+from slopscope.clones import NormalizedFile, detect_clones, normalize_file
+from slopscope.scan import DEFAULT_MIN_WINDOW
 
 from conftest import SLOP, covered_lines, handler_source, normalized
 
@@ -67,12 +68,12 @@ def random_source(rng: random.Random, n_lines: int) -> str:
 
 class TestDetection:
     def test_verbatim_duplicate_across_files(self):
-        regions = detect_clones(normalized({"a.py": VERBATIM_BLOCK, "b.py": VERBATIM_BLOCK}))
+        regions = detect_clones(normalized({"a.py": VERBATIM_BLOCK, "b.py": VERBATIM_BLOCK}), DEFAULT_MIN_WINDOW)
         assert {r.file for r in regions} == {"a.py", "b.py"}
         assert len({r.clone_class_id for r in regions}) == 1
 
     def test_renamed_duplicate_is_type2_clone(self):
-        regions = detect_clones(normalized({"a.py": VERBATIM_BLOCK, "b.py": RENAMED_BLOCK}))
+        regions = detect_clones(normalized({"a.py": VERBATIM_BLOCK, "b.py": RENAMED_BLOCK}), DEFAULT_MIN_WINDOW)
         assert {r.file for r in regions} == {"a.py", "b.py"}
         spans = {r.file: (r.start_line, r.end_line) for r in regions}
         assert spans["a.py"] == (1, 8)
@@ -80,14 +81,14 @@ class TestDetection:
 
     def test_below_window_not_flagged(self):
         short = "a = 1\nb = 2\nc = 3\n"
-        assert detect_clones(normalized({"a.py": short, "b.py": short})) == []
+        assert detect_clones(normalized({"a.py": short, "b.py": short}), DEFAULT_MIN_WINDOW) == []
 
     def test_distinct_files_not_flagged(self):
         other = "def solo():\n    return {'k': 1, 'j': 2}\n"
-        assert detect_clones(normalized({"a.py": VERBATIM_BLOCK, "b.py": other})) == []
+        assert detect_clones(normalized({"a.py": VERBATIM_BLOCK, "b.py": other}), DEFAULT_MIN_WINDOW) == []
 
     def test_intra_file_duplicate_handlers(self):
-        regions = detect_clones(normalized({"slop.py": SLOP}))
+        regions = detect_clones(normalized({"slop.py": SLOP}), DEFAULT_MIN_WINDOW)
         covered = covered_lines(regions)
         # Both handler bodies are renamed copies of each other; every
         # normalized line of the file belongs to the clone.
@@ -108,7 +109,7 @@ class TestDetection:
 
     def test_comments_and_blanks_ignored(self):
         spaced = VERBATIM_BLOCK.replace("    out = []\n", "    # gather\n\n    out = []\n")
-        regions = detect_clones(normalized({"a.py": VERBATIM_BLOCK, "b.py": spaced}))
+        regions = detect_clones(normalized({"a.py": VERBATIM_BLOCK, "b.py": spaced}), DEFAULT_MIN_WINDOW)
         assert {r.file for r in regions} == {"a.py", "b.py"}
 
 
@@ -118,7 +119,7 @@ class TestOracle:
             "one.py": handler_source("process_rows", "acc"),
             "two.py": handler_source("reduce_batch", "val"),
         }
-        regions = detect_clones(normalized(texts))
+        regions = detect_clones(normalized(texts), DEFAULT_MIN_WINDOW)
         assert covered_lines(regions) == brute_force_clone_lines(texts)
 
     def test_random_files_match_brute_force(self):
@@ -135,7 +136,7 @@ class TestOracle:
                         chunk = donor_lines[cut : cut + DEFAULT_MIN_WINDOW + 3]
                         body = body + "\n".join(chunk) + "\n"
                 texts[f"f{fi}.py"] = body
-            got = covered_lines(detect_clones(normalized(texts)))
+            got = covered_lines(detect_clones(normalized(texts), DEFAULT_MIN_WINDOW))
             want = brute_force_clone_lines(texts)
             assert got == want, f"trial {trial}: {got ^ want}"
 
@@ -159,8 +160,8 @@ class TestNormalization:
 
 class TestInvariants:
     def test_symmetry_under_file_renaming(self):
-        base = detect_clones(normalized({"a.py": VERBATIM_BLOCK, "b.py": RENAMED_BLOCK}))
-        flipped = detect_clones(normalized({"b.py": VERBATIM_BLOCK, "a.py": RENAMED_BLOCK}))
+        base = detect_clones(normalized({"a.py": VERBATIM_BLOCK, "b.py": RENAMED_BLOCK}), DEFAULT_MIN_WINDOW)
+        flipped = detect_clones(normalized({"b.py": VERBATIM_BLOCK, "a.py": RENAMED_BLOCK}), DEFAULT_MIN_WINDOW)
         assert {(r.start_line, r.end_line) for r in base} == {(r.start_line, r.end_line) for r in flipped}
 
     def test_clone_lines_subset_of_normalized_lines(self):
@@ -169,10 +170,10 @@ class TestInvariants:
         for path, text in texts.items():
             nf = normalize_file(path, text)
             all_normalized.update((path, n) for n in nf.physical)
-        assert covered_lines(detect_clones(normalized(texts))) <= all_normalized
+        assert covered_lines(detect_clones(normalized(texts), DEFAULT_MIN_WINDOW)) <= all_normalized
 
     def test_region_lines_match_span(self):
-        for region in detect_clones(normalized({"a.py": VERBATIM_BLOCK, "b.py": VERBATIM_BLOCK})):
+        for region in detect_clones(normalized({"a.py": VERBATIM_BLOCK, "b.py": VERBATIM_BLOCK}), DEFAULT_MIN_WINDOW):
             assert region.lines[0] == region.start_line
             assert region.lines[-1] == region.end_line
             assert list(region.lines) == sorted(region.lines)

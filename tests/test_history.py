@@ -412,7 +412,7 @@ def test_each_path_and_blob_is_analysed_once(history_repo, monkeypatch):
     mkdtemp = tempfile.mkdtemp
     monkeypatch.setattr(tempfile, "mkdtemp", lambda *a, **k: temp_dirs.append((a, k)) or mkdtemp(*a, **k))
 
-    result = measure_history(history_repo, rules=load_starter_rules())
+    result = measure_history(history_repo, config=ScanConfig(rules=load_starter_rules()))
     assert len(result.checkpoints) == 5
     # main.py v1 and v2, util.py v1 and v2, slop.py.
     assert len(parses) == 5
@@ -564,8 +564,8 @@ def _assert_history_matches_checkouts(repo: Path, tmp_path: Path, monkeypatch, c
         return analyses[-1]
 
     monkeypatch.setattr(history, "measure_checkpoint", measure_and_keep)
-    rules = load_starter_rules()
-    result = measure_history(repo, max_commits=max_commits, seed=seed, config=config, rules=rules)
+    config = config._replace(rules=load_starter_rules())
+    result = measure_history(repo, max_commits=max_commits, seed=seed, config=config)
     monkeypatch.undo()
 
     commits = sample_commits(repo, max_commits, seed)
@@ -575,7 +575,7 @@ def _assert_history_matches_checkouts(repo: Path, tmp_path: Path, monkeypatch, c
     checked = []
     for got, fresh, commit in zip(analyses, analysed, commits):
         root = _checkout(repo, commit.sha, tmp_path / commit.sha)
-        want = measure_checkpoint(root, config, rules)
+        want = measure_checkpoint(root, config)
         assert got.inventory == want.inventory  # records, callables and skip reasons
         assert got.matches == want.matches
         assert [m.captures for m in got.matches] == [m.captures for m in want.matches]
@@ -647,10 +647,10 @@ def test_a_file_over_the_size_cap_is_a_large_skip(tmp_path, monkeypatch):
 
 def test_the_size_cap_comes_before_decoding():
     undecodable = b"\xff" * (MAX_FILE_BYTES + 1)
-    assert history.analyse_file("big.py", undecodable, ScanConfig(), load_starter_rules()).inventory.skipped == (
-        ("big.py", "large"),)
-    assert history.analyse_file("cap.py", undecodable[:MAX_FILE_BYTES], ScanConfig(),
-                                load_starter_rules()).inventory.skipped == (("cap.py", "decode"),)
+    config = ScanConfig(rules=load_starter_rules())
+    assert history.analyse_file("big.py", undecodable, config).inventory.skipped == (("big.py", "large"),)
+    assert history.analyse_file("cap.py", undecodable[:MAX_FILE_BYTES], config).inventory.skipped == (
+        ("cap.py", "decode"),)
 
 
 def test_an_oversized_blob_is_dropped_unheld_and_reported(tmp_path):

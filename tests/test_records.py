@@ -17,7 +17,8 @@ from slopscope.cli import main
 from slopscope.history import DEFAULT_MAX_COMMITS
 from slopscope.panel import RepoSpec, load_panel_config
 from slopscope.rules import QualityRule, RuleMatch, load_rules, load_starter_rules
-from slopscope.scan import ScanConfig, load_scan_config, read_record
+from slopscope.report import Report, envelope
+from slopscope.scan import DEFAULT_MIN_WINDOW, ScanConfig, load_scan_config, read_record
 
 from conftest import FIXTURES
 
@@ -119,3 +120,23 @@ class TestPinnedDigests:
         ]))
         digest = report_digest(capsys, "panel", str(panel), "--deterministic")
         assert digest == "7f8d5c380d825eeea08f7c71677daa6d1811f8e4627d85734ce763927dea4702"
+
+
+def test_the_digest_covers_every_field_of_the_scan_config():
+    """A config that differs from the default in one field alone has
+    another digest; a field added without a case here fails the test."""
+    starter = load_starter_rules()
+    changed = {
+        "exclude": ("vendor/*",),
+        "minified_line_threshold": ScanConfig().minified_line_threshold + 1,
+        "min_window": DEFAULT_MIN_WINDOW + 1,
+        "rules": starter.subset({next(iter(starter)).id}),
+    }
+    assert sorted(changed) == sorted(ScanConfig._fields)
+
+    def digest(config: ScanConfig) -> str:
+        return envelope(Report("ScanReport", {}, {}), config, True)["config_digest"]
+
+    default = digest(ScanConfig())
+    for field, value in changed.items():
+        assert digest(ScanConfig(**{field: value})) != default, field

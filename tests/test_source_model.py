@@ -12,7 +12,7 @@ import pytest
 from slopscope import patterns
 from slopscope.adapters import ADAPTERS, PythonAdapter, SourceText, TreeIndex
 from slopscope.history import analyse_file, measure_checkpoint
-from slopscope.rules import RuleSet, load_starter_rules
+from slopscope.rules import load_starter_rules
 from slopscope.scan import CallableRecord, FileRecord, ScanConfig, ScanError, load_scan_config, read_tree
 
 from conftest import CORPORA, DEEP_SUM, FIXTURES, TOO_DEEP, write_tree
@@ -120,8 +120,8 @@ class TestScanTree:
         assert [f.path for f in inv.files] == ["m.py"] and inv.skipped == ()
 
     def test_a_stream_of_files_is_measured_as_its_directory(self):
-        root, config, rules = FIXTURES / "golden_tree", ScanConfig(), load_starter_rules()
-        assert measure_checkpoint(read_tree(root, config), config, rules) == measure_checkpoint(root, config, rules)
+        root, config = FIXTURES / "golden_tree", ScanConfig(rules=load_starter_rules())
+        assert measure_checkpoint(read_tree(root, config), config) == measure_checkpoint(root, config)
 
     def test_exclude_globs(self, tmp_path):
         write_tree(tmp_path, TREE_FILES)
@@ -225,6 +225,10 @@ def test_load_scan_config(tmp_path):
         bad.write_text(text)
         with pytest.raises(ScanError):
             load_scan_config(bad)
+    for text in ("min_window: 3\n", "rules: []\n"):  # set on the command line only
+        bad.write_text(text)
+        with pytest.raises(ScanError, match="unknown keys"):
+            load_scan_config(bad)
     with pytest.raises(ScanError):
         load_scan_config(tmp_path / "missing.yaml")
 
@@ -289,7 +293,7 @@ def _runs_as_script(data: bytes, tmp_path: Path) -> bool:
 
 
 def _skip_reason(data: bytes) -> str | None:
-    skipped = analyse_file("m.py", data, NEVER_MINIFIED, RuleSet(())).inventory.skipped
+    skipped = analyse_file("m.py", data, NEVER_MINIFIED).inventory.skipped
     return skipped[0][1] if skipped else None
 
 
@@ -314,15 +318,14 @@ def test_stdlib_files_with_a_bom_or_cookie_follow_python():
 
 
 def test_bom_and_cookie_files_measure_as_plain_utf8():
-    rules = load_starter_rules()
-    plain = analyse_file("m.py", ENCODED_SOURCE.encode(), NEVER_MINIFIED, rules)
-    bom = analyse_file("m.py", BOM + ENCODED_SOURCE.encode(), NEVER_MINIFIED, rules)
+    config = NEVER_MINIFIED._replace(rules=load_starter_rules())
+    plain = analyse_file("m.py", ENCODED_SOURCE.encode(), config)
+    bom = analyse_file("m.py", BOM + ENCODED_SOURCE.encode(), config)
     assert any(m.start == (1, 6) for m in plain.matches)  # the comprehension on line 1
     assert (bom.inventory, bom.matches) == (plain.inventory, plain.matches)
 
-    plain = analyse_file("m.py", b"# -*- coding: utf-8 -*-\n" + ENCODED_SOURCE.encode(), NEVER_MINIFIED, rules)
-    cookie = analyse_file("m.py", b"# -*- coding: latin-1 -*-\n" + ENCODED_SOURCE.encode("latin-1"),
-                          NEVER_MINIFIED, rules)
+    plain = analyse_file("m.py", b"# -*- coding: utf-8 -*-\n" + ENCODED_SOURCE.encode(), config)
+    cookie = analyse_file("m.py", b"# -*- coding: latin-1 -*-\n" + ENCODED_SOURCE.encode("latin-1"), config)
     assert [c.qualified_name for c in cookie.inventory.callables] == ["greet"]
     assert (cookie.inventory, cookie.matches) == (plain.inventory, plain.matches)
 

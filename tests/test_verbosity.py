@@ -9,7 +9,7 @@ from slopscope.clones import CloneRegion, detect_clones
 from slopscope.erosion import erosion_score
 from slopscope.history import measured_lines, scan_tree_with_sources
 from slopscope.rules import RuleMatch, load_starter_rules
-from slopscope.scan import ScanConfig, read_tree
+from slopscope.scan import DEFAULT_MIN_WINDOW, ScanConfig, read_tree
 from slopscope.verbosity import ConsistencyError, verbosity_score
 
 from conftest import all_source, write_tree
@@ -139,7 +139,7 @@ class TestWholeFileDuplication:
     def _measure(self, root):
         inv, files = _analyse_tree(root)
         matches = [m for f in files.values() for m in f.matches]
-        clones = detect_clones([f.normalized for f in files.values()])
+        clones = detect_clones([f.normalized for f in files.values()], DEFAULT_MIN_WINDOW)
         verbosity = verbosity_score(measured_lines(files), matches, clones)
         return erosion_score(inv).score, verbosity.score
 
@@ -163,8 +163,8 @@ class TestWholeFileDuplication:
 
 
 def _analyse_tree(root):
-    config = ScanConfig()
-    return scan_tree_with_sources(read_tree(root, config), config, load_starter_rules())
+    config = ScanConfig(rules=load_starter_rules())
+    return scan_tree_with_sources(read_tree(root, config), config)
 
 
 def test_fixture_module_end_to_end(tmp_path):
